@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .bloch import FULLY_MIXED, MeasurementAxis
 from .continuous import (
+    DEFAULT_DT_MAX,
     bloch_sde_step,
     draw_noise,
     drift_purity,
@@ -70,6 +71,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"expected a positive real, got {text!r}")
+    return value
+
+
+def _step_size(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= DEFAULT_DT_MAX:
+        raise argparse.ArgumentTypeError(f"dt must satisfy 0 < dt <= {DEFAULT_DT_MAX!r}, got {text!r}")
     return value
 
 
@@ -120,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--delta", type=_positive_float, default=20.0)
     compare.add_argument("--n-max", type=_positive_int, default=40)
-    compare.add_argument("--dt", type=_positive_float, default=1e-4)
+    compare.add_argument("--dt", type=_step_size, default=1e-4)
     compare.add_argument("--trajectories", type=_positive_int, default=1000)
 
     validate = sub.add_parser("validate", parents=[common], help="fast invariant battery")

@@ -16,9 +16,11 @@ which keeps the unit sphere invariant and drives the purity
 u = |r|^2 by du = 4(1-u)(3-u) dt + 4(1-u) r.dW.  Dropping the diffusion
 term gives the closed-form purity and mean-fidelity curves below.
 
-The integrator is Euler-Maruyama on the matrix form (the normative
-definition; the Bloch form is a cross-validated reduction), with per-step
-trace renormalization and projection back into the Bloch ball.
+The drivers integrate the Bloch form by Euler-Maruyama on a (B, 3) batch
+of Bloch vectors, projecting any vector that leaves the unit ball back
+onto the sphere.  `sme_step` is the matrix-form reference step (with
+per-step trace renormalization); it is checked pathwise against
+`bloch_sde_step`, whose arithmetic the batched kernel reproduces exactly.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ from .povm import MeasurementSettings
 # Euler-Maruyama steps above this are refused outright.
 DEFAULT_DT_MAX = 1e-3
 
-# steps per noise-generation block in ensemble runs (memory knob only)
-_NOISE_BLOCK = 2048
+# Measurements per unit time at unit precision: the time mapping, the
+# closed-form fidelity curve and the ensemble's resolution guard all derive
+# their rate RATE_CONSTANT / precision^2 from this one value.
+RATE_CONSTANT = 12.0
+
+# Trajectory-steps per pre-drawn noise block, so a batch of B trajectories
+# holds at most max(1, _NOISE_BLOCK // B) steps of increments at a time.
+# Memory knob only: the per-stream draws, hence the results, do not depend
+# on it.
+_NOISE_BLOCK = 32768
 
 # unit noise intensity; test hook for fault-injection sensitivity checks
 _NOISE_SCALE = 1.0
@@ -56,18 +66,18 @@ class TimeMapping:
 
     @property
     def rate(self) -> float:
-        """Measurements per unit time, 12 / precision^2."""
-        return 12.0 / (self.precision * self.precision)
+        """Measurements per unit time, RATE_CONSTANT / precision^2."""
+        return RATE_CONSTANT / (self.precision * self.precision)
 
     def time_from_steps(self, n) -> float:
         if n < 0:
             raise ValueError(f"step count must be nonnegative, got {n!r}")
-        return 12.0 * n / (self.precision * self.precision)
+        return RATE_CONSTANT * n / (self.precision * self.precision)
 
     def steps_for_time(self, t) -> float:
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t!r}")
-        return t * self.precision * self.precision / 12.0
+        return t * self.precision * self.precision / RATE_CONSTANT
 
 
 def time_from_steps(n, settings: MeasurementSettings) -> float:
@@ -105,7 +115,8 @@ def mean_fidelity_closed_form(n, settings: MeasurementSettings):
     if np.any(n_arr < 0.0):
         raise ValueError("measurement count must be nonnegative")
     w = settings.precision
-    out = 0.5 + (1.0 / 6.0) * _saturation_ratio(96.0 * n_arr / (w * w))
+    # the drift exponent 8 t at t = RATE_CONSTANT n / w^2; 8 * 12 = 96 is exact
+    out = 0.5 + (1.0 / 6.0) * _saturation_ratio(8.0 * RATE_CONSTANT * n_arr / (w * w))
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
@@ -145,8 +156,8 @@ def _extract_bloch(rho: np.ndarray) -> np.ndarray:
 def _step_density_batch(rho: np.ndarray, d_w: np.ndarray, dt: float) -> np.ndarray:
     """One Euler-Maruyama step of the matrix-form equation on a (B, 2, 2) batch.
 
-    All operations are per-item, so any sub-batch reproduces the same
-    trajectories bit for bit.
+    The matrix-form reference behind `sme_step`; the drivers step the Bloch
+    form through `_step_bloch_batch` instead.
     """
     d_w = _NOISE_SCALE * d_w
     expect = _extract_bloch(rho)
@@ -178,7 +189,8 @@ def sme_step(
     """One conditional-master-equation step in matrix form.
 
     Euler-Maruyama update of rho, then trace renormalization and, if the
-    Bloch vector left the unit ball, rescaling back onto the sphere.
+    Bloch vector left the unit ball, rescaling back onto the sphere.  This
+    is the reference the Bloch-form step is checked against pathwise.
     """
     _check_step(dt, dt_max)
     rho = state.matrix()[None, :, :]
@@ -192,8 +204,8 @@ def bloch_sde_step(
 ) -> Vec3:
     """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)).
 
-    Agrees pathwise with `sme_step` under shared noise; kept as an
-    independent code path for cross-validation.
+    Agrees pathwise with `sme_step` under shared noise.  The drivers'
+    batched kernel `_step_bloch_batch` reproduces this step bit for bit.
     """
     _check_step(dt, dt_max)
     d_w = noise.d_w
@@ -203,6 +215,45 @@ def bloch_sde_step(
     if length > 1.0:
         out = (out[0] / length, out[1] / length, out[2] / length)
     return out
+
+
+def _step_bloch_batch(r: np.ndarray, d_w: np.ndarray, dt: float) -> np.ndarray:
+    """`bloch_sde_step` on a (B, 3) batch of Bloch vectors, one row per trajectory.
+
+    Written component by component in the scalar step's operation order, so
+    every row equals `bloch_sde_step` bit for bit (an einsum contraction
+    would not) and any sub-batch reproduces the same trajectories.  Only
+    the rows that leave the unit ball are projected back onto the sphere.
+    """
+    d_w = _NOISE_SCALE * d_w
+    radial = r[:, 0] * d_w[:, 0] + r[:, 1] * d_w[:, 1] + r[:, 2] * d_w[:, 2]
+    out = r - 4.0 * r * dt + 2.0 * (d_w - r * radial[:, None])
+    length = np.sqrt(out[:, 0] * out[:, 0] + out[:, 1] * out[:, 1] + out[:, 2] * out[:, 2])
+    over = length > 1.0
+    if over.any():
+        out[over] /= length[over, None]
+    return out
+
+
+def _noise_blocks(gens, steps: int, dt: float):
+    """Wiener increments of `steps` steps for len(gens) trajectories, in blocks.
+
+    Yields (m, B, 3) arrays whose row b is drawn from gens[b] three normals
+    per step, the same draws `draw_noise` makes one step at a time.  Every
+    block reuses one preallocated buffer, so a block must be consumed
+    before the next is requested.
+    """
+    scale = math.sqrt(dt)
+    per_block = max(1, _NOISE_BLOCK // len(gens))
+    buf = np.empty((min(per_block, steps), len(gens), 3))
+    done = 0
+    while done < steps:
+        block = buf[: min(per_block, steps - done)]
+        for b, g in enumerate(gens):
+            block[:, b] = g.standard_normal((len(block), 3))
+        block *= scale
+        yield block
+        done += len(block)
 
 
 def record_increment(state: DensityMatrix, dt: float, noise: NoiseIncrement) -> Vec3:
@@ -230,7 +281,9 @@ def simulate_trajectory(
 
     The initial state and the final step are always emitted.  When
     emit_record is set each snapshot carries the accumulated record
-    integral of <sigma> dt + dW/2 up to its time.
+    integral of <sigma> dt + dW/2 up to its time.  This is the batch of one
+    of `simulate_purity_ensemble`, stepping the same kernel on the same
+    draws.
     """
     _check_step(dt, dt_max)
     if not (t_max > 0.0) or not math.isfinite(t_max):
@@ -238,24 +291,25 @@ def simulate_trajectory(
     if output_stride < 1:
         raise ValueError(f"output stride must be at least 1, got {output_stride!r}")
     steps = max(1, int(round(t_max / dt)))
-    rho = initial.matrix()[None, :, :]
+    r = np.array([initial.bloch])
     record = (0.0, 0.0, 0.0)
     out = [TrajectoryState(initial, 0.0, record if emit_record else None)]
-    scale = math.sqrt(dt)
-    for k in range(1, steps + 1):
-        v = rng.standard_normal(3)
-        d_w = np.array((scale * v[0], scale * v[1], scale * v[2]))
-        if emit_record:
-            r_before = _extract_bloch(rho)[0]
-            record = (
-                record[0] + r_before[0] * dt + 0.5 * d_w[0],
-                record[1] + r_before[1] * dt + 0.5 * d_w[1],
-                record[2] + r_before[2] * dt + 0.5 * d_w[2],
-            )
-        rho = _step_density_batch(rho, d_w[None, :], dt)
-        if k % output_stride == 0 or k == steps:
-            state = DensityMatrix.clipped(_extract_bloch(rho)[0])
-            out.append(TrajectoryState(state, k * dt, record if emit_record else None))
+    k = 0
+    for block in _noise_blocks([rng], steps, dt):
+        for d_w in block:
+            k += 1
+            if emit_record:
+                x, y, z = r[0].tolist()
+                w = d_w[0].tolist()
+                record = (
+                    record[0] + x * dt + 0.5 * w[0],
+                    record[1] + y * dt + 0.5 * w[1],
+                    record[2] + z * dt + 0.5 * w[2],
+                )
+            r = _step_bloch_batch(r, d_w, dt)
+            if k % output_stride == 0 or k == steps:
+                state = DensityMatrix.clipped(r[0].tolist())
+                out.append(TrajectoryState(state, k * dt, record if emit_record else None))
     return out
 
 
@@ -272,9 +326,10 @@ def simulate_purity_ensemble(
 
     Returns shape (len(t_grid), trajectories).  Trajectory k advances with
     noise from derive_stream(seed, base_index + k) drawn three normals per
-    step, exactly as `simulate_trajectory` would consume them, so single
-    runs and ensemble runs of the same index follow identical noise and
-    step arithmetic.  Grid times snap to the nearest step.
+    step, exactly as `simulate_trajectory` would consume them, and all
+    trajectories step together through the (B, 3) Bloch kernel, so single
+    runs, sub-batches and whole batches of the same index follow identical
+    noise and step arithmetic.  Grid times snap to the nearest step.
     """
     _check_step(dt, dt_max)
     t_grid = [float(t) for t in t_grid]
@@ -288,22 +343,19 @@ def simulate_purity_ensemble(
         sample_at.setdefault(int(round(t / dt)), []).append(g)
 
     out = np.empty((len(t_grid), trajectories))
-    rho = np.broadcast_to(initial.matrix(), (trajectories, 2, 2)).copy()
 
-    def harvest(step_index: int):
+    def harvest(step_index: int, r: np.ndarray):
         for g in sample_at.get(step_index, ()):
-            bloch = _extract_bloch(rho)
-            out[g] = 0.5 * (1.0 + np.sum(bloch * bloch, axis=1))
+            # purity() arithmetic: 0.5 * (1 + |r|^2), summed in component order
+            out[g] = 0.5 * (1.0 + (r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]))
 
-    harvest(0)
+    r = np.tile(np.array(initial.bloch), (trajectories, 1))
+    harvest(0, r)
     gens = [derive_stream(seed, base_index + k) for k in range(trajectories)]
-    scale = math.sqrt(dt)
-    done = 0
-    while done < steps:
-        m = min(_NOISE_BLOCK, steps - done)
-        noise = np.stack([g.standard_normal((m, 3)) for g in gens], axis=1) * scale
-        for j in range(m):
-            rho = _step_density_batch(rho, noise[j], dt)
-            harvest(done + j + 1)
-        done += m
+    step = 0
+    for block in _noise_blocks(gens, steps, dt):
+        for d_w in block:
+            r = _step_bloch_batch(r, d_w, dt)
+            step += 1
+            harvest(step, r)
     return out

@@ -16,14 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import purity, random_pure_state
-from .continuous import drift_purity, mean_fidelity_closed_form, simulate_purity_ensemble, time_from_steps
+from .bloch import random_pure_state
+from .continuous import (
+    RATE_CONSTANT,
+    drift_purity,
+    mean_fidelity_closed_form,
+    simulate_purity_ensemble,
+    time_from_steps,
+)
 from .montecarlo import derive_stream, summarize
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings
 from .sequential import (
     _strategy_expected_fidelity,
     hypothetical_purity_paths,
-    hypothetical_run,
     run_sequence,
 )
 
@@ -107,9 +112,8 @@ def _sequential_sample(spec: ExperimentSpec, n: int, index: int) -> float:
 
 
 def _purity_sample(spec: ExperimentSpec, n: int, index: int) -> float:
-    rng = derive_stream(spec.seed, index)
-    result = hypothetical_run(n, spec.settings(), rng)
-    return (1.0 + purity(result.aposteriori)) / 3.0
+    final = hypothetical_purity_paths(n, spec.settings(), 1, seed=spec.seed, base_index=index)[0, n]
+    return (1.0 + final) / 3.0
 
 
 _POINT_SAMPLERS = {
@@ -157,8 +161,15 @@ def _dispatch(fn, spec, tasks, workers):
         return list(pool.map(fn, [spec] * len(tasks), tasks))
 
 
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(total / max(1, workers * 4)))
+def _chunk_ranges(total: int, workers: int, per_worker: int = 4) -> list[tuple[int, int]]:
+    """Trial ranges: one chunk in process, else `per_worker` equal chunks per worker.
+
+    SDE tasks take one chunk per worker: every step of a batch pays a fixed
+    cost, and all their trajectories cost the same, so nothing is gained by
+    splitting further.
+    """
+    chunks = 1 if workers <= 1 else workers * per_worker
+    size = max(1, math.ceil(total / chunks))
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -194,7 +205,7 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> EnsembleStatistics:
         )
 
     if spec.kind == CONTINUUM_TRAJECTORY:
-        tasks = [(lo, hi, spec.t_grid) for lo, hi in _chunk_ranges(spec.trials, workers)]
+        tasks = [(lo, hi, spec.t_grid) for lo, hi in _chunk_ranges(spec.trials, workers, per_worker=1)]
         blocks = _dispatch(_run_sde_chunk, spec, tasks, workers)
         grid_samples = np.concatenate(blocks, axis=1)
         means, errors = _summaries(grid_samples)
@@ -203,7 +214,8 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> EnsembleStatistics:
 
     # continuum-compare: step-resolved sequence and integrated equation on
     # the time grid t = 12 n / delta^2 spanned by the n grid
-    resolution_guard = spec.delta * spec.delta / 120.0  # one tenth of a step interval
+    # one tenth of a step interval, delta^2 / (10 * 12); 10 * 12 = 120 is exact
+    resolution_guard = spec.delta * spec.delta / (10.0 * RATE_CONSTANT)
     if spec.dt > resolution_guard:
         warnings.warn(
             f"dt {spec.dt:g} is coarser than the comparison resolution guard "
@@ -212,7 +224,7 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> EnsembleStatistics:
         )
     t_grid = tuple(time_from_steps(n, settings) for n in spec.n_grid)
     path_tasks = _chunk_ranges(spec.trials, workers)
-    sde_tasks = [(lo, hi, t_grid) for lo, hi in path_tasks]
+    sde_tasks = [(lo, hi, t_grid) for lo, hi in _chunk_ranges(spec.trials, workers, per_worker=1)]
     paths = np.concatenate(_dispatch(_run_discrete_path_chunk, spec, path_tasks, workers), axis=0)
     discrete = paths[:, list(spec.n_grid)].T
     sde = np.concatenate(_dispatch(_run_sde_chunk, spec, sde_tasks, workers), axis=1)

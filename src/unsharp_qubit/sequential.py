@@ -282,14 +282,8 @@ def fidelity_purity(
     mixed-start run; the estimate state shares that purity, which is all
     the average over random pure inputs depends on.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
-    values = np.empty(trials)
-    for k in range(trials):
-        rng = derive_stream(seed, base_index + k)
-        result = hypothetical_run(n, settings, rng)
-        values[k] = (1.0 + purity(result.aposteriori)) / 3.0
-    mean, err = summarize(values)
+    paths = hypothetical_purity_paths(n, settings, trials, seed=seed, base_index=base_index)
+    mean, err = summarize((1.0 + paths[:, n]) / 3.0)
     return FidelityStatistic(mean, err, trials)
 
 

@@ -179,6 +179,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["fidelity-curve", "--n-grid", "5,2"])
     assert err.value.code == 2
+    # refused at parsing, before the discrete half of the comparison runs
+    with pytest.raises(SystemExit) as err:
+        main(["continuum-compare", "--dt", "0.01"])
+    assert err.value.code == 2
 
 
 def test_unknown_subcommand_is_usage_error():

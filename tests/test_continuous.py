@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import unsharp_qubit.continuous as continuous
 from unsharp_qubit import (
     FULLY_MIXED,
     DensityMatrix,
@@ -174,6 +175,53 @@ def test_bloch_and_matrix_steps_agree_pathwise():
         r = bloch_sde_step(r, dt, noise)
         worst = max(worst, max(abs(state.bloch[i] - r[i]) for i in range(3)))
     assert worst < 1e-8
+
+
+def _kernel_start(rows, pure_rows, stream):
+    """Bloch batch with `pure_rows` unit vectors first and mixed rows after."""
+    r = stream.uniform(-0.5, 0.5, (rows, 3))
+    r[:pure_rows] = stream.standard_normal((pure_rows, 3))
+    r[:pure_rows] /= np.linalg.norm(r[:pure_rows], axis=1)[:, None]
+    return r
+
+
+def test_bloch_kernel_rows_equal_scalar_step_bitwise():
+    stream = derive_stream(60, 0)
+    dt = 1e-4
+    r = _kernel_start(64, 8, stream)
+    scalar = [tuple(row) for row in r.tolist()]
+    projected = 0
+    for _ in range(1000):
+        d_w = math.sqrt(dt) * stream.standard_normal((64, 3))
+        r = continuous._step_bloch_batch(r, d_w, dt)
+        scalar = [bloch_sde_step(row, dt, NoiseIncrement(w)) for row, w in zip(scalar, d_w.tolist())]
+        assert r.tolist() == [list(row) for row in scalar]
+        # an unprojected step moves |r| by O(dt); a projected row sits on the sphere
+        projected += int(np.sum(np.abs(np.linalg.norm(r, axis=1) - 1.0) < 1e-12))
+    assert projected > 0
+
+
+def test_bloch_kernel_tracks_matrix_step():
+    stream = derive_stream(61, 0)
+    dt = 1e-4
+    r = _kernel_start(8, 2, stream)
+    states = [DensityMatrix(tuple(row)) for row in r.tolist()]
+    worst = 0.0
+    for _ in range(1000):
+        d_w = math.sqrt(dt) * stream.standard_normal((8, 3))
+        r = continuous._step_bloch_batch(r, d_w, dt)
+        states = [sme_step(state, dt, NoiseIncrement(w)) for state, w in zip(states, d_w.tolist())]
+        worst = max(worst, float(np.max(np.abs(r - np.array([s.bloch for s in states])))))
+    assert worst < 1e-8
+
+
+def test_ensemble_sub_batch_and_noise_block_do_not_change_results(monkeypatch):
+    grid = (0.01, 0.05, 0.1)
+    whole = simulate_purity_ensemble(grid, 1e-4, 64, seed=62)
+    part = simulate_purity_ensemble(grid, 1e-4, 16, seed=62, base_index=16)
+    np.testing.assert_array_equal(whole[:, 16:32], part)
+    monkeypatch.setattr(continuous, "_NOISE_BLOCK", 7)
+    np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 64, seed=62), whole)
 
 
 def test_record_increment_values():
