@@ -1,9 +1,11 @@
 """Estimating an unknown pure qubit from repeated unsharp polarization measurements.
 
 The library simulates sequences of Gaussian-smeared polarization
-measurements along random directions, accumulates the sequence back-action
-as a Kraus chain, forms the record-only state estimate, and benchmarks its
-fidelity against the one-measurement optimum 2/3.  A matching
+measurements along random directions, forms the record-only state estimate
+by replaying the outcome record in reverse order through the same
+posterior update, and benchmarks its fidelity against the one-measurement
+optimum 2/3.  Every experiment advances a whole batch of trials through
+one (B, 3) Bloch-vector update.  A matching
 time-continuous conditional master equation plus closed-form purity and
 fidelity curves covers the constant-rate measurement limit.
 """
@@ -13,11 +15,9 @@ __version__ = "0.1.0"
 from .bloch import (
     FULLY_MIXED,
     DensityMatrix,
-    GeneralOperator,
     MeasurementAxis,
     SpectralDecomposition,
     fidelity,
-    pauli_product,
     purity,
     random_axis,
     random_pure_state,
@@ -66,9 +66,7 @@ from .povm import (
 )
 from .sequential import (
     FidelityStatistic,
-    KrausChain,
     SequenceResult,
-    chain_append,
     fidelity_direct,
     fidelity_hypothetical_fixed,
     fidelity_purity,
@@ -76,7 +74,6 @@ from .sequential import (
     hypothetical_run,
     replay_hypothetical,
     run_sequence,
-    sequence_estimate,
     spectral_match,
 )
 

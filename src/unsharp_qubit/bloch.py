@@ -2,9 +2,7 @@
 
 A density matrix is written rho = (1 + r.sigma)/2 with a real polarization
 vector |r| <= 1, so the unit trace and Hermiticity are structural and only
-positivity (|r| <= 1) needs checking.  Non-Hermitian operators (products of
-measurement back-action operators) are carried separately as
-c0*1 + c.sigma with complex coefficients.
+positivity (|r| <= 1) needs checking.
 
 Everything here is an immutable value; the sampling helpers are pure given
 their random stream.
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Vec3 = tuple[float, float, float]
-CVec3 = tuple[complex, complex, complex]
 
 # |r| may exceed 1 by at most this much before a state is rejected.
 POSITIVITY_SLACK = 1e-12
@@ -76,9 +73,6 @@ class DensityMatrix:
         r = self.bloch
         return 0.5 * (np.eye(2, dtype=complex) + r[0] * _PAULI[0] + r[1] * _PAULI[1] + r[2] * _PAULI[2])
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bloch, dtype=float)
-
 
 FULLY_MIXED = DensityMatrix((0.0, 0.0, 0.0))
 
@@ -111,56 +105,6 @@ class MeasurementAxis:
 
 
 @dataclass(frozen=True)
-class GeneralOperator:
-    """General 2x2 operator scalar*1 + vector.sigma, possibly non-Hermitian."""
-
-    scalar: complex
-    vector: CVec3
-
-    def __post_init__(self):
-        object.__setattr__(self, "scalar", complex(self.scalar))
-        object.__setattr__(self, "vector", tuple(complex(x) for x in self.vector))
-
-    @classmethod
-    def identity(cls) -> "GeneralOperator":
-        return cls(1.0, (0.0, 0.0, 0.0))
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.scalar.imag == 0.0 and all(c.imag == 0.0 for c in self.vector)
-
-    def adjoint(self) -> "GeneralOperator":
-        return GeneralOperator(
-            self.scalar.conjugate(), tuple(c.conjugate() for c in self.vector)
-        )
-
-    def scaled(self, factor) -> "GeneralOperator":
-        return GeneralOperator(factor * self.scalar, tuple(factor * c for c in self.vector))
-
-    def matrix(self) -> np.ndarray:
-        v = self.vector
-        return self.scalar * np.eye(2, dtype=complex) + v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2]
-
-
-def pauli_product(a: GeneralOperator, b: GeneralOperator) -> GeneralOperator:
-    """Operator product a*b via the Pauli composition rule.
-
-    (a0 + a.s)(b0 + b.s) = (a0 b0 + a.b) + (a0 b + b0 a + i a x b).s
-    """
-    av, bv = a.vector, b.vector
-    scalar = a.scalar * b.scalar + av[0] * bv[0] + av[1] * bv[1] + av[2] * bv[2]
-    cross = (
-        av[1] * bv[2] - av[2] * bv[1],
-        av[2] * bv[0] - av[0] * bv[2],
-        av[0] * bv[1] - av[1] * bv[0],
-    )
-    vector = tuple(
-        a.scalar * bv[i] + b.scalar * av[i] + 1.0j * cross[i] for i in range(3)
-    )
-    return GeneralOperator(scalar, vector)
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues and rank-1 eigenprojectors of a qubit state."""
 
@@ -175,6 +119,20 @@ def purity(state: DensityMatrix) -> float:
     """tr[rho^2] = (1 + |r|^2)/2, in [1/2, 1]."""
     r = state.bloch
     return 0.5 * (1.0 + _dot(r, r))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of (..., 3) arrays, in `_dot`'s order.
+
+    Written component by component so that a row's bits do not depend on
+    the batch it sits in.
+    """
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _row_purities(r: np.ndarray) -> np.ndarray:
+    """`purity` of every row, 0.5 * (1 + |r|^2), with the same arithmetic."""
+    return 0.5 * (1.0 + _row_dots(r, r))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -69,8 +70,8 @@ def _seed_value(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive real, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive real, got {text!r}")
     return value
 
 
@@ -96,8 +97,8 @@ def _float_list(text: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(f"list entries must be positive, got {text!r}")
+    if not values or not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise argparse.ArgumentTypeError(f"list entries must be finite and positive, got {text!r}")
     return values
 
 

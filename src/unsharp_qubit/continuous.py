@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _dot
-from .montecarlo import derive_stream
+from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _dot, _row_purities
+from .montecarlo import DRAW_BLOCK, derive_stream
 from .povm import MeasurementSettings
 
 # Euler-Maruyama steps above this are refused outright.
@@ -46,7 +46,7 @@ RATE_CONSTANT = 12.0
 # holds at most max(1, _NOISE_BLOCK // B) steps of increments at a time.
 # Memory knob only: the per-stream draws, hence the results, do not depend
 # on it.
-_NOISE_BLOCK = 32768
+_NOISE_BLOCK = DRAW_BLOCK
 
 # unit noise intensity; test hook for fault-injection sensitivity checks
 _NOISE_SCALE = 1.0
@@ -346,8 +346,7 @@ def simulate_purity_ensemble(
 
     def harvest(step_index: int, r: np.ndarray):
         for g in sample_at.get(step_index, ()):
-            # purity() arithmetic: 0.5 * (1 + |r|^2), summed in component order
-            out[g] = 0.5 * (1.0 + (r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]))
+            out[g] = _row_purities(r)
 
     r = np.tile(np.array(initial.bloch), (trajectories, 1))
     harvest(0, r)

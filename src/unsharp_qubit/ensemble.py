@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import random_pure_state
 from .continuous import (
     RATE_CONSTANT,
     drift_purity,
@@ -24,12 +23,12 @@ from .continuous import (
     simulate_purity_ensemble,
     time_from_steps,
 )
-from .montecarlo import derive_stream, summarize
+from .montecarlo import summarize
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings
 from .sequential import (
-    _strategy_expected_fidelity,
+    direct_fidelity_samples,
     hypothetical_purity_paths,
-    run_sequence,
+    purity_fidelity_samples,
 )
 
 SEQUENTIAL_FIDELITY = "sequential-fidelity"
@@ -103,38 +102,30 @@ class EnsembleStatistics:
     sde_std_errors: tuple[float, ...] | None = None
 
 
-def _sequential_sample(spec: ExperimentSpec, n: int, index: int) -> float:
-    rng = derive_stream(spec.seed, index)
-    settings = spec.settings()
-    true_state = random_pure_state(rng)
-    result = run_sequence(true_state, n, settings, rng)
-    return _strategy_expected_fidelity(result.estimate, true_state, spec.strategy)
-
-
-def _purity_sample(spec: ExperimentSpec, n: int, index: int) -> float:
-    final = hypothetical_purity_paths(n, spec.settings(), 1, seed=spec.seed, base_index=index)[0, n]
-    return (1.0 + final) / 3.0
-
-
-_POINT_SAMPLERS = {
-    SEQUENTIAL_FIDELITY: _sequential_sample,
-    SHARP_LIMIT: _sequential_sample,
-    HYPOTHETICAL_PURITY: _purity_sample,
-}
+def _point_samples(spec: ExperimentSpec, n: int, trials: int, base_index: int) -> np.ndarray:
+    if spec.kind == HYPOTHETICAL_PURITY:
+        return purity_fidelity_samples(spec.settings(), n, trials, spec.seed, base_index)
+    return direct_fidelity_samples(spec.settings(), n, trials, spec.strategy, spec.seed, base_index)
 
 
 def _run_point_chunk(spec: ExperimentSpec, task) -> np.ndarray:
-    """Samples for trials [lo, hi) of one grid point (index = point*trials + k)."""
+    """Samples for trials [lo, hi) of one grid point (index = point*trials + k), in one batch.
+
+    If the batch fails, its trials rerun one at a time so the error names
+    the first trial that fails on its own.
+    """
     point, lo, hi = task
-    sampler = _POINT_SAMPLERS[spec.kind]
     n = spec.n_grid[point]
-    out = np.empty(hi - lo)
-    for k in range(lo, hi):
-        try:
-            out[k - lo] = sampler(spec, n, point * spec.trials + k)
-        except Exception as exc:
-            raise EnsembleError(f"{spec.kind} grid point {point} trial {k} failed: {exc}") from exc
-    return out
+    base = point * spec.trials
+    try:
+        return _point_samples(spec, n, hi - lo, base + lo)
+    except Exception as batch_exc:
+        for k in range(lo, hi):
+            try:
+                _point_samples(spec, n, 1, base + k)
+            except Exception as exc:
+                raise EnsembleError(f"{spec.kind} grid point {point} trial {k} failed: {exc}") from exc
+        raise EnsembleError(f"{spec.kind} grid point {point} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
 
 
 def _run_discrete_path_chunk(spec: ExperimentSpec, task) -> np.ndarray:
@@ -161,15 +152,13 @@ def _dispatch(fn, spec, tasks, workers):
         return list(pool.map(fn, [spec] * len(tasks), tasks))
 
 
-def _chunk_ranges(total: int, workers: int, per_worker: int = 4) -> list[tuple[int, int]]:
-    """Trial ranges: one chunk in process, else `per_worker` equal chunks per worker.
+def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
+    """Trial ranges: one equal chunk per worker (one chunk in process).
 
-    SDE tasks take one chunk per worker: every step of a batch pays a fixed
-    cost, and all their trajectories cost the same, so nothing is gained by
-    splitting further.
+    Every step of a batch pays a fixed cost, and the trials of one task all
+    cost the same, so nothing is gained by splitting further.
     """
-    chunks = 1 if workers <= 1 else workers * per_worker
-    size = max(1, math.ceil(total / chunks))
+    size = max(1, math.ceil(total / max(1, workers)))
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -205,7 +194,7 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> EnsembleStatistics:
         )
 
     if spec.kind == CONTINUUM_TRAJECTORY:
-        tasks = [(lo, hi, spec.t_grid) for lo, hi in _chunk_ranges(spec.trials, workers, per_worker=1)]
+        tasks = [(lo, hi, spec.t_grid) for lo, hi in _chunk_ranges(spec.trials, workers)]
         blocks = _dispatch(_run_sde_chunk, spec, tasks, workers)
         grid_samples = np.concatenate(blocks, axis=1)
         means, errors = _summaries(grid_samples)
@@ -224,7 +213,7 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> EnsembleStatistics:
         )
     t_grid = tuple(time_from_steps(n, settings) for n in spec.n_grid)
     path_tasks = _chunk_ranges(spec.trials, workers)
-    sde_tasks = [(lo, hi, t_grid) for lo, hi in _chunk_ranges(spec.trials, workers, per_worker=1)]
+    sde_tasks = [(lo, hi, t_grid) for lo, hi in path_tasks]
     paths = np.concatenate(_dispatch(_run_discrete_path_chunk, spec, path_tasks, workers), axis=0)
     discrete = paths[:, list(spec.n_grid)].T
     sde = np.concatenate(_dispatch(_run_sde_chunk, spec, sde_tasks, workers), axis=1)

@@ -6,6 +6,13 @@ import math
 
 import numpy as np
 
+# Trial-steps of randomness a batched simulation pre-draws at once.  The SDE
+# ensembles hold at most this many trajectory-steps of noise (a memory
+# bound only); the measurement sequences run trials in groups of at most
+# this many trial-steps, and a single sequence longer than this draws its
+# randomness in blocks of this many steps.
+DRAW_BLOCK = 32768
+
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible random stream for one trial.

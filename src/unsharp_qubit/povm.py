@@ -28,6 +28,7 @@ from .bloch import (
     DensityMatrix,
     MeasurementAxis,
     _dot,
+    _row_dots,
     random_pure_state,
     spectral_decompose,
 )
@@ -68,17 +69,14 @@ class MeasurementSettings:
             )
 
 
-def _gaussian_logpdf(x: float, width: float) -> float:
+def _gaussian_logpdf(x, width: float):
+    """log g(x) for a float or an array of floats, with the same arithmetic."""
     return -0.5 * math.log(2.0 * math.pi * width * width) - (x * x) / (2.0 * width * width)
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def log_weights(outcomes: np.ndarray, precision: float) -> tuple[np.ndarray, np.ndarray]:
+    """log g(s - 1), log g(s + 1) of an array of outcomes, bit for bit `make_effect`'s."""
+    return _gaussian_logpdf(outcomes - 1.0, precision), _gaussian_logpdf(outcomes + 1.0, precision)
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,6 @@ class GaussianEffect:
     @property
     def weight_minus(self) -> float:
         return math.exp(self.log_weight_minus)
-
-    def matrix(self) -> np.ndarray:
-        """Dense 2x2 form (linear weights; may underflow far in the tails)."""
-        obs = self.axis.matrix()
-        eye = np.eye(2, dtype=complex)
-        p_plus = 0.5 * (eye + obs)
-        p_minus = 0.5 * (eye - obs)
-        return self.weight_plus * p_plus + self.weight_minus * p_minus
 
 
 def make_effect(axis: MeasurementAxis, settings: MeasurementSettings, outcome: float) -> GaussianEffect:
@@ -221,30 +211,45 @@ def sample_outcome(
     return float(outcome_distribution(state, axis, settings).sample(rng))
 
 
-def posterior_update(state: DensityMatrix, effect: GaussianEffect) -> DensityMatrix:
-    """Conditional state sqrt(effect) rho sqrt(effect) / tr[effect rho].
+def _log_or_minus_inf(p: np.ndarray) -> np.ndarray:
+    """log p where p > 0 and -inf elsewhere; nonpositive entries never reach log."""
+    return np.log(p, out=np.full_like(p, -np.inf), where=p > 0.0)
 
-    In the effect's eigenbasis the branch populations are reweighted by the
-    Gaussian weights while coherences pick up the geometric-mean factor
-    sqrt(g_plus g_minus); all ratios are formed in log space so extreme
-    outcomes stay well conditioned.
+
+def posterior_rows(
+    r: np.ndarray, axes: np.ndarray, log_plus: np.ndarray, log_minus: np.ndarray
+) -> np.ndarray:
+    """Conditional states sqrt(effect) rho sqrt(effect) / tr[effect rho], one per row.
+
+    Row b of the (B, 3) Bloch array r meets the effect along unit axis
+    axes[b] with log weights log_plus[b], log_minus[b].  In the effect's
+    eigenbasis the branch populations are reweighted by the Gaussian
+    weights while coherences pick up sqrt(g_plus g_minus); all ratios are
+    formed in log space so extreme outcomes stay well conditioned.  An
+    empty branch counts as -inf, a row of zero or non-finite total weight
+    raises ValueError, and a row rounding outside the ball is rescaled.
     """
-    n = effect.axis.direction
-    r = state.bloch
-    along = _dot(n, r)
-    p_plus = 0.5 * (1.0 + along)
-    p_minus = 0.5 * (1.0 - along)
-    branch_plus = effect.log_weight_plus + (math.log(p_plus) if p_plus > 0.0 else -math.inf)
-    branch_minus = effect.log_weight_minus + (math.log(p_minus) if p_minus > 0.0 else -math.inf)
-    log_norm = _logaddexp(branch_plus, branch_minus)
-    if not math.isfinite(log_norm):
+    along = _row_dots(axes, r)
+    branch_plus = log_plus + _log_or_minus_inf(0.5 * (1.0 + along))
+    branch_minus = log_minus + _log_or_minus_inf(0.5 * (1.0 - along))
+    log_norm = np.logaddexp(branch_plus, branch_minus)
+    if not np.isfinite(log_norm).all():
         raise ValueError("degenerate update: both spectral branches have zero weight")
-    q_plus = math.exp(branch_plus - log_norm)
-    q_minus = math.exp(branch_minus - log_norm)
-    damp = math.exp(0.5 * (effect.log_weight_plus + effect.log_weight_minus) - log_norm)
-    new_along = q_plus - q_minus
-    bloch = tuple(new_along * n[i] + damp * (r[i] - along * n[i]) for i in range(3))
-    return DensityMatrix.clipped(bloch)
+    new_along = np.exp(branch_plus - log_norm) - np.exp(branch_minus - log_norm)
+    damp = np.exp(0.5 * (log_plus + log_minus) - log_norm)
+    out = new_along[:, None] * axes + damp[:, None] * (r - along[:, None] * axes)
+    length = np.sqrt(_row_dots(out, out))
+    over = length > 1.0
+    if over.any():
+        out[over] /= length[over, None]
+    return out
+
+
+def posterior_update(state: DensityMatrix, effect: GaussianEffect) -> DensityMatrix:
+    """Conditional state sqrt(effect) rho sqrt(effect) / tr[effect rho], via `posterior_rows`."""
+    weights = np.array([effect.log_weight_plus]), np.array([effect.log_weight_minus])
+    out = posterior_rows(np.array([state.bloch]), np.array([effect.axis.direction]), *weights)
+    return DensityMatrix(out[0].tolist())
 
 
 def single_estimate(effect: GaussianEffect) -> DensityMatrix:

@@ -6,110 +6,129 @@ one generalized measurement whose element is E = A^dag A with
 
     A = sqrt(effect_n) ... sqrt(effect_1),
 
-so the record-only estimate of the unknown state is A^dag A / tr[A^dag A].
-A is accumulated as a Kraus chain: after every factor the operator is
-rescaled to unit largest singular value and the discarded scale goes into
-a log accumulator, because tr E decays roughly like (2 pi precision^2)^-n
-and would underflow doubles near n = 700 even at precision 1.
+so the record-only estimate of the unknown state is A^dag A / tr[A^dag A]:
+the fully mixed state updated by the record in reverse order, last
+measurement first.  The update renormalizes in log space at every step, so
+no scale accumulates, although tr E decays roughly like
+(2 pi precision^2)^-n and would underflow doubles near n = 700.
 
-Replaying the same outcome record from the fully mixed state yields the
+Replaying the same record forwards from the fully mixed state yields the
 state A A^dag / tr[A A^dag]: a different operator, but one sharing the
 spectrum of the estimate (singular values of A), hence its purity.  That
 identity is what the purity-based mean-fidelity estimator rests on, and
 `spectral_match` checks it numerically for every run.
+
+Every experiment advances B trials in lockstep on a (B, 3) Bloch array through
+`povm.posterior_rows`.  Trial k draws from derive_stream(seed, base_index
++ k), as `run_sequence` does from its stream, in one fixed order: three
+normals for a drawn pure start, then per block of at most DRAW_BLOCK steps
+the axes `standard_normal((m, 3))`, branch uniforms `random(m)` and outcome
+noise `standard_normal(m)`.  Results depend on (seed, k) alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import (
+    DEGENERACY_TOL,
     FULLY_MIXED,
     DensityMatrix,
-    GeneralOperator,
     MeasurementAxis,
     _norm,
-    fidelity,
-    pauli_product,
+    _row_dots,
+    _row_purities,
     purity,
-    random_axis,
     random_pure_state,
-    spectral_decompose,
 )
-from .montecarlo import derive_stream, summarize
+from .montecarlo import DRAW_BLOCK, derive_stream, summarize
 from .povm import (
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
-    GaussianEffect,
+    STRATEGIES,
     MeasurementSettings,
-    make_effect,
-    posterior_update,
-    sample_outcome,
+    log_weights,
+    posterior_rows,
 )
 
 # fidelity experiments require pure inputs at least this pure
 PURE_INPUT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class KrausChain:
-    """Ordered product of effect square roots, in split normal form.
+def _draw_block(gens, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m steps of randomness per stream: unit axes (m, B, 3), uniforms and noise (m, B)."""
+    axes = np.empty((m, len(gens), 3))
+    uniforms = np.empty((m, len(gens)))
+    noise = np.empty((m, len(gens)))
+    for b, g in enumerate(gens):
+        axes[:, b] = g.standard_normal((m, 3))
+        uniforms[:, b] = g.random(m)
+        noise[:, b] = g.standard_normal(m)
+    length = np.sqrt(_row_dots(axes, axes))  # `random_axis` arithmetic
+    if not (length > 0.0).all():
+        raise ValueError("drew a measurement axis of zero length")
+    axes /= length[..., None]
+    return axes, uniforms, noise
 
-    `operator` has largest singular value 1; `log_norm` holds the log of
-    the positive scale split off so far, so the represented operator is
-    exp(log_norm) * operator.
+
+def _sampled_steps(r: np.ndarray, gens, n: int, precision: float):
+    """Advance the (B, 3) batch r by n measurements, row b on stream gens[b],
+    yielding (r, axes, outcomes) after every step.  Outcomes are drawn from
+    each row's current state as `povm.sample_outcome` draws them.
     """
-
-    operator: GeneralOperator
-    log_norm: float
-    length: int
-
-    @classmethod
-    def identity(cls) -> "KrausChain":
-        return cls(GeneralOperator.identity(), 0.0, 0)
-
-
-def _gram(op: GeneralOperator) -> tuple[float, tuple[float, float, float]]:
-    """Real Pauli components (h0, h) of the positive operator op^dag op."""
-    prod = pauli_product(op.adjoint(), op)
-    return prod.scalar.real, tuple(c.real for c in prod.vector)
+    done = 0
+    while done < n:
+        axes, uniforms, noise = _draw_block(gens, min(DRAW_BLOCK, n - done))
+        for a, u, z in zip(axes, uniforms, noise):
+            p_plus = np.clip(0.5 * (1.0 + _row_dots(a, r)), 0.0, 1.0)
+            outcomes = np.where(u < p_plus, 1.0, -1.0) + precision * z
+            r = posterior_rows(r, a, *log_weights(outcomes, precision))
+            yield r, a, outcomes
+        done += len(axes)
 
 
-def chain_append(chain: KrausChain, effect: GaussianEffect) -> KrausChain:
-    """Multiply sqrt(effect) onto the left of the chain and renormalize.
-
-    sqrt(effect) = sqrt(g+) P_plus + sqrt(g-) P_minus is formed with the
-    dominant log weight factored out, so arbitrarily deep tails cost only
-    log-scale bookkeeping.
-    """
-    log_plus = effect.log_weight_plus
-    log_minus = effect.log_weight_minus
-    lead = max(log_plus, log_minus)
-    u_plus = math.exp(0.5 * (log_plus - lead))
-    u_minus = math.exp(0.5 * (log_minus - lead))
-    n = effect.axis.direction
-    half_sum = 0.5 * (u_plus + u_minus)
-    half_diff = 0.5 * (u_plus - u_minus)
-    root = GeneralOperator(half_sum, (half_diff * n[0], half_diff * n[1], half_diff * n[2]))
-    op = pauli_product(root, chain.operator)
-    h0, h = _gram(op)
-    top = math.sqrt(h0 + _norm(h))  # largest singular value
-    if top <= 0.0 or not math.isfinite(top):
-        raise ValueError("chain append lost normalizability")
-    return KrausChain(
-        op.scaled(1.0 / top),
-        chain.log_norm + 0.5 * lead + math.log(top),
-        chain.length + 1,
-    )
+def _mixed_start_final(gens, n: int, precision: float) -> np.ndarray:
+    r = np.zeros((len(gens), 3))
+    for r, _, _ in _sampled_steps(r, gens, n, precision):
+        pass
+    return r
 
 
-def sequence_estimate(chain: KrausChain) -> DensityMatrix:
-    """Normalized sequence element A^dag A / tr[A^dag A] (log scale cancels)."""
-    h0, h = _gram(chain.operator)
-    return DensityMatrix.clipped((h[0] / h0, h[1] / h0, h[2] / h0))
+def _replay(r: np.ndarray, axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
+    """Update the (B, 3) batch r by a recorded (n, B) record, step 0 first."""
+    for a, s in zip(axes, outcomes):
+        r = posterior_rows(r, a, *log_weights(s, precision))
+    return r
+
+
+def _estimate_rows(axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
+    """Record-only estimates A^dag A / tr: the reverse replay from the mixed state."""
+    return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1], precision)
+
+
+def _recorded_run(start: np.ndarray, gens, n: int, precision: float):
+    """Forward run from `start`; returns (final rows, axes (n, B, 3), outcomes (n, B))."""
+    axes = np.empty((n, len(gens), 3))
+    outcomes = np.empty((n, len(gens)))
+    r = start
+    for i, (r, a, s) in enumerate(_sampled_steps(start, gens, n, precision)):
+        axes[i], outcomes[i] = a, s
+    return r, axes, outcomes
+
+
+def _by_trial_groups(fn, n: int, trials: int, seed: int, base_index: int) -> np.ndarray:
+    """fn(gens) over consecutive trial groups of at most DRAW_BLOCK trial-steps, concatenated."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if n < 0:
+        raise ValueError(f"measurement count must be nonnegative, got {n!r}")
+    size = max(1, DRAW_BLOCK // max(1, n))
+    return np.concatenate([
+        fn([derive_stream(seed, base_index + k) for k in range(lo, min(lo + size, trials))])
+        for lo in range(0, trials, size)
+    ])
 
 
 @dataclass(frozen=True)
@@ -118,28 +137,25 @@ class SequenceResult:
 
     outcomes: tuple[tuple[MeasurementAxis, float], ...]
     aposteriori: DensityMatrix
-    chain: KrausChain
     estimate: DensityMatrix
+
+
+def _state(row: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(row.tolist())
 
 
 def run_sequence(
     true_state: DensityMatrix, n: int, settings: MeasurementSettings, rng: np.random.Generator
 ) -> SequenceResult:
     """n measurements on `true_state`: fresh random axis, outcome sampled
-    from the current conditional state, posterior update, chain append."""
+    from the current conditional state, posterior update; the estimate is
+    the reverse replay of the record."""
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    state = true_state
-    chain = KrausChain.identity()
-    outcomes = []
-    for _ in range(n):
-        axis = random_axis(rng)
-        sigma = sample_outcome(state, axis, settings, rng)
-        effect = make_effect(axis, settings, sigma)
-        state = posterior_update(state, effect)
-        chain = chain_append(chain, effect)
-        outcomes.append((axis, sigma))
-    return SequenceResult(tuple(outcomes), state, chain, sequence_estimate(chain))
+    final, axes, outcomes = _recorded_run(np.array([true_state.bloch]), [rng], n, settings.precision)
+    record = tuple((MeasurementAxis(tuple(a[0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
+    estimate = _estimate_rows(axes, outcomes, settings.precision)
+    return SequenceResult(record, _state(final[0]), _state(estimate[0]))
 
 
 def hypothetical_run(
@@ -156,14 +172,16 @@ def hypothetical_run(
 def replay_hypothetical(
     outcomes: tuple[tuple[MeasurementAxis, float], ...], settings: MeasurementSettings
 ) -> SequenceResult:
-    """Deterministically rerun a recorded outcome list from the mixed state."""
-    state = FULLY_MIXED
-    chain = KrausChain.identity()
-    for axis, sigma in outcomes:
-        effect = make_effect(axis, settings, sigma)
-        state = posterior_update(state, effect)
-        chain = chain_append(chain, effect)
-    return SequenceResult(tuple(outcomes), state, chain, sequence_estimate(chain))
+    """Deterministically rerun a recorded outcome list from the mixed state.
+
+    The aposteriori field is the forward replay A A^dag / tr, the estimate
+    the reverse replay A^dag A / tr.
+    """
+    axes = np.array([axis.direction for axis, _ in outcomes]).reshape(-1, 1, 3)
+    values = np.array([s for _, s in outcomes], dtype=float).reshape(-1, 1)
+    forward = _replay(np.zeros((1, 3)), axes, values, settings.precision)
+    estimate = _estimate_rows(axes, values, settings.precision)
+    return SequenceResult(tuple(outcomes), _state(forward[0]), _state(estimate[0]))
 
 
 def spectral_match(result: SequenceResult, hypothetical) -> float:
@@ -196,8 +214,13 @@ class FidelityStatistic:
     samples: int
 
 
-def _strategy_expected_fidelity(estimate: DensityMatrix, true_state: DensityMatrix, strategy: str) -> float:
-    """Exact conditional mean of the purified-estimate fidelity given the record.
+def _statistic(samples: np.ndarray) -> FidelityStatistic:
+    mean, err = summarize(samples)
+    return FidelityStatistic(mean, err, len(samples))
+
+
+def _expected_fidelities(estimate: np.ndarray, truth: np.ndarray, strategy: str) -> np.ndarray:
+    """Exact conditional mean of the purified-estimate fidelity given each record.
 
     For random-eigenstate this is fidelity(estimate, true) by bilinearity;
     for dominant-eigenstate it is the fidelity of the leading eigenstate
@@ -206,13 +229,33 @@ def _strategy_expected_fidelity(estimate: DensityMatrix, true_state: DensityMatr
     every expectation unchanged and only removes Monte Carlo variance.
     """
     if strategy == RANDOM_EIGENSTATE:
-        return fidelity(estimate, true_state)
+        return 0.5 * (1.0 + _row_dots(estimate, truth))
     if strategy == DOMINANT_EIGENSTATE:
-        decomp = spectral_decompose(estimate)
-        if decomp.degenerate:
-            return 0.5
-        return fidelity(decomp.projector_plus, true_state)
+        length = np.sqrt(_row_dots(estimate, estimate))
+        degenerate = length < DEGENERACY_TOL
+        leading = estimate / np.where(degenerate, 1.0, length)[:, None]
+        return np.where(degenerate, 0.5, 0.5 * (1.0 + _row_dots(leading, truth)))
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def direct_fidelity_samples(
+    settings: MeasurementSettings,
+    n: int,
+    trials: int,
+    strategy: str = RANDOM_EIGENSTATE,
+    seed: int = 0,
+    base_index: int = 0,
+) -> np.ndarray:
+    """Per-trial samples of `fidelity_direct`, shape (trials,)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    def group(gens):
+        truth = np.array([random_pure_state(g).bloch for g in gens])
+        _, axes, outcomes = _recorded_run(truth, gens, n, settings.precision)
+        return _expected_fidelities(_estimate_rows(axes, outcomes, settings.precision), truth, strategy)
+
+    return _by_trial_groups(group, n, trials, seed, base_index)
 
 
 def fidelity_direct(
@@ -229,16 +272,7 @@ def fidelity_direct(
     uniform pure true state, runs the sequence, and records the expected
     fidelity of the purified estimate under `strategy`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
-    values = np.empty(trials)
-    for k in range(trials):
-        rng = derive_stream(seed, base_index + k)
-        true_state = random_pure_state(rng)
-        result = run_sequence(true_state, n, settings, rng)
-        values[k] = _strategy_expected_fidelity(result.estimate, true_state, strategy)
-    mean, err = summarize(values)
-    return FidelityStatistic(mean, err, trials)
+    return _statistic(direct_fidelity_samples(settings, n, trials, strategy, seed, base_index))
 
 
 def fidelity_hypothetical_fixed(
@@ -255,18 +289,30 @@ def fidelity_hypothetical_fixed(
     outcomes drawn from the mixed-start (not the true) density; its mean
     equals the direct estimator's target.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
     if purity(true_state) < 1.0 - PURE_INPUT_TOL:
         raise ValueError("fidelity experiments require a pure true state")
-    values = np.empty(trials)
-    for k in range(trials):
-        rng = derive_stream(seed, base_index + k)
-        result = hypothetical_run(n, settings, rng)
-        overlap = fidelity(result.aposteriori, true_state)
-        values[k] = 2.0 * overlap * overlap
-    mean, err = summarize(values)
-    return FidelityStatistic(mean, err, trials)
+    truth = np.array([true_state.bloch])
+
+    def group(gens):
+        overlap = 0.5 * (1.0 + _row_dots(_mixed_start_final(gens, n, settings.precision), truth))
+        return 2.0 * overlap * overlap
+
+    return _statistic(_by_trial_groups(group, n, trials, seed, base_index))
+
+
+def purity_fidelity_samples(
+    settings: MeasurementSettings,
+    n: int,
+    trials: int,
+    seed: int = 0,
+    base_index: int = 0,
+) -> np.ndarray:
+    """Per-trial samples of `fidelity_purity`, shape (trials,)."""
+
+    def group(gens):
+        return (1.0 + _row_purities(_mixed_start_final(gens, n, settings.precision))) / 3.0
+
+    return _by_trial_groups(group, n, trials, seed, base_index)
 
 
 def fidelity_purity(
@@ -282,9 +328,7 @@ def fidelity_purity(
     mixed-start run; the estimate state shares that purity, which is all
     the average over random pure inputs depends on.
     """
-    paths = hypothetical_purity_paths(n, settings, trials, seed=seed, base_index=base_index)
-    mean, err = summarize((1.0 + paths[:, n]) / 3.0)
-    return FidelityStatistic(mean, err, trials)
+    return _statistic(purity_fidelity_samples(settings, n, trials, seed, base_index))
 
 
 def hypothetical_purity_paths(
@@ -300,18 +344,13 @@ def hypothetical_purity_paths(
     0.5); used to compare the step-resolved sequence against the
     continuous-measurement curves.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
-    if n < 0:
-        raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    paths = np.empty((trials, n + 1))
-    for k in range(trials):
-        rng = derive_stream(seed, base_index + k)
-        state = FULLY_MIXED
-        paths[k, 0] = 0.5
-        for step in range(1, n + 1):
-            axis = random_axis(rng)
-            sigma = sample_outcome(state, axis, settings, rng)
-            state = posterior_update(state, make_effect(axis, settings, sigma))
-            paths[k, step] = purity(state)
-    return paths
+
+    def group(gens):
+        paths = np.empty((len(gens), n + 1))
+        paths[:, 0] = 0.5
+        steps = _sampled_steps(np.zeros((len(gens), 3)), gens, n, settings.precision)
+        for step, (r, _, _) in enumerate(steps, 1):
+            paths[:, step] = _row_purities(r)
+        return paths
+
+    return _by_trial_groups(group, n, trials, seed, base_index)

@@ -6,11 +6,9 @@ import pytest
 from unsharp_qubit import (
     FULLY_MIXED,
     DensityMatrix,
-    GeneralOperator,
     MeasurementAxis,
     derive_stream,
     fidelity,
-    pauli_product,
     purity,
     random_axis,
     random_pure_state,
@@ -134,24 +132,3 @@ def test_axis_validation():
         MeasurementAxis((0.0, 0.0, 0.5))
     axis = MeasurementAxis.from_vector((3.0, 0.0, 4.0))
     assert axis.direction == pytest.approx((0.6, 0.0, 0.8))
-
-
-def test_general_operator_hermitian_flag():
-    assert GeneralOperator(1.0, (0.5, -0.25, 2.0)).is_hermitian
-    assert not GeneralOperator(1.0j, (0.5, 0.0, 0.0)).is_hermitian
-    assert not GeneralOperator(1.0, (0.5 + 1e-30j, 0.0, 0.0)).is_hermitian
-
-
-def test_pauli_product_matches_dense_matrices():
-    rng = derive_stream(14, 0)
-    for _ in range(100):
-        coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        a = GeneralOperator(coeffs[0], tuple(coeffs[1:4]))
-        b = GeneralOperator(coeffs[4], tuple(coeffs[5:8]))
-        product = pauli_product(a, b).matrix()
-        np.testing.assert_allclose(product, a.matrix() @ b.matrix(), atol=1e-13)
-
-
-def test_adjoint_matches_dense():
-    op = GeneralOperator(1.5 - 0.5j, (0.2 + 1j, -0.7, 0.3j))
-    np.testing.assert_allclose(op.adjoint().matrix(), op.matrix().conj().T, atol=0)

@@ -169,7 +169,7 @@ def test_validate_detects_injected_noise_fault(monkeypatch, capsys):
     statuses = _check_statuses(capsys.readouterr().out)
     assert statuses["bloch-vs-matrix-pathwise"] == "FAIL"
     assert statuses["sde-vs-drift"] == "FAIL"
-    assert statuses["spectral-match"] == "PASS"  # noise does not enter the chain algebra
+    assert statuses["spectral-match"] == "PASS"  # SDE noise does not enter the discrete replays
 
 
 def test_usage_error_exit_code():
@@ -182,6 +182,13 @@ def test_usage_error_exit_code():
     # refused at parsing, before the discrete half of the comparison runs
     with pytest.raises(SystemExit) as err:
         main(["continuum-compare", "--dt", "0.01"])
+    assert err.value.code == 2
+    # non-finite values are refused at parsing too, not inside the settings
+    with pytest.raises(SystemExit) as err:
+        main(["fidelity-curve", "--delta", "inf"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--delta-list", "nan"])
     assert err.value.code == 2
 
 

@@ -101,7 +101,7 @@ def test_failing_trial_is_named(monkeypatch):
     def explode(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(ens, "run_sequence", explode)
+    monkeypatch.setattr(ens, "direct_fidelity_samples", explode)
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3, seed=54, n_grid=(1,))
     with pytest.raises(EnsembleError, match="trial 0"):
         run_ensemble(spec)

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import unsharp_qubit.sequential as sequential
+from unsharp_qubit.povm import log_weights, posterior_rows
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     FULLY_MIXED,
@@ -165,6 +167,41 @@ def test_posterior_degenerate_update_error():
     dead = GaussianEffect(Z_AXIS, 0.0, 1.0, -math.inf, -math.inf)
     with pytest.raises(ValueError):
         posterior_update(FULLY_MIXED, dead)
+
+
+class _ZeroStream:
+    """Stand-in random stream whose normals are all exactly zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def test_posterior_rows_keep_the_scalar_checks():
+    axes = np.array([[0.0, 0.0, 1.0]] * 3)
+    log_plus, log_minus = log_weights(np.array([0.5, 0.5, 0.0]), 1.0)
+    # row 0 has an empty branch, which must never reach log; row 1 starts
+    # outside the ball and is rescaled onto it; row 2 is an ordinary state
+    r = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8 + 1e-9], [0.1, 0.2, 0.3]])
+    with np.errstate(all="raise"):
+        out = posterior_rows(r, axes, log_plus, log_minus)
+    assert out[0].tolist() == [0.0, 0.0, 1.0]
+    assert math.sqrt(out[1] @ out[1]) <= 1.0
+    single = posterior_update(DensityMatrix((0.1, 0.2, 0.3)), make_effect(Z_AXIS, settings(1.0), 0.0))
+    assert out[2].tolist() == list(single.bloch)
+    # a row of zero or undefined total weight is refused, whatever its neighbours
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(ValueError):
+            posterior_rows(r, axes, np.array([log_plus[0], bad, log_plus[2]]), np.array([log_minus[0], bad, log_minus[2]]))
+    with pytest.raises(ValueError):
+        posterior_rows(r, axes, *log_weights(np.array([0.5, math.nan, 0.0]), 1.0))
+
+
+def test_zero_length_axis_is_refused():
+    with pytest.raises(ValueError):
+        sequential._draw_block([derive_stream(17, 0), _ZeroStream()], 2)
 
 
 @pytest.mark.parametrize("width", [1.0, 3.0])

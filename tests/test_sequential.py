@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import stats as sps
 
+import unsharp_qubit.sequential as sequential
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     FULLY_MIXED,
     RANDOM_EIGENSTATE,
     DensityMatrix,
-    KrausChain,
     MeasurementAxis,
     MeasurementSettings,
-    chain_append,
     derive_stream,
     fidelity,
     fidelity_direct,
@@ -27,7 +27,6 @@ from unsharp_qubit import (
     random_pure_state,
     replay_hypothetical,
     run_sequence,
-    sequence_estimate,
     single_estimate,
     spectral_match,
 )
@@ -48,6 +47,7 @@ def settings(width):
 
 
 def _dense_effect_sqrt(axis, width, outcome):
+    """sqrt(effect) = sqrt(g+) P+ + sqrt(g-) P- as a dense 2x2 matrix."""
     obs = axis.matrix()
     eye = np.eye(2, dtype=complex)
     g_plus = math.exp(-((outcome - 1.0) ** 2) / (2 * width * width)) / math.sqrt(2 * math.pi * width * width)
@@ -55,57 +55,151 @@ def _dense_effect_sqrt(axis, width, outcome):
     return math.sqrt(g_plus) * 0.5 * (eye + obs) + math.sqrt(g_minus) * 0.5 * (eye - obs)
 
 
+def _dense_sequence_operator(outcomes, width):
+    """A = sqrt(effect_n) ... sqrt(effect_1), rescaled after every factor (scale cancels)."""
+    a = np.eye(2, dtype=complex)
+    for axis, outcome in outcomes:
+        a = _dense_effect_sqrt(axis, width, outcome) @ a
+        a /= np.abs(a).max()
+    return a
+
+
+def _normalized(m):
+    return m / np.trace(m).real
+
+
 def test_empty_chain_is_identity():
-    chain = KrausChain.identity()
-    assert chain.length == 0 and chain.log_norm == 0.0
-    assert sequence_estimate(chain).bloch == (0.0, 0.0, 0.0)
+    result = replay_hypothetical((), settings(1.0))
+    assert result.estimate.bloch == (0.0, 0.0, 0.0)
+    assert result.aposteriori.bloch == (0.0, 0.0, 0.0)
 
 
 def test_symmetric_effect_keeps_chain_proportional_to_identity():
-    chain = chain_append(KrausChain.identity(), make_effect(Z_AXIS, settings(1.0), 0.0))
-    est = sequence_estimate(chain)
+    est = replay_hypothetical(((Z_AXIS, 0.0),), settings(1.0)).estimate
     assert est.bloch == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
 
 def test_commuting_effects_multiply_weights():
-    cfg = settings(1.0)
-    chain = KrausChain.identity()
-    for _ in range(2):
-        chain = chain_append(chain, make_effect(Z_AXIS, cfg, 1.0))
-    est = sequence_estimate(chain)
+    est = replay_hypothetical(((Z_AXIS, 1.0), (Z_AXIS, 1.0)), settings(1.0)).estimate
     assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(2.0)), abs=1e-12)
 
 
 def test_long_chain_stays_normalized():
+    # 10^4 steps: tr E underflows doubles long before this, the replays must not
     rng = derive_stream(801, 0)
     cfg = settings(10.0)
-    chain = KrausChain.identity()
-    for _ in range(10**4):
-        axis = MeasurementAxis(random_pure_state(rng).bloch)
-        chain = chain_append(chain, make_effect(axis, cfg, float(rng.normal(0.0, 10.0))))
-    assert math.isfinite(chain.log_norm)
-    assert np.abs(chain.operator.matrix()).max() <= 1.0 + 1e-9
+    record = tuple(
+        (MeasurementAxis(random_pure_state(rng).bloch), float(rng.normal(0.0, 10.0)))
+        for _ in range(10**4)
+    )
+    result = replay_hypothetical(record, cfg)
+    for state in (result.estimate, result.aposteriori):
+        assert all(math.isfinite(x) for x in state.bloch)
+        assert math.sqrt(sum(x * x for x in state.bloch)) <= 1.0
+    assert spectral_match(result, result.aposteriori) <= 1e-9
 
 
 def test_two_axis_chain_matches_dense_oracle():
-    cfg = settings(1.0)
-    chain = chain_append(KrausChain.identity(), make_effect(Z_AXIS, cfg, 1.0))
-    chain = chain_append(chain, make_effect(X_AXIS, cfg, 1.0))
-    est = sequence_estimate(chain)
-
+    record = ((Z_AXIS, 1.0), (X_AXIS, 1.0))
+    result = replay_hypothetical(record, settings(1.0))
     a = _dense_effect_sqrt(X_AXIS, 1.0, 1.0) @ _dense_effect_sqrt(Z_AXIS, 1.0, 1.0)
-    element = a.conj().T @ a
-    element /= np.trace(element).real
-    np.testing.assert_allclose(est.matrix(), element, atol=1e-12)
+    np.testing.assert_allclose(result.estimate.matrix(), _normalized(a.conj().T @ a), atol=1e-12)
+    np.testing.assert_allclose(result.aposteriori.matrix(), _normalized(a @ a.conj().T), atol=1e-12)
 
 
 def test_single_effect_chain_matches_single_estimate():
     effect = make_effect(Z_AXIS, settings(1.0), 1.0)
-    chain = chain_append(KrausChain.identity(), effect)
-    assert sequence_estimate(chain).bloch == pytest.approx(
-        single_estimate(effect).bloch, abs=1e-12
+    est = replay_hypothetical(((Z_AXIS, 1.0),), settings(1.0)).estimate
+    assert est.bloch == pytest.approx(single_estimate(effect).bloch, abs=1e-12)
+    assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
+
+
+@hypothesis_settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(min_value=0, max_value=200),
+    width=st.sampled_from([0.3, 1.0, 20.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_replays_match_dense_oracle(n, width, seed):
+    # A = prod sqrt(effect) from dense matrices: the reverse replay is
+    # A^dag A / tr, the forward replay A A^dag / tr, the run's own state
+    # A rho A^dag / tr
+    cfg = settings(width)
+    rng = derive_stream(seed, 0)
+    true_state = random_pure_state(rng)
+    result = run_sequence(true_state, n, cfg, rng)
+    a = _dense_sequence_operator(result.outcomes, width)
+    np.testing.assert_allclose(result.estimate.matrix(), _normalized(a.conj().T @ a), atol=1e-9)
+    replay = replay_hypothetical(result.outcomes, cfg)
+    np.testing.assert_allclose(replay.aposteriori.matrix(), _normalized(a @ a.conj().T), atol=1e-9)
+    np.testing.assert_allclose(
+        result.aposteriori.matrix(), _normalized(a @ true_state.matrix() @ a.conj().T), atol=1e-9
     )
-    assert sequence_estimate(chain).bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
+    assert replay.estimate == result.estimate
+
+
+def test_stream_layout():
+    # a trial's stream holds, in order: 3 start normals, the axes as
+    # standard_normal((n, 3)), the branch uniforms random(n), the outcome
+    # noise standard_normal(n)
+    cfg, n = settings(2.0), 6
+    rng = derive_stream(66, 0)
+    result = run_sequence(random_pure_state(rng), n, cfg, rng)
+    stream = derive_stream(66, 0)
+    stream.standard_normal(3)
+    axes = stream.standard_normal((n, 3))
+    stream.random(n)
+    noise = stream.standard_normal(n)
+    for (axis, outcome), v, z in zip(result.outcomes, axes, noise):
+        assert list(axis.direction) == (v / math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])).tolist()
+        assert outcome in (1.0 + 2.0 * z, -1.0 + 2.0 * z)
+
+
+def _rows_by_sub_batch(fn, trials, size):
+    return np.concatenate([fn(min(size, trials - lo), lo) for lo in range(0, trials, size)])
+
+
+@pytest.mark.parametrize("width", [1.0, 20.0])
+def test_batch_rows_do_not_depend_on_batch(width):
+    # every row bit for bit the same at B = 1, in sub-batches of 25 and in the full batch
+    cfg = settings(width)
+    samplers = {
+        "direct": lambda trials, lo: sequential.direct_fidelity_samples(cfg, 30, trials, seed=61, base_index=lo),
+        "dominant": lambda trials, lo: sequential.direct_fidelity_samples(
+            cfg, 30, trials, DOMINANT_EIGENSTATE, seed=61, base_index=lo
+        ),
+        "purity": lambda trials, lo: sequential.purity_fidelity_samples(cfg, 30, trials, seed=62, base_index=lo),
+        "paths": lambda trials, lo: hypothetical_purity_paths(30, cfg, trials, seed=63, base_index=lo),
+    }
+    for name, fn in samplers.items():
+        whole = fn(100, 0)
+        np.testing.assert_array_equal(_rows_by_sub_batch(fn, 100, 25), whole, err_msg=name)
+        np.testing.assert_array_equal(_rows_by_sub_batch(fn, 100, 1), whole, err_msg=name)
+
+
+def test_batched_direct_samples_equal_scalar_runs():
+    # trial k of the batch is run_sequence on derive_stream(seed, k) after its pure start
+    cfg = settings(3.0)
+    batch = sequential.direct_fidelity_samples(cfg, 25, 40, seed=64)
+    for k in range(40):
+        rng = derive_stream(64, k)
+        true_state = random_pure_state(rng)
+        assert batch[k] == fidelity(run_sequence(true_state, 25, cfg, rng).estimate, true_state)
+
+
+def test_draw_block_bounds_memory_not_results(monkeypatch):
+    # trials run in groups of at most DRAW_BLOCK trial-steps (one trial per
+    # group here), which must not change a row; a sequence longer than
+    # DRAW_BLOCK draws block by block and stays a function of (seed, index)
+    cfg = settings(5.0)
+    whole = hypothetical_purity_paths(12, cfg, 3, seed=65)
+    monkeypatch.setattr(sequential, "DRAW_BLOCK", 12)
+    np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, 3, seed=65), whole)
+    monkeypatch.setattr(sequential, "DRAW_BLOCK", 5)
+    blocked = hypothetical_purity_paths(12, cfg, 3, seed=65)
+    rows = [hypothetical_purity_paths(12, cfg, 1, seed=65, base_index=k)[0] for k in range(3)]
+    np.testing.assert_array_equal(blocked, np.array(rows))
+    assert np.all(blocked[:, 0] == 0.5) and np.all((blocked >= 0.5) & (blocked <= 1.0))
 
 
 def test_run_sequence_zero_steps():
