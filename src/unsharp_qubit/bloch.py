@@ -19,6 +19,7 @@ Vec3 = tuple[float, float, float]
 
 # |r| may exceed 1 by at most this much before a state is rejected.
 POSITIVITY_SLACK = 1e-12
+_MAX_SQUARED_LENGTH = (1.0 + POSITIVITY_SLACK) ** 2
 
 # below this Bloch length the two eigenvalues are treated as degenerate
 DEGENERACY_TOL = 1e-14
@@ -48,10 +49,10 @@ class DensityMatrix:
     bloch: Vec3
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.bloch)
-        if len(r) != 3 or not all(math.isfinite(x) for x in r):
+        r = tuple(map(float, self.bloch))
+        if len(r) != 3 or not (math.isfinite(r[0]) and math.isfinite(r[1]) and math.isfinite(r[2])):
             raise ValueError(f"bloch vector must be a finite 3-vector, got {self.bloch!r}")
-        if _dot(r, r) > (1.0 + POSITIVITY_SLACK) ** 2:
+        if _dot(r, r) > _MAX_SQUARED_LENGTH:
             raise ValueError(f"bloch vector leaves the unit ball: |r| = {_norm(r)!r}")
         object.__setattr__(self, "bloch", r)
 
@@ -62,7 +63,7 @@ class DensityMatrix:
         Policy for constructing operations whose floating-point result may
         overshoot the Bloch ball by rounding.
         """
-        r = tuple(float(x) for x in bloch)
+        r = tuple(map(float, bloch))
         n = _norm(r)
         if n > 1.0:
             r = (r[0] / n, r[1] / n, r[2] / n)

@@ -16,11 +16,14 @@ which keeps the unit sphere invariant and drives the purity
 u = |r|^2 by du = 4(1-u)(3-u) dt + 4(1-u) r.dW.  Dropping the diffusion
 term gives the closed-form purity and mean-fidelity curves below.
 
-The drivers integrate the Bloch form by Euler-Maruyama on a (B, 3) batch
-of Bloch vectors, projecting any vector that leaves the unit ball back
-onto the sphere.  `sme_step` is the matrix-form reference step (with
-per-step trace renormalization); it is checked pathwise against
-`bloch_sde_step`, whose arithmetic the batched kernel reproduces exactly.
+The simulations integrate the Bloch form by Euler-Maruyama, projecting any
+vector that leaves the unit ball back onto the sphere.  A single
+trajectory (`simulate_trajectory`) steps three Python floats through the
+scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic;
+an ensemble (`simulate_purity_ensemble`) steps a (B, 3) batch through
+`_step_bloch_batch`, which reproduces the scalar step bit for bit on every
+row.  `sme_step` is the matrix-form reference step (with per-step trace
+renormalization); it is checked pathwise against `bloch_sde_step`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _dot, _row_purities
+from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _row_purities
 from .montecarlo import DRAW_BLOCK, derive_stream
 from .povm import MeasurementSettings
 
@@ -156,8 +159,8 @@ def _extract_bloch(rho: np.ndarray) -> np.ndarray:
 def _step_density_batch(rho: np.ndarray, d_w: np.ndarray, dt: float) -> np.ndarray:
     """One Euler-Maruyama step of the matrix-form equation on a (B, 2, 2) batch.
 
-    The matrix-form reference behind `sme_step`; the drivers step the Bloch
-    form through `_step_bloch_batch` instead.
+    The matrix-form reference behind `sme_step`; the simulations step the
+    Bloch form through `_step_bloch` and `_step_bloch_batch` instead.
     """
     d_w = _NOISE_SCALE * d_w
     expect = _extract_bloch(rho)
@@ -204,17 +207,31 @@ def bloch_sde_step(
 ) -> Vec3:
     """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)).
 
-    Agrees pathwise with `sme_step` under shared noise.  The drivers'
-    batched kernel `_step_bloch_batch` reproduces this step bit for bit.
+    Agrees pathwise with `sme_step` under shared noise.  This is the scalar
+    step `simulate_trajectory` runs, and the batched kernel
+    `_step_bloch_batch` reproduces it bit for bit.
     """
     _check_step(dt, dt_max)
     d_w = noise.d_w
-    radial = _dot(r, d_w)
-    out = tuple(r[i] - 4.0 * r[i] * dt + 2.0 * (d_w[i] - r[i] * radial) for i in range(3))
-    length = math.sqrt(_dot(out, out))
+    return _step_bloch(r[0], r[1], r[2], d_w[0], d_w[1], d_w[2], dt)
+
+
+def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
+    """One Euler-Maruyama step of the Bloch vector (x, y, z) under the increment (wx, wy, wz).
+
+    Radial term first, then each component, then the length; the vector is
+    divided by its length only when that exceeds 1.  `_step_bloch_batch`
+    repeats this operation order on every row, so both give the same bits.
+    Unchecked: callers validate dt.
+    """
+    radial = x * wx + y * wy + z * wz
+    x = x - 4.0 * x * dt + 2.0 * (wx - x * radial)
+    y = y - 4.0 * y * dt + 2.0 * (wy - y * radial)
+    z = z - 4.0 * z * dt + 2.0 * (wz - z * radial)
+    length = math.sqrt(x * x + y * y + z * z)
     if length > 1.0:
-        out = (out[0] / length, out[1] / length, out[2] / length)
-    return out
+        return (x / length, y / length, z / length)
+    return (x, y, z)
 
 
 def _step_bloch_batch(r: np.ndarray, d_w: np.ndarray, dt: float) -> np.ndarray:
@@ -281,9 +298,10 @@ def simulate_trajectory(
 
     The initial state and the final step are always emitted.  When
     emit_record is set each snapshot carries the accumulated record
-    integral of <sigma> dt + dW/2 up to its time.  This is the batch of one
-    of `simulate_purity_ensemble`, stepping the same kernel on the same
-    draws.
+    integral of <sigma> dt + dW/2 up to its time.  The state steps as three
+    Python floats through the scalar step `_step_bloch`, on the draws
+    `simulate_purity_ensemble` gives its trajectory; the batched kernel
+    reproduces every snapshot bit for bit.
     """
     _check_step(dt, dt_max)
     if not (t_max > 0.0) or not math.isfinite(t_max):
@@ -291,24 +309,25 @@ def simulate_trajectory(
     if output_stride < 1:
         raise ValueError(f"output stride must be at least 1, got {output_stride!r}")
     steps = max(1, int(round(t_max / dt)))
-    r = np.array([initial.bloch])
+    x, y, z = initial.bloch
     record = (0.0, 0.0, 0.0)
     out = [TrajectoryState(initial, 0.0, record if emit_record else None)]
+    scale = _NOISE_SCALE
     k = 0
     for block in _noise_blocks([rng], steps, dt):
-        for d_w in block:
+        # one row at a time: listing the whole block would hold it twice
+        for row in block[:, 0]:
             k += 1
+            wx, wy, wz = row.tolist()
             if emit_record:
-                x, y, z = r[0].tolist()
-                w = d_w[0].tolist()
                 record = (
-                    record[0] + x * dt + 0.5 * w[0],
-                    record[1] + y * dt + 0.5 * w[1],
-                    record[2] + z * dt + 0.5 * w[2],
+                    record[0] + x * dt + 0.5 * wx,
+                    record[1] + y * dt + 0.5 * wy,
+                    record[2] + z * dt + 0.5 * wz,
                 )
-            r = _step_bloch_batch(r, d_w, dt)
+            x, y, z = _step_bloch(x, y, z, scale * wx, scale * wy, scale * wz, dt)
             if k % output_stride == 0 or k == steps:
-                state = DensityMatrix.clipped(r[0].tolist())
+                state = DensityMatrix.clipped((x, y, z))
                 out.append(TrajectoryState(state, k * dt, record if emit_record else None))
     return out
 

@@ -148,7 +148,8 @@ def _run_sde_chunk(spec: ExperimentSpec, task) -> np.ndarray:
 def _dispatch(fn, spec, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(spec, task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts every worker at once; more than one per task only idles
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, [spec] * len(tasks), tasks))
 
 

@@ -273,6 +273,36 @@ def test_trajectory_matches_ensemble_bitwise():
     assert purity(run[-1].state) == ensemble[0][3]
 
 
+# the mixed start stays inside the ball; the pure start leaves it and is projected
+@pytest.mark.parametrize(
+    "start,projects", [((0.3, -0.2, 0.1), False), ((0.0, 0.0, 1.0), True)], ids=["mixed", "pure"]
+)
+def test_trajectory_snapshots_equal_batch_kernel_bitwise(start, projects):
+    dt, steps = 1e-4, 2000
+    run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(63, 0), emit_record=True)
+    d_w = math.sqrt(dt) * derive_stream(63, 0).standard_normal((steps, 3))
+    r = np.array([start])
+    record = np.zeros(3)
+    projected = 0
+    for k in range(steps):
+        record = record + r[0] * dt + 0.5 * d_w[k]
+        r = continuous._step_bloch_batch(r, d_w[k : k + 1], dt)
+        projected += int(abs(np.linalg.norm(r[0]) - 1.0) < 1e-12)
+        assert run[k + 1].state == DensityMatrix.clipped(r[0].tolist())
+        assert run[k + 1].record == tuple(record.tolist())
+    assert (projected > 0) == projects
+
+
+def test_noise_scale_moves_the_path_not_the_record(monkeypatch):
+    plain = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(64, 0), emit_record=True)
+    monkeypatch.setattr(continuous, "_NOISE_SCALE", 2.0)
+    scaled = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(64, 0), emit_record=True)
+    assert scaled[1].state != plain[1].state
+    assert scaled[-1].state != plain[-1].state
+    # the first increment sees the shared start and the unscaled draw only
+    assert scaled[1].record == plain[1].record
+
+
 @EULER_FLOOR_XFAIL
 def test_pure_state_stays_pure_to_integration_accuracy():
     run = simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 1.0, 1e-4, derive_stream(46, 0), output_stride=100)

@@ -97,6 +97,36 @@ def test_worker_count_does_not_change_continuum_results():
     assert run_ensemble(spec, workers=1) == run_ensemble(spec, workers=2)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the tasks in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_is_sized_by_its_tasks(monkeypatch):
+    # 6 grid points x 2 one-trial chunks = 12 tasks, however many workers are asked for
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=2, seed=55,
+                          n_grid=(0, 2, 5, 10, 20, 40))
+    expected = run_ensemble(spec, workers=1)
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    assert run_ensemble(spec, workers=64) == expected
+    assert run_ensemble(spec, workers=3) == expected
+    assert _InlinePool.sizes == [12, 3]
+
+
 def test_failing_trial_is_named(monkeypatch):
     def explode(*args, **kwargs):
         raise ValueError("boom")

@@ -226,9 +226,14 @@ def test_run_sequence_deterministic():
 def test_first_outcome_marginal_matches_density():
     # mixed initial state so the outcome density is axis-independent
     cfg = settings(1.0)
-    draws = np.empty(10**5)
-    for k in range(draws.size):
-        draws[k] = hypothetical_run(1, cfg, derive_stream(243, k)).outcomes[0][1]
+
+    def first_outcomes(gens):
+        _, _, outcomes = sequential._recorded_run(np.zeros((len(gens), 3)), gens, 1, cfg.precision)
+        return outcomes[0]
+
+    draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
+    for k in range(50):  # the batch reproduces the public per-trial run
+        assert draws[k] == hypothetical_run(1, cfg, derive_stream(243, k)).outcomes[0][1]
     dist = outcome_distribution(FULLY_MIXED, Z_AXIS, cfg)
     cdf = lambda xs: np.array([dist.cdf(float(x)) for x in xs])  # noqa: E731
     assert sps.kstest(draws, cdf).statistic < 0.01
@@ -361,10 +366,18 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
     cfg = settings(10.0)
     true_state = random_pure_state(derive_stream(999, 0))
     hypo = fidelity_hypothetical_fixed(true_state, cfg, 20, 10**4, seed=311)
-    vals = np.empty(10**4)
-    for k in range(vals.size):
+    truth = np.array([true_state.bloch])
+
+    def estimate_fidelities(gens):
+        start = np.repeat(truth, len(gens), axis=0)
+        _, axes, outcomes = sequential._recorded_run(start, gens, 20, cfg.precision)
+        estimates = sequential._estimate_rows(axes, outcomes, cfg.precision)
+        return 0.5 * (1.0 + sequential._row_dots(estimates, truth))
+
+    vals = sequential._by_trial_groups(estimate_fidelities, 20, 10**4, 312, 0)
+    for k in range(50):  # the batch reproduces the public per-trial run
         result = run_sequence(true_state, 20, cfg, derive_stream(312, k))
-        vals[k] = fidelity(result.estimate, true_state)
+        assert vals[k] == fidelity(result.estimate, true_state)
     direct_se = vals.std(ddof=1) / math.sqrt(vals.size)
     combined = math.hypot(hypo.std_error, direct_se)
     assert abs(hypo.mean - vals.mean()) <= 3.0 * combined
