@@ -171,47 +171,25 @@ def _write(text: str, out: str):
 
 def cmd_fidelity_curve(args: argparse.Namespace) -> tuple[tuple[str, ...], list[tuple]]:
     kinds = {"direct": (SEQUENTIAL_FIDELITY,), "purity": (HYPOTHETICAL_PURITY,), "both": (SEQUENTIAL_FIDELITY, HYPOTHETICAL_PURITY)}
-    stats = [
-        run_ensemble(
-            ExperimentSpec(
-                kind=kind,
-                delta=args.delta,
-                trials=args.trials,
-                seed=args.seed,
-                n_grid=args.n_grid,
-                strategy=args.strategy,
-            ),
-            workers=args.workers,
+    # one estimator gets plain column names; both get theirs prefixed, direct first
+    prefixes = ("",) if args.estimator != "both" else ("direct_", "purity_")
+    specs = [
+        ExperimentSpec(
+            kind=kind,
+            delta=args.delta,
+            trials=args.trials,
+            seed=args.seed,
+            n_grid=args.n_grid,
+            strategy=args.strategy,
         )
         for kind in kinds[args.estimator]
     ]
-    if len(stats) == 1:
-        columns = ("n", "mean_F", "std_error", "closed_form_F")
-        rows = [
-            (n, stats[0].means[i], stats[0].std_errors[i], stats[0].reference[i])
-            for i, n in enumerate(args.n_grid)
-        ]
-    else:
-        direct, purity_stats = stats
-        columns = (
-            "n",
-            "direct_mean_F",
-            "direct_std_error",
-            "purity_mean_F",
-            "purity_std_error",
-            "closed_form_F",
-        )
-        rows = [
-            (
-                n,
-                direct.means[i],
-                direct.std_errors[i],
-                purity_stats.means[i],
-                purity_stats.std_errors[i],
-                direct.reference[i],
-            )
-            for i, n in enumerate(args.n_grid)
-        ]
+    stats = run_ensemble(*specs, workers=args.workers)
+    columns = ("n", *(f"{p}{c}" for p in prefixes for c in ("mean_F", "std_error")), "closed_form_F")
+    rows = [
+        (n, *(v for s in stats for v in (s.means[i], s.std_errors[i])), stats[0].reference[i])
+        for i, n in enumerate(args.n_grid)
+    ]
     return columns, rows
 
 
@@ -224,7 +202,7 @@ def cmd_continuum_compare(args: argparse.Namespace) -> tuple[tuple[str, ...], li
         n_grid=tuple(range(args.n_max + 1)),
         dt=args.dt,
     )
-    stats = run_ensemble(spec, workers=args.workers)
+    (stats,) = run_ensemble(spec, workers=args.workers)
     columns = ("t", "discrete_mean_purity", "sde_mean_purity", "drift_closed_form")
     rows = [
         (stats.grid[i], stats.means[i], stats.sde_means[i], stats.reference[i])

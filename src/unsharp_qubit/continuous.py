@@ -45,16 +45,8 @@ DEFAULT_DT_MAX = 1e-3
 # their rate RATE_CONSTANT / precision^2 from this one value.
 RATE_CONSTANT = 12.0
 
-# Trajectory-steps per pre-drawn noise block, so a batch of B trajectories
-# holds at most max(1, _NOISE_BLOCK // B) steps of increments at a time.
-# Memory knob only: the per-stream draws, hence the results, do not depend
-# on it.
-_NOISE_BLOCK = DRAW_BLOCK
-
 # unit noise intensity; test hook for fault-injection sensitivity checks
 _NOISE_SCALE = 1.0
-
-_EYE2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -151,34 +143,21 @@ class TrajectoryState:
     record: Vec3 | None = None
 
 
-def _extract_bloch(rho: np.ndarray) -> np.ndarray:
-    """<sigma_k> = tr[rho sigma_k] for a (B, 2, 2) batch, shape (B, 3)."""
-    return np.einsum("kij,bji->bk", _PAULI, rho).real
-
-
-def _step_density_batch(rho: np.ndarray, d_w: np.ndarray, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step of the matrix-form equation on a (B, 2, 2) batch.
+def _step_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
+    """One Euler-Maruyama step of the matrix-form equation on a 2x2 state, trace-renormalized.
 
     The matrix-form reference behind `sme_step`; the simulations step the
     Bloch form through `_step_bloch` and `_step_bloch_batch` instead.
     """
-    d_w = _NOISE_SCALE * d_w
-    expect = _extract_bloch(rho)
-    sig_rho = np.einsum("kij,bjl->bkil", _PAULI, rho)
-    rho_sig = np.einsum("bij,kjl->bkil", rho, _PAULI)
-    sig_rho_sig = np.einsum("kij,bkjl->bkil", _PAULI, rho_sig)
-    double_comm = 6.0 * rho - 2.0 * sig_rho_sig.sum(axis=1)
-    anti = sig_rho + rho_sig - 2.0 * expect[:, :, None, None] * rho[:, None, :, :]
-    rho = rho + (-0.5 * dt) * double_comm + np.einsum("bk,bkij->bij", d_w, anti)
-    trace = np.einsum("bii->b", rho).real
-    rho = rho / trace[:, None, None]
-    bloch = _extract_bloch(rho)
-    length = np.sqrt(np.sum(bloch * bloch, axis=1))
-    over = length > 1.0
-    if np.any(over):
-        unit = bloch[over] / length[over, None]
-        rho[over] = 0.5 * (_EYE2 + np.einsum("bk,kij->bij", unit, _PAULI))
-    return rho
+    d_w = _NOISE_SCALE * np.asarray(d_w, dtype=float)
+    expect = np.einsum("kij,ji->k", _PAULI, rho).real
+    sig_rho = np.einsum("kij,jl->kil", _PAULI, rho)
+    rho_sig = np.einsum("ij,kjl->kil", rho, _PAULI)
+    sig_rho_sig = np.einsum("kij,kjl->kil", _PAULI, rho_sig)
+    double_comm = 6.0 * rho - 2.0 * sig_rho_sig.sum(axis=0)
+    anti = sig_rho + rho_sig - 2.0 * expect[:, None, None] * rho
+    rho = rho + (-0.5 * dt) * double_comm + np.einsum("k,kij->ij", d_w, anti)
+    return rho / np.trace(rho).real
 
 
 def _check_step(dt: float, dt_max: float):
@@ -196,10 +175,8 @@ def sme_step(
     is the reference the Bloch-form step is checked against pathwise.
     """
     _check_step(dt, dt_max)
-    rho = state.matrix()[None, :, :]
-    rho = _step_density_batch(rho, np.asarray(noise.d_w, dtype=float)[None, :], dt)
-    bloch = _extract_bloch(rho)[0]
-    return DensityMatrix.clipped(bloch)
+    rho = _step_density(state.matrix(), noise.d_w, dt)
+    return DensityMatrix.clipped(np.einsum("kij,ji->k", _PAULI, rho).real)
 
 
 def bloch_sde_step(
@@ -256,12 +233,13 @@ def _noise_blocks(gens, steps: int, dt: float):
     """Wiener increments of `steps` steps for len(gens) trajectories, in blocks.
 
     Yields (m, B, 3) arrays whose row b is drawn from gens[b] three normals
-    per step, the same draws `draw_noise` makes one step at a time.  Every
-    block reuses one preallocated buffer, so a block must be consumed
-    before the next is requested.
+    per step, the same draws `draw_noise` makes one step at a time.  A block
+    holds at most max(1, DRAW_BLOCK // B) steps, which bounds memory and
+    leaves the draws unchanged.  Every block reuses one preallocated buffer,
+    so a block must be consumed before the next is requested.
     """
     scale = math.sqrt(dt)
-    per_block = max(1, _NOISE_BLOCK // len(gens))
+    per_block = max(1, DRAW_BLOCK // len(gens))
     buf = np.empty((min(per_block, steps), len(gens), 3))
     done = 0
     while done < steps:

@@ -1,10 +1,16 @@
-"""Deterministic Monte Carlo harness for every experiment in the library.
+"""Deterministic Monte Carlo harness for the CLI's experiments.
+
+Three kinds: the fidelity curve through the direct or the purity
+estimator, and the step-resolved sequence compared with the integrated
+continuous equation.  Every spec expands into tasks (spec, part, lo, hi):
+trials [lo, hi) of one part, where a part is a grid-point index, or the
+`paths` or `sde` half of a compare.  All tasks of one `run_ensemble` call
+go through one `_dispatch`, in process or on one process pool.
 
 Each trial owns the random stream derive_stream(master_seed, trial_index),
 so ensemble statistics are a pure function of the experiment spec: chunking,
 worker count, and scheduling cannot change a single bit of the output.
-Trials may run in parallel processes; samples are aggregated in trial-index
-order after collection.
+Samples are aggregated in trial-index order after collection.
 """
 
 from __future__ import annotations
@@ -33,16 +39,16 @@ from .sequential import (
 
 SEQUENTIAL_FIDELITY = "sequential-fidelity"
 HYPOTHETICAL_PURITY = "hypothetical-purity"
-CONTINUUM_TRAJECTORY = "continuum-trajectory"
 CONTINUUM_COMPARE = "continuum-compare"
-SHARP_LIMIT = "sharp-limit"
-KINDS = (SEQUENTIAL_FIDELITY, HYPOTHETICAL_PURITY, CONTINUUM_TRAJECTORY, CONTINUUM_COMPARE, SHARP_LIMIT)
+KINDS = (SEQUENTIAL_FIDELITY, HYPOTHETICAL_PURITY, CONTINUUM_COMPARE)
 
-_N_GRID_KINDS = (SEQUENTIAL_FIDELITY, HYPOTHETICAL_PURITY, CONTINUUM_COMPARE)
+# the two halves of a compare: the measurement sequence and the integrated equation
+_PATHS = "paths"
+_SDE = "sde"
 
 
 class EnsembleError(RuntimeError):
-    """A trial failed; the message names the offending trial index."""
+    """A trial failed; the message names the kind, the part and the trial."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,7 @@ class ExperimentSpec:
     delta: float
     trials: int
     seed: int
-    n_grid: tuple[int, ...] | None = None
-    t_grid: tuple[float, ...] | None = None
+    n_grid: tuple[int, ...]
     dt: float = 1e-4
     strategy: str = RANDOM_EIGENSTATE
 
@@ -65,18 +70,10 @@ class ExperimentSpec:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.kind in _N_GRID_KINDS:
-            grid = self.n_grid
-            if not grid or any(n < 0 for n in grid) or list(grid) != sorted(grid):
-                raise ValueError(f"{self.kind} needs a nonempty ascending n grid, got {grid!r}")
-            object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
-        elif self.kind == CONTINUUM_TRAJECTORY:
-            grid = self.t_grid
-            if not grid or any(t < 0 for t in grid) or list(grid) != sorted(grid):
-                raise ValueError(f"{self.kind} needs a nonempty ascending t grid, got {grid!r}")
-            object.__setattr__(self, "t_grid", tuple(float(t) for t in grid))
-        elif self.kind == SHARP_LIMIT:
-            object.__setattr__(self, "n_grid", (1,))
+        grid = self.n_grid
+        if not grid or any(n < 0 for n in grid) or list(grid) != sorted(grid):
+            raise ValueError(f"{self.kind} needs a nonempty ascending n grid, got {grid!r}")
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
         # delta/dt validity is enforced by the settings and integrator they feed
 
     def settings(self) -> MeasurementSettings:
@@ -102,55 +99,59 @@ class EnsembleStatistics:
     sde_std_errors: tuple[float, ...] | None = None
 
 
-def _point_samples(spec: ExperimentSpec, n: int, trials: int, base_index: int) -> np.ndarray:
+def _parts(spec: ExperimentSpec):
+    if spec.kind == CONTINUUM_COMPARE:
+        return (_PATHS, _SDE)
+    return range(len(spec.n_grid))
+
+
+def _times(spec: ExperimentSpec) -> tuple[float, ...]:
+    """The compare's time grid t = 12 n / delta^2 spanned by the n grid."""
+    settings = spec.settings()
+    return tuple(time_from_steps(n, settings) for n in spec.n_grid)
+
+
+def _samples(spec: ExperimentSpec, part, lo: int, hi: int) -> np.ndarray:
+    """Samples of trials [lo, hi) of one part, in one batch.
+
+    Grid point p draws trial k from stream index p * trials + k; both halves
+    of a compare draw trial k from stream index k.
+    """
+    if part == _PATHS:
+        return hypothetical_purity_paths(spec.n_grid[-1], spec.settings(), hi - lo, seed=spec.seed, base_index=lo)
+    if part == _SDE:
+        return simulate_purity_ensemble(_times(spec), spec.dt, hi - lo, seed=spec.seed, base_index=lo)
+    n = spec.n_grid[part]
+    base = part * spec.trials + lo
     if spec.kind == HYPOTHETICAL_PURITY:
-        return purity_fidelity_samples(spec.settings(), n, trials, spec.seed, base_index)
-    return direct_fidelity_samples(spec.settings(), n, trials, spec.strategy, spec.seed, base_index)
+        return purity_fidelity_samples(spec.settings(), n, hi - lo, spec.seed, base)
+    return direct_fidelity_samples(spec.settings(), n, hi - lo, spec.strategy, spec.seed, base)
 
 
-def _run_point_chunk(spec: ExperimentSpec, task) -> np.ndarray:
-    """Samples for trials [lo, hi) of one grid point (index = point*trials + k), in one batch.
+def _run_task(task) -> np.ndarray:
+    """One task's samples.
 
     If the batch fails, its trials rerun one at a time so the error names
     the first trial that fails on its own.
     """
-    point, lo, hi = task
-    n = spec.n_grid[point]
-    base = point * spec.trials
+    spec, part, lo, hi = task
     try:
-        return _point_samples(spec, n, hi - lo, base + lo)
+        return _samples(spec, part, lo, hi)
     except Exception as batch_exc:
         for k in range(lo, hi):
             try:
-                _point_samples(spec, n, 1, base + k)
+                _samples(spec, part, k, k + 1)
             except Exception as exc:
-                raise EnsembleError(f"{spec.kind} grid point {point} trial {k} failed: {exc}") from exc
-        raise EnsembleError(f"{spec.kind} grid point {point} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
+                raise EnsembleError(f"{spec.kind} part {part} trial {k} failed: {exc}") from exc
+        raise EnsembleError(f"{spec.kind} part {part} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
 
 
-def _run_discrete_path_chunk(spec: ExperimentSpec, task) -> np.ndarray:
-    lo, hi = task
-    n_max = spec.n_grid[-1]
-    try:
-        return hypothetical_purity_paths(n_max, spec.settings(), hi - lo, seed=spec.seed, base_index=lo)
-    except Exception as exc:
-        raise EnsembleError(f"{spec.kind} discrete trials [{lo}, {hi}) failed: {exc}") from exc
-
-
-def _run_sde_chunk(spec: ExperimentSpec, task) -> np.ndarray:
-    lo, hi, t_grid = task
-    try:
-        return simulate_purity_ensemble(t_grid, spec.dt, hi - lo, seed=spec.seed, base_index=lo)
-    except Exception as exc:
-        raise EnsembleError(f"{spec.kind} trajectories [{lo}, {hi}) failed: {exc}") from exc
-
-
-def _dispatch(fn, spec, tasks, workers):
+def _dispatch(tasks, workers: int) -> list[np.ndarray]:
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(spec, task) for task in tasks]
+        return [_run_task(task) for task in tasks]
     # the pool starts every worker at once; more than one per task only idles
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, [spec] * len(tasks), tasks))
+        return list(pool.map(_run_task, tasks))
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -172,55 +173,43 @@ def _summaries(columns: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...
     return tuple(means), tuple(errors)
 
 
-def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> EnsembleStatistics:
-    """Run every trial of the experiment and aggregate per grid point."""
-    settings = spec.settings()
-
-    if spec.kind in (SEQUENTIAL_FIDELITY, HYPOTHETICAL_PURITY, SHARP_LIMIT):
-        tasks = [
-            (point, lo, hi)
-            for point in range(len(spec.n_grid))
-            for lo, hi in _chunk_ranges(spec.trials, workers)
-        ]
-        results = _dispatch(_run_point_chunk, spec, tasks, workers)
-        per_point = [np.concatenate([r for t, r in zip(tasks, results) if t[0] == point])
-                     for point in range(len(spec.n_grid))]
-        means, errors = _summaries(np.asarray(per_point))
-        if spec.kind == SHARP_LIMIT:
-            reference = (2.0 / 3.0,) * len(spec.n_grid)
-        else:
-            reference = tuple(mean_fidelity_closed_form(n, settings) for n in spec.n_grid)
+def _statistics(spec: ExperimentSpec, results: list[np.ndarray]) -> EnsembleStatistics:
+    """Aggregate one spec's task results, given part after part, each in trial order."""
+    size = len(results) // len(_parts(spec))
+    per_part = [results[i:i + size] for i in range(0, len(results), size)]
+    if spec.kind != CONTINUUM_COMPARE:
+        means, errors = _summaries(np.asarray([np.concatenate(chunks) for chunks in per_part]))
+        settings = spec.settings()
+        reference = tuple(mean_fidelity_closed_form(n, settings) for n in spec.n_grid)
         return EnsembleStatistics(
             spec.kind, tuple(float(n) for n in spec.n_grid), means, errors, spec.trials, reference
         )
-
-    if spec.kind == CONTINUUM_TRAJECTORY:
-        tasks = [(lo, hi, spec.t_grid) for lo, hi in _chunk_ranges(spec.trials, workers)]
-        blocks = _dispatch(_run_sde_chunk, spec, tasks, workers)
-        grid_samples = np.concatenate(blocks, axis=1)
-        means, errors = _summaries(grid_samples)
-        reference = tuple(drift_purity(t) for t in spec.t_grid)
-        return EnsembleStatistics(spec.kind, spec.t_grid, means, errors, spec.trials, reference)
-
-    # continuum-compare: step-resolved sequence and integrated equation on
-    # the time grid t = 12 n / delta^2 spanned by the n grid
-    # one tenth of a step interval, delta^2 / (10 * 12); 10 * 12 = 120 is exact
-    resolution_guard = spec.delta * spec.delta / (10.0 * RATE_CONSTANT)
-    if spec.dt > resolution_guard:
-        warnings.warn(
-            f"dt {spec.dt:g} is coarser than the comparison resolution guard "
-            f"{resolution_guard:g}; per-step agreement is not resolved",
-            stacklevel=2,
-        )
-    t_grid = tuple(time_from_steps(n, settings) for n in spec.n_grid)
-    path_tasks = _chunk_ranges(spec.trials, workers)
-    sde_tasks = [(lo, hi, t_grid) for lo, hi in path_tasks]
-    paths = np.concatenate(_dispatch(_run_discrete_path_chunk, spec, path_tasks, workers), axis=0)
-    discrete = paths[:, list(spec.n_grid)].T
-    sde = np.concatenate(_dispatch(_run_sde_chunk, spec, sde_tasks, workers), axis=1)
-    means, errors = _summaries(discrete)
-    sde_means, sde_errors = _summaries(sde)
+    paths, sde = per_part
+    means, errors = _summaries(np.concatenate(paths, axis=0)[:, list(spec.n_grid)].T)
+    sde_means, sde_errors = _summaries(np.concatenate(sde, axis=1))
+    t_grid = _times(spec)
     reference = tuple(drift_purity(t) for t in t_grid)
     return EnsembleStatistics(
         spec.kind, t_grid, means, errors, spec.trials, reference, sde_means, sde_errors
     )
+
+
+def run_ensemble(*specs: ExperimentSpec, workers: int = 1) -> tuple[EnsembleStatistics, ...]:
+    """Run every trial of the experiments on one pool; one statistics per spec, in order."""
+    for spec in specs:
+        if spec.kind != CONTINUUM_COMPARE:
+            continue
+        # one tenth of a step interval, delta^2 / (10 * 12); 10 * 12 = 120 is exact
+        resolution_guard = spec.delta * spec.delta / (10.0 * RATE_CONSTANT)
+        if spec.dt > resolution_guard:
+            warnings.warn(
+                f"dt {spec.dt:g} is coarser than the comparison resolution guard "
+                f"{resolution_guard:g}; per-step agreement is not resolved",
+                stacklevel=2,
+            )
+    plans = [
+        [(spec, part, lo, hi) for part in _parts(spec) for lo, hi in _chunk_ranges(spec.trials, workers)]
+        for spec in specs
+    ]
+    results = iter(_dispatch([task for plan in plans for task in plan], workers))
+    return tuple(_statistics(spec, [next(results) for _ in plan]) for spec, plan in zip(specs, plans))

@@ -11,9 +11,13 @@ curves (`mean_fidelity_closed_form`, `drift_purity` composed with
 `time_from_steps`) advance continuous time by 12/delta^2 per measurement,
 while the simulated measurement sequence transfers information at the rate
 of the continuous equation only when each measurement advances time by
-1/(12 delta^2), a factor 144 less.  Three independent derivations (drift
+1/(12 delta^2), a factor 144 less.  That factor is the large-delta limit:
+from the mixed state one measurement gives purity u = tanh^2(s/delta^2),
+and quadrature of E[u] puts the ratio of 12/delta^2 to the implied
+duration E[u]/12 at 144.4 (delta = 20), 145.4 (delta = 10), 159.1
+(delta = 3) and 261.6 (delta = 1).  Three independent derivations (drift
 matching, purity-diffusion matching, record-variance matching) and the
-Monte Carlo below all give the same factor.  The supplementary test at the
+Monte Carlo below all give the large-delta factor.  The supplementary test at the
 bottom shows the sequence does match the integrated equation and the drift
 curve once the empirical step duration is used, so the simulator physics
 on both sides is sound; only the published constant linking them is not.
@@ -186,7 +190,7 @@ def test_criterion_6_continuum_calibration():
         n_grid=tuple(range(0, 76)),
         dt=1e-4,
     )
-    stats = run_ensemble(spec)
+    (stats,) = run_ensemble(spec)
     gap_sde = max(abs(m - s) for m, s in zip(stats.means, stats.sde_means))
     gap_drift = max(abs(m - r) for m, r in zip(stats.means, stats.reference))
     gap_sde_drift = max(abs(s - r) for s, r in zip(stats.sde_means, stats.reference))

@@ -220,7 +220,7 @@ def test_ensemble_sub_batch_and_noise_block_do_not_change_results(monkeypatch):
     whole = simulate_purity_ensemble(grid, 1e-4, 64, seed=62)
     part = simulate_purity_ensemble(grid, 1e-4, 16, seed=62, base_index=16)
     np.testing.assert_array_equal(whole[:, 16:32], part)
-    monkeypatch.setattr(continuous, "_NOISE_BLOCK", 7)
+    monkeypatch.setattr(continuous, "DRAW_BLOCK", 7)
     np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 64, seed=62), whole)
 
 

@@ -3,15 +3,14 @@ import pytest
 
 import unsharp_qubit.ensemble as ens
 from unsharp_qubit import (
-    DOMINANT_EIGENSTATE,
     EnsembleError,
     ExperimentSpec,
     derive_stream,
-    drift_purity,
     run_ensemble,
     summarize,
     time_from_steps,
 )
+from unsharp_qubit.cli import main
 
 CALIBRATION_XFAIL = pytest.mark.xfail(
     strict=True,
@@ -64,14 +63,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=10, seed=0, n_grid=(3, 1))
     with pytest.raises(ValueError):
-        ExperimentSpec(kind=ens.CONTINUUM_TRAJECTORY, delta=20.0, trials=10, seed=0, t_grid=())
-    with pytest.raises(ValueError):
         ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=10, seed=0, n_grid=(0,), strategy="??")
 
 
 def test_sequential_fidelity_zero_point():
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=200, seed=50, n_grid=(0,))
-    stats = run_ensemble(spec)
+    (stats,) = run_ensemble(spec)
     assert stats.means == (0.5,)
     assert stats.std_errors == (0.0,)
     assert stats.samples == 200
@@ -81,7 +78,7 @@ def test_sequential_fidelity_zero_point():
 @CALIBRATION_XFAIL
 def test_hypothetical_purity_saturates():
     spec = ExperimentSpec(kind=ens.HYPOTHETICAL_PURITY, delta=20.0, trials=10**4, seed=51, n_grid=(40,))
-    stats = run_ensemble(spec)
+    (stats,) = run_ensemble(spec)
     assert abs(stats.means[0] - 2.0 / 3.0) <= 0.005
 
 
@@ -137,21 +134,49 @@ def test_failing_trial_is_named(monkeypatch):
         run_ensemble(spec)
 
 
-def test_continuum_trajectory_kind():
-    spec = ExperimentSpec(
-        kind=ens.CONTINUUM_TRAJECTORY, delta=20.0, trials=200, seed=55, t_grid=(0.0, 0.1), dt=2e-4
-    )
-    stats = run_ensemble(spec)
-    assert stats.means[0] == 0.5
-    assert stats.reference == (drift_purity(0.0), drift_purity(0.1))
-    assert abs(stats.means[1] - drift_purity(0.1)) < 0.03
+def test_failing_compare_trial_is_named(monkeypatch):
+    # the integrated half fails only for trajectory 2; the rerun finds it on its own
+    def fail_on_two(t_grid, dt, trajectories, seed, base_index):
+        if base_index <= 2 < base_index + trajectories:
+            raise ValueError("boom")
+        return np.zeros((len(t_grid), trajectories))
+
+    monkeypatch.setattr(ens, "simulate_purity_ensemble", fail_on_two)
+    spec = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=20.0, trials=4, seed=57, n_grid=(0, 1), dt=5e-4)
+    with pytest.raises(EnsembleError, match="continuum-compare part sde trial 2 failed: boom"):
+        run_ensemble(spec)
+
+
+def test_specs_of_one_call_equal_separate_calls():
+    direct = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=40, seed=58, n_grid=(0, 3))
+    purity = ExperimentSpec(kind=ens.HYPOTHETICAL_PURITY, delta=20.0, trials=30, seed=58, n_grid=(2,))
+    compare = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=20.0, trials=20, seed=58, n_grid=(0, 1, 2), dt=5e-4)
+    separate = run_ensemble(direct) + run_ensemble(purity) + run_ensemble(compare)
+    assert run_ensemble(direct, purity, compare, workers=1) == separate
+    assert run_ensemble(direct, purity, compare, workers=2) == separate
+
+
+@pytest.mark.parametrize("argv", [
+    ("fidelity-curve", "--delta", "20", "--n-grid", "0,2,5", "--trials", "30", "--estimator", "both"),
+    ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--trajectories", "12"),
+])
+def test_one_pool_per_command(monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        assert main([*argv, "--seed", "59", "--workers", str(workers), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert _InlinePool.sizes == [2]
+    assert outputs[0] == outputs[1]
 
 
 def test_continuum_compare_grid_and_zero_row():
     spec = ExperimentSpec(
         kind=ens.CONTINUUM_COMPARE, delta=30.0, trials=25, seed=56, n_grid=(0, 2, 4), dt=5e-4
     )
-    stats = run_ensemble(spec)
+    (stats,) = run_ensemble(spec)
     cfg = spec.settings()
     assert stats.grid == tuple(time_from_steps(n, cfg) for n in (0, 2, 4))
     assert stats.means[0] == 0.5
@@ -159,11 +184,3 @@ def test_continuum_compare_grid_and_zero_row():
     assert stats.reference[0] == 0.5
     assert len(stats.sde_means) == 3
 
-
-def test_sharp_limit_kind():
-    spec = ExperimentSpec(
-        kind=ens.SHARP_LIMIT, delta=0.05, trials=2000, seed=57, strategy=DOMINANT_EIGENSTATE
-    )
-    stats = run_ensemble(spec)
-    assert stats.reference == (2.0 / 3.0,)
-    assert abs(stats.means[0] - 2.0 / 3.0) < 0.02

@@ -252,13 +252,21 @@ def test_hypothetical_single_step_equals_single_estimate():
     assert result.aposteriori.bloch == pytest.approx(est.bloch, abs=1e-12)
 
 
+def _purities_after_50_steps():
+    # trial k is hypothetical_run(50, ...) on derive_stream(22, k), batched
+    return hypothetical_purity_paths(50, settings(10.0), 10**3, seed=22)[:, 50]
+
+
+def test_purity_paths_equal_hypothetical_runs():
+    batched = _purities_after_50_steps()
+    cfg = settings(10.0)
+    for k in range(50):
+        assert batched[k] == purity(hypothetical_run(50, cfg, derive_stream(22, k)).aposteriori)
+
+
 @CALIBRATION_XFAIL
 def test_hypothetical_purifies_within_characteristic_steps():
-    cfg = settings(10.0)
-    total = 0.0
-    for k in range(10**3):
-        total += purity(hypothetical_run(50, cfg, derive_stream(22, k)).aposteriori)
-    assert total / 10**3 > 0.95
+    assert _purities_after_50_steps().mean() > 0.95
 
 
 def test_spectral_match_single_step():
