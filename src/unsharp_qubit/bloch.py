@@ -178,6 +178,14 @@ def random_pure_state(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.clipped(_random_unit(rng))
 
 
+def _pure_rows(v: np.ndarray) -> np.ndarray:
+    """`random_pure_state` of every row of accepted normals (B, 3), with the same arithmetic:
+    `_random_unit`'s division by the length, then `clipped`'s rescale of a length over 1."""
+    r = v / np.sqrt(_row_dots(v, v))[:, None]
+    length = np.sqrt(_row_dots(r, r))
+    return np.where((length > 1.0)[:, None], r / length[:, None], r)
+
+
 def random_axis(rng: np.random.Generator) -> MeasurementAxis:
     """Measurement direction uniform on the unit sphere."""
     return MeasurementAxis(_random_unit(rng))

@@ -147,8 +147,16 @@ def _step_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
     """One Euler-Maruyama step of the matrix-form equation on a 2x2 state, trace-renormalized.
 
     The matrix-form reference behind `sme_step`; the simulations step the
-    Bloch form through `_step_bloch` and `_step_bloch_batch` instead.
+    Bloch form through `_step_bloch` and `_step_bloch_batch` instead.  The
+    update keeps a unit trace in exact arithmetic, so the division only
+    repairs rounding.
     """
+    rho = _euler_density(rho, d_w, dt)
+    return rho / np.trace(rho).real
+
+
+def _euler_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
+    """The Euler-Maruyama update of `_step_density` before its trace division."""
     d_w = _NOISE_SCALE * np.asarray(d_w, dtype=float)
     expect = np.einsum("kij,ji->k", _PAULI, rho).real
     sig_rho = np.einsum("kij,jl->kil", _PAULI, rho)
@@ -156,8 +164,7 @@ def _step_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
     sig_rho_sig = np.einsum("kij,kjl->kil", _PAULI, rho_sig)
     double_comm = 6.0 * rho - 2.0 * sig_rho_sig.sum(axis=0)
     anti = sig_rho + rho_sig - 2.0 * expect[:, None, None] * rho
-    rho = rho + (-0.5 * dt) * double_comm + np.einsum("k,kij->ij", d_w, anti)
-    return rho / np.trace(rho).real
+    return rho + (-0.5 * dt) * double_comm + np.einsum("k,kij->ij", d_w, anti)
 
 
 def _check_step(dt: float, dt_max: float):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +145,18 @@ def _run_task(task) -> np.ndarray:
         raise EnsembleError(f"{spec.kind} part {part} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
 
 
+def _process_pool(max_workers: int):
+    """A process pool; its module is imported only when a command starts one."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _dispatch(tasks, workers: int) -> list[np.ndarray]:
     if workers <= 1 or len(tasks) <= 1:
         return [_run_task(task) for task in tasks]
     # the pool starts every worker at once; more than one per task only idles
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with _process_pool(min(workers, len(tasks))) as pool:
         return list(pool.map(_run_task, tasks))
 
 

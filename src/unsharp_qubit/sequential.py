@@ -24,6 +24,12 @@ Every experiment advances B trials in lockstep on a (B, 3) Bloch array through
 normals for a drawn pure start, then per block of at most DRAW_BLOCK steps
 the axes `standard_normal((m, 3))`, branch uniforms `random(m)` and outcome
 noise `standard_normal(m)`.  Results depend on (seed, k) alone.
+
+That layout is read, not rebuilt, per trial: a trial group holds the PCG64
+states of its streams (`montecarlo._stream_states`) and positions one
+reused generator at each in turn, and a pure start's three normals come in
+the same call as the first block's axes, `standard_normal(3 + 3m)`, which
+consumes the stream exactly as the two separate draws do.
 """
 
 from __future__ import annotations
@@ -37,13 +43,14 @@ from .bloch import (
     FULLY_MIXED,
     DensityMatrix,
     MeasurementAxis,
+    _dot,
     _norm,
+    _pure_rows,
     _row_dots,
     _row_purities,
     purity,
-    random_pure_state,
 )
-from .montecarlo import DRAW_BLOCK, derive_stream, summarize
+from .montecarlo import DRAW_BLOCK, _stream_states, summarize
 from .povm import (
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
@@ -57,30 +64,42 @@ from .povm import (
 PURE_INPUT_TOL = 1e-9
 
 
-def _draw_block(gens, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m steps of randomness per stream: unit axes (m, B, 3), uniforms and noise (m, B)."""
-    axes = np.empty((m, len(gens), 3))
-    uniforms = np.empty((m, len(gens)))
-    noise = np.empty((m, len(gens)))
-    for b, g in enumerate(gens):
-        axes[:, b] = g.standard_normal((m, 3))
-        uniforms[:, b] = g.random(m)
-        noise[:, b] = g.standard_normal(m)
+def _draw_block(gens, m: int, pure_starts: bool = False):
+    """m steps of randomness per stream: unit axes (m, B, 3), uniforms and noise (m, B).
+
+    With pure_starts every stream first draws the three normals of a uniform
+    pure start, in the same call as its axes, and the (B, 3) start rows
+    (`random_pure_state` arithmetic) lead the result; otherwise it leads with None.
+    """
+    lead = 3 if pure_starts else 0
+    normals = np.empty((len(gens), lead + 3 * m))
+    uniforms = np.empty((len(gens), m))
+    noise = np.empty((len(gens), m))
+    for row, u, z, g in zip(normals, uniforms, noise, gens):
+        row[:] = g.standard_normal(row.size)
+        while lead and not _dot(row, row) > 0.0:
+            # `_random_unit` draws three more normals for a zero-length start
+            row[:] = np.concatenate([row[3:], g.standard_normal(3)])
+        u[:] = g.random(m)
+        z[:] = g.standard_normal(m)
+    axes = normals[:, lead:].reshape(len(gens), m, 3).transpose(1, 0, 2)
     length = np.sqrt(_row_dots(axes, axes))  # `random_axis` arithmetic
     if not (length > 0.0).all():
         raise ValueError("drew a measurement axis of zero length")
-    axes /= length[..., None]
-    return axes, uniforms, noise
+    starts = _pure_rows(normals[:, :3]) if pure_starts else None
+    return starts, axes / length[..., None], uniforms.T, noise.T
 
 
-def _sampled_steps(r: np.ndarray, gens, n: int, precision: float):
+def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
     """Advance the (B, 3) batch r by n measurements, row b on stream gens[b],
     yielding (r, axes, outcomes) after every step.  Outcomes are drawn from
-    each row's current state as `povm.sample_outcome` draws them.
+    each row's current state as `povm.sample_outcome` draws them.  `first`,
+    if given, is the first block (axes, uniforms, noise), already drawn.
     """
     done = 0
     while done < n:
-        axes, uniforms, noise = _draw_block(gens, min(DRAW_BLOCK, n - done))
+        axes, uniforms, noise = first or _draw_block(gens, min(DRAW_BLOCK, n - done))[1:]
+        first = None
         for a, u, z in zip(axes, uniforms, noise):
             p_plus = np.clip(0.5 * (1.0 + _row_dots(a, r)), 0.0, 1.0)
             outcomes = np.where(u < p_plus, 1.0, -1.0) + precision * z
@@ -108,25 +127,63 @@ def _estimate_rows(axes: np.ndarray, outcomes: np.ndarray, precision: float) -> 
     return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1], precision)
 
 
-def _recorded_run(start: np.ndarray, gens, n: int, precision: float):
+def _recorded_run(start: np.ndarray, gens, n: int, precision: float, first=None):
     """Forward run from `start`; returns (final rows, axes (n, B, 3), outcomes (n, B))."""
     axes = np.empty((n, len(gens), 3))
     outcomes = np.empty((n, len(gens)))
     r = start
-    for i, (r, a, s) in enumerate(_sampled_steps(start, gens, n, precision)):
+    for i, (r, a, s) in enumerate(_sampled_steps(start, gens, n, precision, first)):
         axes[i], outcomes[i] = a, s
     return r, axes, outcomes
 
 
+class _GroupStreams:
+    """The streams derive_stream(seed, k), k in [lo, hi), of one trial group, on one generator.
+
+    Iterating yields the generator positioned at each trial's stream in
+    turn, so a group of several trials can be iterated once only: it draws
+    one block, its n being at most DRAW_BLOCK.  A group of one trial is
+    positioned once and its stream carries on from block to block.
+    """
+
+    def __init__(self, seed: int, lo: int, hi: int):
+        self._states = [
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            for state, inc in _stream_states(seed, lo, hi)
+        ]
+        self._generator = np.random.Generator(np.random.PCG64(0))
+        self._generator.bit_generator.state = self._states[0]
+        self._drawn = False
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self):
+        if len(self._states) == 1:
+            yield self._generator
+            return
+        if self._drawn:
+            raise RuntimeError("a group of several trials draws one block only")
+        self._drawn = True
+        bits = self._generator.bit_generator
+        for state in self._states:
+            bits.state = state
+            yield self._generator
+
+
 def _by_trial_groups(fn, n: int, trials: int, seed: int, base_index: int) -> np.ndarray:
-    """fn(gens) over consecutive trial groups of at most DRAW_BLOCK trial-steps, concatenated."""
+    """fn(gens) over consecutive trial groups of at most DRAW_BLOCK trial-steps, concatenated.
+
+    A group has several trials only if each draws a single block (n at most
+    DRAW_BLOCK / 2); a longer run is a group of its own.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
     size = max(1, DRAW_BLOCK // max(1, n))
     return np.concatenate([
-        fn([derive_stream(seed, base_index + k) for k in range(lo, min(lo + size, trials))])
+        fn(_GroupStreams(seed, base_index + lo, base_index + min(lo + size, trials)))
         for lo in range(0, trials, size)
     ])
 
@@ -251,8 +308,8 @@ def direct_fidelity_samples(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def group(gens):
-        truth = np.array([random_pure_state(g).bloch for g in gens])
-        _, axes, outcomes = _recorded_run(truth, gens, n, settings.precision)
+        truth, *first = _draw_block(gens, min(DRAW_BLOCK, n), pure_starts=True)
+        _, axes, outcomes = _recorded_run(truth, gens, n, settings.precision, first)
         return _expected_fidelities(_estimate_rows(axes, outcomes, settings.precision), truth, strategy)
 
     return _by_trial_groups(group, n, trials, seed, base_index)

@@ -14,6 +14,7 @@ from unsharp_qubit import (
     random_pure_state,
     spectral_decompose,
 )
+from unsharp_qubit.bloch import _pure_rows, _row_dots
 
 SPHERE_DRAWS = 10**5
 # three-sigma bound on one Cartesian mean: component variance is 1/3
@@ -105,6 +106,15 @@ def test_random_pure_state_isotropic():
     for _ in range(SPHERE_DRAWS):
         total += random_pure_state(rng).bloch
     assert np.all(np.abs(total / SPHERE_DRAWS) < SPHERE_MEAN_BOUND)
+
+
+def test_pure_rows_equal_random_pure_state_bitwise():
+    # the batched starts of the direct estimator, on the normals each stream draws first
+    normals = np.array([derive_stream(81, k).standard_normal(3) for k in range(2000)])
+    divided = normals / np.sqrt(_row_dots(normals, normals))[:, None]
+    assert (np.sqrt(_row_dots(divided, divided)) > 1.0).sum() > 0  # rows that take `clipped`'s rescale
+    expected = [random_pure_state(derive_stream(81, k)).bloch for k in range(2000)]
+    assert _pure_rows(normals).tolist() == [list(row) for row in expected]
 
 
 def test_distinct_streams_give_distinct_states():

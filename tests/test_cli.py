@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unsharp_qubit
 import unsharp_qubit.continuous as continuous
 from unsharp_qubit.cli import main
 
@@ -196,3 +201,12 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool module is imported only when a command starts a pool
+    src = str(Path(unsharp_qubit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, unsharp_qubit.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

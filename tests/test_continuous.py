@@ -359,3 +359,17 @@ def test_simulate_purity_ensemble_validation():
         simulate_purity_ensemble((0.2, 0.1), 1e-4, 10, seed=0)
     with pytest.raises(ValueError):
         simulate_purity_ensemble((0.1,), 1e-4, 0, seed=0)
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (0.6, 0.0, 0.8)])
+def test_matrix_step_trace_repair_is_rounding_only(start):
+    # before `_step_density` divides by the trace, the Euler update has kept it at 1 to rounding
+    rng, dt = derive_stream(11, 0), 1e-4
+    state = DensityMatrix(start)
+    worst = 0.0
+    for _ in range(3000):
+        noise = draw_noise(rng, dt)
+        trace = np.trace(continuous._euler_density(state.matrix(), noise.d_w, dt)).real
+        worst = max(worst, abs(trace - 1.0))
+        state = sme_step(state, dt, noise)
+    assert worst <= 4.0 * np.finfo(float).eps

@@ -95,7 +95,7 @@ def test_worker_count_does_not_change_continuum_results():
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs the tasks in process."""
+    """Stands in for the process pool: records its size, runs the tasks in process."""
 
     sizes = []
 
@@ -117,7 +117,7 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=2, seed=55,
                           n_grid=(0, 2, 5, 10, 20, 40))
     expected = run_ensemble(spec, workers=1)
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(ens, "_process_pool", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     assert run_ensemble(spec, workers=64) == expected
     assert run_ensemble(spec, workers=3) == expected
@@ -161,7 +161,7 @@ def test_specs_of_one_call_equal_separate_calls():
     ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--trajectories", "12"),
 ])
 def test_one_pool_per_command(monkeypatch, tmp_path, argv):
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(ens, "_process_pool", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     outputs = []
     for workers in (1, 2):

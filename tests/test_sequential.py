@@ -202,6 +202,44 @@ def test_draw_block_bounds_memory_not_results(monkeypatch):
     assert np.all(blocked[:, 0] == 0.5) and np.all((blocked >= 0.5) & (blocked <= 1.0))
 
 
+class _ZeroStartStream:
+    """A real stream with three exact zeros put before its first normal."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._zeros = 3
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        zeros = min(self._zeros, count)
+        self._zeros -= zeros
+        return np.concatenate([np.zeros(zeros), self._rng.standard_normal(count - zeros)]).reshape(size)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("block", [None, 10])
+def test_zero_length_start_is_redrawn_as_random_unit_does(monkeypatch, block):
+    # trial 0's first three normals are zero: its start is `_random_unit`'s
+    # redraw, and its axes and outcomes continue the stream after it
+    cfg, n = settings(3.0), 25
+    if block is not None:
+        monkeypatch.setattr(sequential, "DRAW_BLOCK", block)  # one trial per group, three blocks
+    plain = sequential.direct_fidelity_samples(cfg, n, 3, seed=72)
+
+    def zero_first(seed, lo, hi):
+        return [_ZeroStartStream(derive_stream(seed, k)) if k == 0 else derive_stream(seed, k) for k in range(lo, hi)]
+
+    monkeypatch.setattr(sequential, "_GroupStreams", zero_first)
+    samples = sequential.direct_fidelity_samples(cfg, n, 3, seed=72)
+    rng = _ZeroStartStream(derive_stream(72, 0))
+    true_state = random_pure_state(rng)
+    assert true_state.bloch == random_pure_state(derive_stream(72, 0)).bloch  # the redraw took the next three
+    assert samples[0] == fidelity(run_sequence(true_state, n, cfg, rng).estimate, true_state)
+    assert samples[1:].tolist() == plain[1:].tolist()
+
+
 def test_run_sequence_zero_steps():
     true_state = random_pure_state(derive_stream(20, 0))
     result = run_sequence(true_state, 0, settings(20.0), derive_stream(20, 1))
