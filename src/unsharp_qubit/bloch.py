@@ -61,13 +61,22 @@ class DensityMatrix:
         """Build a state, rescaling onto the unit sphere if |r| > 1.
 
         Policy for constructing operations whose floating-point result may
-        overshoot the Bloch ball by rounding.
+        overshoot the Bloch ball by rounding.  Converts and checks the
+        vector once: a finite length means three finite components, and a
+        vector whose squared length overflows is refused, not rescaled.
         """
-        r = tuple(map(float, bloch))
-        n = _norm(r)
+        x, y, z = map(float, bloch)
+        n = math.sqrt(x * x + y * y + z * z)
+        if not math.isfinite(n):
+            raise ValueError(f"bloch vector must be a finite 3-vector of finite length, got {(x, y, z)!r}")
         if n > 1.0:
-            r = (r[0] / n, r[1] / n, r[2] / n)
-        return cls(r)
+            x, y, z = x / n, y / n, z / n
+        squared = x * x + y * y + z * z
+        if squared > _MAX_SQUARED_LENGTH:
+            raise ValueError(f"bloch vector leaves the unit ball: |r| = {math.sqrt(squared)!r}")
+        state = object.__new__(cls)
+        object.__setattr__(state, "bloch", (x, y, z))
+        return state
 
     def matrix(self) -> np.ndarray:
         """Dense 2x2 complex representation."""

@@ -20,9 +20,11 @@ The simulations integrate the Bloch form by Euler-Maruyama, projecting any
 vector that leaves the unit ball back onto the sphere.  A single
 trajectory (`simulate_trajectory`) steps three Python floats through the
 scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic;
-an ensemble (`simulate_purity_ensemble`) steps a (B, 3) batch through
-`_step_bloch_batch`, which reproduces the scalar step bit for bit on every
-row.  `sme_step` is the matrix-form reference step (with per-step trace
+an ensemble (`simulate_purity_ensemble`) holds a component-major (3, B)
+batch and steps it in place through `_step_bloch_batch`, which reproduces
+the scalar step bit for bit on every column.  Both read their noise from
+`_noise_blocks`, which draws each stream's increments contiguously.
+`sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.
 """
 
@@ -192,8 +194,8 @@ def bloch_sde_step(
     """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)).
 
     Agrees pathwise with `sme_step` under shared noise.  This is the scalar
-    step `simulate_trajectory` runs, and the batched kernel
-    `_step_bloch_batch` reproduces it bit for bit.
+    step `simulate_trajectory` runs, and the in-place (3, B) kernel
+    `_step_bloch_batch` reproduces it bit for bit on every column.
     """
     _check_step(dt, dt_max)
     d_w = noise.d_w
@@ -205,7 +207,7 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
 
     Radial term first, then each component, then the length; the vector is
     divided by its length only when that exceeds 1.  `_step_bloch_batch`
-    repeats this operation order on every row, so both give the same bits.
+    repeats this operation order on every column, so both give the same bits.
     Unchecked: callers validate dt.
     """
     radial = x * wx + y * wy + z * wz
@@ -218,44 +220,69 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     return (x, y, z)
 
 
-def _step_bloch_batch(r: np.ndarray, d_w: np.ndarray, dt: float) -> np.ndarray:
-    """`bloch_sde_step` on a (B, 3) batch of Bloch vectors, one row per trajectory.
+def _step_bloch_batch(r: np.ndarray, block: np.ndarray, dt: float, after_step=None) -> None:
+    """`_step_bloch` in place on a component-major (3, B) batch, once per step of a noise block.
 
-    Written component by component in the scalar step's operation order, so
-    every row equals `bloch_sde_step` bit for bit (an einsum contraction
-    would not) and any sub-batch reproduces the same trajectories.  Only
-    the rows that leave the unit ball are projected back onto the sphere.
+    Column b of r is trajectory b and block[b] its next m increments, a
+    (B, m, 3) block as `_noise_blocks` yields it.  The block is consumed:
+    it is scaled in place by 2 _NOISE_SCALE once, and each step reads its
+    (3, B) transposed view.  after_step(), if given, runs after every step.
+    Written component by component in the scalar step's operation order,
+    so every column equals `_step_bloch` bit for bit and any sub-batch
+    reproduces the same trajectories.  Scaling by a power of two is exact
+    away from underflow, so the doubled increment gives 2 (dW - r radial)
+    as 2 dW - r (2 radial), and x (4 dt) equals (4 x) dt.  Every column is
+    divided by max(|r|, 1): a division by 1.0 leaves a column inside the
+    ball unchanged.  Unchecked: callers validate dt.
     """
-    d_w = _NOISE_SCALE * d_w
-    radial = r[:, 0] * d_w[:, 0] + r[:, 1] * d_w[:, 1] + r[:, 2] * d_w[:, 2]
-    out = r - 4.0 * r * dt + 2.0 * (d_w - r * radial[:, None])
-    length = np.sqrt(out[:, 0] * out[:, 0] + out[:, 1] * out[:, 1] + out[:, 2] * out[:, 2])
-    over = length > 1.0
-    if over.any():
-        out[over] /= length[over, None]
-    return out
+    block *= 2.0 * _NOISE_SCALE
+    prod = np.empty_like(r)
+    px, py, pz = prod
+    update = np.empty_like(r)
+    acc = np.empty(r.shape[1])
+    four_dt = 4.0 * dt
+    for two_dw in block.transpose(1, 2, 0):
+        np.multiply(r, two_dw, out=prod)
+        np.add(px, py, out=acc)
+        acc += pz  # twice the radial term
+        np.multiply(r, acc, out=prod)
+        np.subtract(two_dw, prod, out=update)
+        np.multiply(r, four_dt, out=prod)
+        r -= prod
+        r += update
+        np.multiply(r, r, out=prod)
+        np.add(px, py, out=acc)
+        acc += pz
+        np.sqrt(acc, out=acc)
+        np.maximum(acc, 1.0, out=acc)
+        r /= acc
+        if after_step is not None:
+            after_step()
 
 
 def _noise_blocks(gens, steps: int, dt: float):
     """Wiener increments of `steps` steps for len(gens) trajectories, in blocks.
 
-    Yields (m, B, 3) arrays whose row b is drawn from gens[b] three normals
-    per step, the same draws `draw_noise` makes one step at a time.  A block
-    holds at most max(1, DRAW_BLOCK // B) steps, which bounds memory and
-    leaves the draws unchanged.  Every block reuses one preallocated buffer,
-    so a block must be consumed before the next is requested.
+    Yields (B, m, 3) arrays whose row b holds the next m steps of gens[b],
+    three normals per step drawn straight into the row: the same draws
+    `draw_noise` makes one step at a time.  A block holds at most
+    max(1, DRAW_BLOCK // B) steps, which bounds memory and leaves the draws
+    unchanged.  Every block is a contiguous view of one preallocated buffer
+    (a shorter last block too, so no ufunc on it needs a buffered copy), so
+    a block must be consumed before the next is requested.
     """
     scale = math.sqrt(dt)
     per_block = max(1, DRAW_BLOCK // len(gens))
-    buf = np.empty((min(per_block, steps), len(gens), 3))
+    buf = np.empty(len(gens) * min(per_block, steps) * 3)
     done = 0
     while done < steps:
-        block = buf[: min(per_block, steps - done)]
-        for b, g in enumerate(gens):
-            block[:, b] = g.standard_normal((len(block), 3))
+        m = min(per_block, steps - done)
+        block = buf[: len(gens) * m * 3].reshape(len(gens), m, 3)
+        for g, row in zip(gens, block):
+            g.standard_normal(out=row)
         block *= scale
         yield block
-        done += len(block)
+        done += m
 
 
 def record_increment(state: DensityMatrix, dt: float, noise: NoiseIncrement) -> Vec3:
@@ -286,7 +313,9 @@ def simulate_trajectory(
     integral of <sigma> dt + dW/2 up to its time.  The state steps as three
     Python floats through the scalar step `_step_bloch`, on the draws
     `simulate_purity_ensemble` gives its trajectory; the batched kernel
-    reproduces every snapshot bit for bit.
+    reproduces every snapshot bit for bit.  rng must be a numpy Generator:
+    the increments are drawn into a preallocated block through its `out=`
+    argument.
     """
     _check_step(dt, dt_max)
     if not (t_max > 0.0) or not math.isfinite(t_max):
@@ -301,7 +330,7 @@ def simulate_trajectory(
     k = 0
     for block in _noise_blocks([rng], steps, dt):
         # one row at a time: listing the whole block would hold it twice
-        for row in block[:, 0]:
+        for row in block[0]:
             k += 1
             wx, wy, wz = row.tolist()
             if emit_record:
@@ -312,8 +341,7 @@ def simulate_trajectory(
                 )
             x, y, z = _step_bloch(x, y, z, scale * wx, scale * wy, scale * wz, dt)
             if k % output_stride == 0 or k == steps:
-                state = DensityMatrix.clipped((x, y, z))
-                out.append(TrajectoryState(state, k * dt, record if emit_record else None))
+                out.append(TrajectoryState(DensityMatrix.clipped((x, y, z)), k * dt, record if emit_record else None))
     return out
 
 
@@ -331,9 +359,10 @@ def simulate_purity_ensemble(
     Returns shape (len(t_grid), trajectories).  Trajectory k advances with
     noise from derive_stream(seed, base_index + k) drawn three normals per
     step, exactly as `simulate_trajectory` would consume them, and all
-    trajectories step together through the (B, 3) Bloch kernel, so single
-    runs, sub-batches and whole batches of the same index follow identical
-    noise and step arithmetic.  Grid times snap to the nearest step.
+    trajectories step together, one column each of a (3, B) Bloch batch,
+    through the in-place kernel `_step_bloch_batch`, so single runs,
+    sub-batches and whole batches of the same index follow identical noise
+    and step arithmetic.  Grid times snap to the nearest step.
     """
     _check_step(dt, dt_max)
     t_grid = [float(t) for t in t_grid]
@@ -348,17 +377,17 @@ def simulate_purity_ensemble(
 
     out = np.empty((len(t_grid), trajectories))
 
-    def harvest(step_index: int, r: np.ndarray):
-        for g in sample_at.get(step_index, ()):
-            out[g] = _row_purities(r)
+    def harvest():
+        # sample the grid at the current step count, then count one more step
+        nonlocal step
+        for g in sample_at.get(step, ()):
+            out[g] = _row_purities(r.T)
+        step += 1
 
-    r = np.tile(np.array(initial.bloch), (trajectories, 1))
-    harvest(0, r)
-    gens = [derive_stream(seed, base_index + k) for k in range(trajectories)]
     step = 0
+    r = np.repeat(np.array(initial.bloch)[:, None], trajectories, axis=1)
+    harvest()
+    gens = [derive_stream(seed, base_index + k) for k in range(trajectories)]
     for block in _noise_blocks(gens, steps, dt):
-        for d_w in block:
-            r = _step_bloch_batch(r, d_w, dt)
-            step += 1
-            harvest(step, r)
+        _step_bloch_batch(r, block, dt, after_step=harvest)
     return out

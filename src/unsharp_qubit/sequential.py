@@ -70,18 +70,19 @@ def _draw_block(gens, m: int, pure_starts: bool = False):
     With pure_starts every stream first draws the three normals of a uniform
     pure start, in the same call as its axes, and the (B, 3) start rows
     (`random_pure_state` arithmetic) lead the result; otherwise it leads with None.
+    Every stream is a numpy Generator: it draws straight into the rows through `out=`.
     """
     lead = 3 if pure_starts else 0
     normals = np.empty((len(gens), lead + 3 * m))
     uniforms = np.empty((len(gens), m))
     noise = np.empty((len(gens), m))
     for row, u, z, g in zip(normals, uniforms, noise, gens):
-        row[:] = g.standard_normal(row.size)
+        g.standard_normal(out=row)
         while lead and not _dot(row, row) > 0.0:
             # `_random_unit` draws three more normals for a zero-length start
             row[:] = np.concatenate([row[3:], g.standard_normal(3)])
-        u[:] = g.random(m)
-        z[:] = g.standard_normal(m)
+        g.random(out=u)
+        g.standard_normal(out=z)
     axes = normals[:, lead:].reshape(len(gens), m, 3).transpose(1, 0, 2)
     length = np.sqrt(_row_dots(axes, axes))  # `random_axis` arithmetic
     if not (length > 0.0).all():
@@ -206,7 +207,8 @@ def run_sequence(
 ) -> SequenceResult:
     """n measurements on `true_state`: fresh random axis, outcome sampled
     from the current conditional state, posterior update; the estimate is
-    the reverse replay of the record."""
+    the reverse replay of the record.  rng must be a numpy Generator: the
+    draws are written into preallocated rows through its `out=` argument."""
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
     final, axes, outcomes = _recorded_run(np.array([true_state.bloch]), [rng], n, settings.precision)
@@ -221,7 +223,8 @@ def hypothetical_run(
     """A run whose initial state is fully mixed, outcomes sampled accordingly.
 
     The aposteriori field then realizes A A^dag / tr[A A^dag] for the
-    recorded outcomes, the spectral twin of the sequence estimate.
+    recorded outcomes, the spectral twin of the sequence estimate.  rng
+    must be a numpy Generator, as for `run_sequence`.
     """
     return run_sequence(FULLY_MIXED, n, settings, rng)
 

@@ -117,6 +117,34 @@ def test_pure_rows_equal_random_pure_state_bitwise():
     assert _pure_rows(normals).tolist() == [list(row) for row in expected]
 
 
+def test_clipped_equals_checked_constructor_bitwise():
+    rng = derive_stream(73, 0)
+    rows = rng.standard_normal((2000, 3))
+    # lengths straddling 1 by a few ulps, where the rescale is decided
+    rows /= np.sqrt(_row_dots(rows, rows))[:, None]
+    rows[:1000] *= 1.0 + rng.integers(-4, 5, (1000, 1)) * 2.0**-52
+    rows[1000:1500] *= rng.uniform(0.0, 1.0, (500, 1))
+    rescaled = 0
+    for row in rows.tolist() + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 3.0, 4.0]]:
+        n = math.sqrt(row[0] * row[0] + row[1] * row[1] + row[2] * row[2])
+        expected = DensityMatrix(tuple(v / n for v in row) if n > 1.0 else tuple(row))
+        state = DensityMatrix.clipped(np.array(row))
+        assert state == expected
+        assert all(type(v) is float for v in state.bloch)
+        rescaled += state.bloch != tuple(row)
+    assert rescaled > 0
+
+
+# non-finite components, a finite vector whose squared length overflows, a wrong length
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (1e200, 0.0, 0.0), (0.0, 1.0)],
+)
+def test_clipped_refuses_what_it_cannot_rescale(bad):
+    with pytest.raises(ValueError):
+        DensityMatrix.clipped(bad)
+
+
 def test_distinct_streams_give_distinct_states():
     a = random_pure_state(derive_stream(7, 0))
     b = random_pure_state(derive_stream(7, 1))

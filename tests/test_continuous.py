@@ -185,15 +185,27 @@ def _kernel_start(rows, pure_rows, stream):
     return r
 
 
+class _Kernel:
+    """The in-place (3, B) kernel on a (B, 3) start, stepped by (B, 3) increments."""
+
+    def __init__(self, start):
+        self.r = np.ascontiguousarray(np.asarray(start, dtype=float).T)
+
+    def step(self, d_w, dt):
+        # a one-step (B, 1, 3) block; the kernel scales its block in place
+        continuous._step_bloch_batch(self.r, d_w[:, None, :].copy(), dt)
+        return self.r.T
+
+
 def test_bloch_kernel_rows_equal_scalar_step_bitwise():
     stream = derive_stream(60, 0)
     dt = 1e-4
-    r = _kernel_start(64, 8, stream)
-    scalar = [tuple(row) for row in r.tolist()]
+    kernel = _Kernel(_kernel_start(64, 8, stream))
+    scalar = [tuple(row) for row in kernel.r.T.tolist()]
     projected = 0
     for _ in range(1000):
         d_w = math.sqrt(dt) * stream.standard_normal((64, 3))
-        r = continuous._step_bloch_batch(r, d_w, dt)
+        r = kernel.step(d_w, dt)
         scalar = [bloch_sde_step(row, dt, NoiseIncrement(w)) for row, w in zip(scalar, d_w.tolist())]
         assert r.tolist() == [list(row) for row in scalar]
         # an unprojected step moves |r| by O(dt); a projected row sits on the sphere
@@ -204,15 +216,52 @@ def test_bloch_kernel_rows_equal_scalar_step_bitwise():
 def test_bloch_kernel_tracks_matrix_step():
     stream = derive_stream(61, 0)
     dt = 1e-4
-    r = _kernel_start(8, 2, stream)
-    states = [DensityMatrix(tuple(row)) for row in r.tolist()]
+    kernel = _Kernel(_kernel_start(8, 2, stream))
+    states = [DensityMatrix(tuple(row)) for row in kernel.r.T.tolist()]
     worst = 0.0
     for _ in range(1000):
         d_w = math.sqrt(dt) * stream.standard_normal((8, 3))
-        r = continuous._step_bloch_batch(r, d_w, dt)
+        r = kernel.step(d_w, dt)
         states = [sme_step(state, dt, NoiseIncrement(w)) for state, w in zip(states, d_w.tolist())]
         worst = max(worst, float(np.max(np.abs(r - np.array([s.bloch for s in states])))))
     assert worst < 1e-8
+
+
+# 2,400 trajectory-steps: blocks of 300 steps and a shorter last one
+@pytest.mark.parametrize("block", [None, 2400])
+def test_pure_start_ensemble_equals_scalar_steps_bitwise(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(continuous, "DRAW_BLOCK", block)
+    dt, steps, start = 1e-4, 2000, (0.0, 0.6, 0.8)
+    grid = [k * dt for k in range(0, steps + 1, 50)]
+    ensemble = simulate_purity_ensemble(grid, dt, 8, seed=66, initial=DensityMatrix(start))
+    projected = 0
+    for b in range(8):
+        d_w = math.sqrt(dt) * derive_stream(66, b).standard_normal((steps, 3))
+        x, y, z = start
+        purities = [0.5 * (1.0 + (x * x + y * y + z * z))]
+        for k, (wx, wy, wz) in enumerate(d_w.tolist(), start=1):
+            x, y, z = continuous._step_bloch(x, y, z, wx, wy, wz, dt)
+            projected += abs(math.sqrt(x * x + y * y + z * z) - 1.0) < 1e-12
+            if k % 50 == 0:
+                purities.append(0.5 * (1.0 + (x * x + y * y + z * z)))
+        assert ensemble[:, b].tolist() == purities
+    assert projected > 0
+
+
+def test_noise_scale_reaches_the_ensemble(monkeypatch):
+    grid = (0.01, 0.05)
+    plain = simulate_purity_ensemble(grid, 1e-4, 8, seed=67)
+    monkeypatch.setattr(continuous, "_NOISE_SCALE", 2.0)
+    scaled = simulate_purity_ensemble(grid, 1e-4, 8, seed=67)
+    assert np.all(scaled != plain)
+
+
+def test_single_trajectory_batches_equal_the_whole_batch():
+    grid = (0.0, 0.01, 0.05)
+    whole = simulate_purity_ensemble(grid, 1e-4, 64, seed=68)
+    singles = [simulate_purity_ensemble(grid, 1e-4, 1, seed=68, base_index=k)[:, 0] for k in range(64)]
+    np.testing.assert_array_equal(whole, np.array(singles).T)
 
 
 def test_ensemble_sub_batch_and_noise_block_do_not_change_results(monkeypatch):
@@ -281,12 +330,13 @@ def test_trajectory_snapshots_equal_batch_kernel_bitwise(start, projects):
     dt, steps = 1e-4, 2000
     run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(63, 0), emit_record=True)
     d_w = math.sqrt(dt) * derive_stream(63, 0).standard_normal((steps, 3))
-    r = np.array([start])
+    kernel = _Kernel([start])
+    r = kernel.r.T
     record = np.zeros(3)
     projected = 0
     for k in range(steps):
         record = record + r[0] * dt + 0.5 * d_w[k]
-        r = continuous._step_bloch_batch(r, d_w[k : k + 1], dt)
+        r = kernel.step(d_w[k : k + 1], dt)
         projected += int(abs(np.linalg.norm(r[0]) - 1.0) < 1e-12)
         assert run[k + 1].state == DensityMatrix.clipped(r[0].tolist())
         assert run[k + 1].record == tuple(record.tolist())

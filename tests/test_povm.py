@@ -172,11 +172,17 @@ def test_posterior_degenerate_update_error():
 class _ZeroStream:
     """Stand-in random stream whose normals are all exactly zero."""
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
 
-    def random(self, size):
-        return np.full(size, 0.5)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, 0.5)
+        out[...] = 0.5
+        return out
 
 
 def test_posterior_rows_keep_the_scalar_checks():

@@ -209,14 +209,19 @@ class _ZeroStartStream:
         self._rng = rng
         self._zeros = 3
 
-    def standard_normal(self, size):
-        count = int(np.prod(size))
+    def standard_normal(self, size=None, out=None):
+        shape = size if out is None else out.shape
+        count = int(np.prod(shape))
         zeros = min(self._zeros, count)
         self._zeros -= zeros
-        return np.concatenate([np.zeros(zeros), self._rng.standard_normal(count - zeros)]).reshape(size)
+        values = np.concatenate([np.zeros(zeros), self._rng.standard_normal(count - zeros)]).reshape(shape)
+        if out is None:
+            return values
+        out[...] = values
+        return out
 
-    def random(self, size):
-        return self._rng.random(size)
+    def random(self, size=None, out=None):
+        return self._rng.random(size, out=out)
 
 
 @pytest.mark.parametrize("block", [None, 10])
