@@ -25,7 +25,6 @@ from .bloch import (
 )
 from .continuous import (
     NoiseIncrement,
-    TimeMapping,
     TrajectoryState,
     bloch_sde_step,
     draw_noise,
@@ -54,7 +53,6 @@ from .povm import (
     GaussianEffect,
     MeasurementSettings,
     OutcomeDistribution,
-    QuadratureSpec,
     completeness_defect,
     make_effect,
     outcome_density,

@@ -95,8 +95,8 @@ class MeasurementAxis:
 
     def __post_init__(self):
         n = tuple(float(x) for x in self.direction)
-        if not all(math.isfinite(x) for x in n):
-            raise ValueError(f"axis must be finite, got {self.direction!r}")
+        if len(n) != 3 or not all(math.isfinite(x) for x in n):
+            raise ValueError(f"axis must be a finite 3-vector, got {self.direction!r}")
         if abs(_norm(n) - 1.0) > 1e-12:
             raise ValueError(f"axis must be a unit vector, |n| = {_norm(n)!r}")
         object.__setattr__(self, "direction", n)
@@ -104,6 +104,8 @@ class MeasurementAxis:
     @classmethod
     def from_vector(cls, v) -> "MeasurementAxis":
         """Normalize an arbitrary nonzero 3-vector into an axis."""
+        if len(v) != 3:
+            raise ValueError(f"axis must be a finite 3-vector, got {v!r}")
         n = _norm(v)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")

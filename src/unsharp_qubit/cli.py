@@ -10,8 +10,10 @@ Subcommands:
 
 Every command is a pure function of its flags plus --seed: rerunning with
 the same flags reproduces the output byte for byte at any worker count.
-CSV uses full round-trip float formatting; JSON wraps the same rows in an
-envelope carrying the resolved flag set.
+The two table commands take --format, --out and --workers: CSV uses full
+round-trip float formatting; JSON wraps the same rows in an envelope
+carrying the resolved flag set.  validate takes only --seed, --delta-list
+and --quick, and prints a text report on stdout.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bloch import FULLY_MIXED, MeasurementAxis
+from .bloch import FULLY_MIXED
 from .continuous import (
     DEFAULT_DT_MAX,
     bloch_sde_step,
@@ -107,15 +109,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="unsharp-qubit",
         description="Monte Carlo qubit estimation from repeated unsharp measurements",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed_value, default=1, help="master seed (default 1)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    common.add_argument("--workers", type=_positive_int, default=1, help="parallel trial workers")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_value, default=1, help="master seed (default 1)")
+    # the table commands also choose their output and worker count
+    table = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    table.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
+    table.add_argument("--workers", type=_positive_int, default=1, help="parallel trial workers")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    curve = sub.add_parser("fidelity-curve", parents=[common], help="fidelity vs sequence length")
+    curve = sub.add_parser("fidelity-curve", parents=[table], help="fidelity vs sequence length")
     curve.add_argument("--delta", type=_positive_float, default=20.0, help="measurement precision")
     curve.add_argument("--n-grid", type=_int_grid, default=(0, 2, 5, 10, 20, 40))
     curve.add_argument("--trials", type=_positive_int, default=10_000)
@@ -125,14 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--estimator", choices=("direct", "purity", "both"), default="direct")
 
     compare = sub.add_parser(
-        "continuum-compare", parents=[common], help="sequence vs continuous-equation purity"
+        "continuum-compare", parents=[table], help="sequence vs continuous-equation purity"
     )
     compare.add_argument("--delta", type=_positive_float, default=20.0)
     compare.add_argument("--n-max", type=_positive_int, default=40)
     compare.add_argument("--dt", type=_step_size, default=1e-4)
     compare.add_argument("--trajectories", type=_positive_int, default=1000)
 
-    validate = sub.add_parser("validate", parents=[common], help="fast invariant battery")
+    validate = sub.add_parser("validate", parents=[seeded], help="fast invariant battery")
     validate.add_argument("--delta-list", type=_float_list, default=(0.1, 1.0, 10.0))
     validate.add_argument("--quick", action="store_true", help="smaller Monte Carlo sizes")
     return parser
@@ -214,10 +218,7 @@ def cmd_continuum_compare(args: argparse.Namespace) -> tuple[tuple[str, ...], li
 def _validate_checks(deltas, quick: bool, seed: int) -> list[tuple[str, bool, str]]:
     checks = []
 
-    axis = MeasurementAxis((0.0, 0.0, 1.0))
-    worst = max(
-        completeness_defect(axis, MeasurementSettings(d, continuum_floor=None)) for d in deltas
-    )
+    worst = max(completeness_defect(MeasurementSettings(d, continuum_floor=None)) for d in deltas)
     checks.append(("completeness-quadrature", worst < 1e-9, f"max defect {worst:.3e}, tol 1e-9"))
 
     lengths = (1, 5, 25) if quick else (1, 5, 25, 100, 200)

@@ -1,7 +1,8 @@
 """Time-continuous limit: conditional master equation and closed forms.
 
 Counting the measurements as if they happened at the constant rate
-12/precision^2 maps step n onto the continuous time t = 12 n / precision^2.
+12/precision^2 maps step n onto the continuous time t = 12 n / precision^2
+(`time_from_steps`, the one time mapping).
 In that limit the conditional state obeys the Ito equation
 
     d rho = -1/2 sum_k [sigma_k, [sigma_k, rho]] dt
@@ -25,7 +26,8 @@ batch and steps it in place through `_step_bloch_batch`, which reproduces
 the scalar step bit for bit on every column.  Both read their noise from
 `_noise_blocks`, which draws each stream's increments contiguously.
 `sme_step` is the matrix-form reference step (with per-step trace
-renormalization); it is checked pathwise against `bloch_sde_step`.
+renormalization); it is checked pathwise against `bloch_sde_step`.  Every
+integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _row_purities
 from .montecarlo import DRAW_BLOCK, derive_stream
 from .povm import MeasurementSettings
 
-# Euler-Maruyama steps above this are refused outright.
+# The one Euler-Maruyama step ceiling: every integrator and the CLI's --dt
+# refuse a larger step.
 DEFAULT_DT_MAX = 1e-3
 
 # Measurements per unit time at unit precision: the time mapping, the
@@ -51,35 +54,12 @@ RATE_CONSTANT = 12.0
 _NOISE_SCALE = 1.0
 
 
-@dataclass(frozen=True)
-class TimeMapping:
-    """Constant-rate bookkeeping between step counts and continuous time."""
-
-    precision: float
-
-    def __post_init__(self):
-        if not (self.precision > 0.0) or not math.isfinite(self.precision):
-            raise ValueError(f"precision must be a positive real, got {self.precision!r}")
-
-    @property
-    def rate(self) -> float:
-        """Measurements per unit time, RATE_CONSTANT / precision^2."""
-        return RATE_CONSTANT / (self.precision * self.precision)
-
-    def time_from_steps(self, n) -> float:
-        if n < 0:
-            raise ValueError(f"step count must be nonnegative, got {n!r}")
-        return RATE_CONSTANT * n / (self.precision * self.precision)
-
-    def steps_for_time(self, t) -> float:
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t!r}")
-        return t * self.precision * self.precision / RATE_CONSTANT
-
-
 def time_from_steps(n, settings: MeasurementSettings) -> float:
     """t = 12 n / precision^2 for n measurements."""
-    return TimeMapping(settings.precision).time_from_steps(n)
+    if not (n >= 0):
+        raise ValueError(f"step count must be nonnegative, got {n!r}")
+    w = settings.precision
+    return RATE_CONSTANT * n / (w * w)
 
 
 def _saturation_ratio(y):
@@ -95,7 +75,7 @@ def drift_purity(t):
     for the purity (1+u)/2.  Accepts a scalar or an array of times.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
+    if not np.all(t_arr >= 0.0):
         raise ValueError("drift purity is defined for nonnegative times only")
     out = 0.5 + 0.5 * _saturation_ratio(8.0 * t_arr)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
@@ -109,7 +89,7 @@ def mean_fidelity_closed_form(n, settings: MeasurementSettings):
     real (not necessarily integer) n or an array.
     """
     n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0.0):
+    if not np.all(n_arr >= 0.0):
         raise ValueError("measurement count must be nonnegative")
     w = settings.precision
     # the drift exponent 8 t at t = RATE_CONSTANT n / w^2; 8 * 12 = 96 is exact
@@ -129,8 +109,8 @@ class NoiseIncrement:
 
 def draw_noise(rng: np.random.Generator, dt: float) -> NoiseIncrement:
     """Draw the three Wiener components for one step of size dt."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be a positive real, got {dt!r}")
     scale = math.sqrt(dt)
     v = rng.standard_normal(3)
     return NoiseIncrement((scale * v[0], scale * v[1], scale * v[2]))
@@ -169,35 +149,31 @@ def _euler_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
     return rho + (-0.5 * dt) * double_comm + np.einsum("k,kij->ij", d_w, anti)
 
 
-def _check_step(dt: float, dt_max: float):
-    if not (0.0 < dt <= dt_max):
-        raise ValueError(f"dt must satisfy 0 < dt <= {dt_max!r}, got {dt!r}")
+def _check_step(dt: float):
+    if not (0.0 < dt <= DEFAULT_DT_MAX):
+        raise ValueError(f"dt must satisfy 0 < dt <= {DEFAULT_DT_MAX!r}, got {dt!r}")
 
 
-def sme_step(
-    state: DensityMatrix, dt: float, noise: NoiseIncrement, dt_max: float = DEFAULT_DT_MAX
-) -> DensityMatrix:
+def sme_step(state: DensityMatrix, dt: float, noise: NoiseIncrement) -> DensityMatrix:
     """One conditional-master-equation step in matrix form.
 
     Euler-Maruyama update of rho, then trace renormalization and, if the
     Bloch vector left the unit ball, rescaling back onto the sphere.  This
     is the reference the Bloch-form step is checked against pathwise.
     """
-    _check_step(dt, dt_max)
+    _check_step(dt)
     rho = _step_density(state.matrix(), noise.d_w, dt)
     return DensityMatrix.clipped(np.einsum("kij,ji->k", _PAULI, rho).real)
 
 
-def bloch_sde_step(
-    r, dt: float, noise: NoiseIncrement, dt_max: float = DEFAULT_DT_MAX
-) -> Vec3:
+def bloch_sde_step(r, dt: float, noise: NoiseIncrement) -> Vec3:
     """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)).
 
     Agrees pathwise with `sme_step` under shared noise.  This is the scalar
     step `simulate_trajectory` runs, and the in-place (3, B) kernel
     `_step_bloch_batch` reproduces it bit for bit on every column.
     """
-    _check_step(dt, dt_max)
+    _check_step(dt)
     d_w = noise.d_w
     return _step_bloch(r[0], r[1], r[2], d_w[0], d_w[1], d_w[2], dt)
 
@@ -290,8 +266,8 @@ def record_increment(state: DensityMatrix, dt: float, noise: NoiseIncrement) -> 
 
     `noise` must be the same increment used in the concurrent state step.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be a positive real, got {dt!r}")
     r = state.bloch
     d_w = noise.d_w
     return (r[0] * dt + 0.5 * d_w[0], r[1] * dt + 0.5 * d_w[1], r[2] * dt + 0.5 * d_w[2])
@@ -304,7 +280,6 @@ def simulate_trajectory(
     rng: np.random.Generator,
     emit_record: bool = False,
     output_stride: int = 1,
-    dt_max: float = DEFAULT_DT_MAX,
 ) -> list[TrajectoryState]:
     """Integrate one conditional trajectory, emitting every `output_stride` steps.
 
@@ -317,7 +292,7 @@ def simulate_trajectory(
     the increments are drawn into a preallocated block through its `out=`
     argument.
     """
-    _check_step(dt, dt_max)
+    _check_step(dt)
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise ValueError(f"t_max must be a positive real, got {t_max!r}")
     if output_stride < 1:
@@ -352,7 +327,6 @@ def simulate_purity_ensemble(
     seed: int = 0,
     base_index: int = 0,
     initial: DensityMatrix = FULLY_MIXED,
-    dt_max: float = DEFAULT_DT_MAX,
 ) -> np.ndarray:
     """Purity of independent trajectories at the requested times.
 
@@ -364,7 +338,7 @@ def simulate_purity_ensemble(
     sub-batches and whole batches of the same index follow identical noise
     and step arithmetic.  Grid times snap to the nearest step.
     """
-    _check_step(dt, dt_max)
+    _check_step(dt)
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t < 0.0 for t in t_grid) or sorted(t_grid) != t_grid:
         raise ValueError("time grid must be nonempty, nonnegative, ascending")

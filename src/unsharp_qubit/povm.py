@@ -8,8 +8,10 @@ eigenvalues +-1 by a Gaussian of standard deviation `precision`:
 
 where P_plus/P_minus project on the +-1 eigenstates of n.sigma.  The
 effects integrate to the identity over s, so they form a valid positive
-operator-valued measure.  Large precision means a weak (barely invasive)
-measurement, small precision approaches the projective limit.
+operator-valued measure; `completeness_defect` checks that numerically
+with one fixed trapezoid rule, the same for every axis.  Large precision
+means a weak (barely invasive) measurement, small precision approaches the
+projective limit.
 
 Weights are kept in log form throughout: for |s| much larger than the
 precision both weights underflow in linear space while their ratio, which
@@ -112,38 +114,28 @@ def make_effect(axis: MeasurementAxis, settings: MeasurementSettings, outcome: f
     return GaussianEffect(axis, s, w, _gaussian_logpdf(s - 1.0, w), _gaussian_logpdf(s + 1.0, w))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Trapezoid rule over [-(1 + padding*precision), +(1 + padding*precision)]."""
-
-    padding: float = 10.0
-    nodes: int = 10001
-
-    def __post_init__(self):
-        if self.padding <= 0.0 or self.nodes < 3:
-            raise ValueError("quadrature needs positive padding and at least 3 nodes")
+# completeness_defect's trapezoid rule: this many nodes over
+# [-(1 + padding precision), +(1 + padding precision)]
+_QUADRATURE_PADDING = 10.0
+_QUADRATURE_NODES = 10001
 
 
-def completeness_defect(
-    axis: MeasurementAxis,
-    settings: MeasurementSettings,
-    quadrature: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def completeness_defect(settings: MeasurementSettings) -> float:
     """Spectral-norm deviation of the quadrature of all effects from identity.
 
     The exact integral is the identity, so any defect is purely a quadrature
-    artifact; the node count and range belong to the caller's tolerance
-    budget, not to the library.
+    artifact of the fixed trapezoid rule above.
     """
     w = settings.precision
-    half = 1.0 + quadrature.padding * w
-    grid = np.linspace(-half, half, quadrature.nodes)
+    half = 1.0 + _QUADRATURE_PADDING * w
+    grid = np.linspace(-half, half, _QUADRATURE_NODES)
     dens_plus = np.exp(-((grid - 1.0) ** 2) / (2.0 * w * w)) / math.sqrt(2.0 * math.pi * w * w)
     dens_minus = np.exp(-((grid + 1.0) ** 2) / (2.0 * w * w)) / math.sqrt(2.0 * math.pi * w * w)
     total_plus = float(np.trapezoid(dens_plus, grid))
     total_minus = float(np.trapezoid(dens_minus, grid))
-    # integral(effect) = total_plus P_plus + total_minus P_minus, so the
-    # deviation from identity has eigenvalues (total_plus - 1, total_minus - 1)
+    # integral(effect) = total_plus P_plus + total_minus P_minus for every
+    # axis, so the deviation from identity has eigenvalues
+    # (total_plus - 1, total_minus - 1) and no axis is needed
     return max(abs(total_plus - 1.0), abs(total_minus - 1.0))
 
 
@@ -152,13 +144,16 @@ class OutcomeDistribution:
     """Two-Gaussian mixture of outcomes: branch weights tr[P_pm rho]."""
 
     weight_plus_branch: float
-    weight_minus_branch: float
     precision: float
 
     def __post_init__(self):
         p = float(self.weight_plus_branch)
         if not (-1e-12 <= p <= 1.0 + 1e-12):
             raise ValueError(f"branch weight out of [0, 1]: {p!r}")
+
+    @property
+    def weight_minus_branch(self) -> float:
+        return 1.0 - self.weight_plus_branch
 
     def density(self, outcome: float) -> float:
         w = self.precision
@@ -194,7 +189,7 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     along = _dot(axis.direction, state.bloch)
     p_plus = min(1.0, max(0.0, 0.5 * (1.0 + along)))
-    return OutcomeDistribution(p_plus, 1.0 - p_plus, settings.precision)
+    return OutcomeDistribution(p_plus, settings.precision)
 
 
 def outcome_density(

@@ -32,9 +32,7 @@ from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
     ExperimentSpec,
-    MeasurementAxis,
     MeasurementSettings,
-    QuadratureSpec,
     bloch_sde_step,
     completeness_defect,
     derive_stream,
@@ -206,9 +204,7 @@ def test_criterion_6_continuum_calibration():
 
 
 def test_criterion_7_property_suite():
-    axis = MeasurementAxis((0.0, 0.0, 1.0))
-    quad = QuadratureSpec(10.0, 10001)
-    defect = max(completeness_defect(axis, settings(w), quad) for w in (0.1, 1.0, 10.0))
+    defect = max(completeness_defect(settings(w)) for w in (0.1, 1.0, 10.0))
 
     spectral = 0.0
     for i, (n, width) in enumerate([(50, 10.0), (120, 10.0), (200, 10.0), (200, 1.0)]):

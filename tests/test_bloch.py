@@ -166,7 +166,11 @@ def test_random_axis_deterministic_per_stream():
 
 
 def test_axis_validation():
-    with pytest.raises(ValueError):
-        MeasurementAxis((0.0, 0.0, 0.5))
+    for bad in ((0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 5.0), (1.0, 0.0), (math.nan, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            MeasurementAxis(bad)
+    for bad in ((1.0, 0.0, 0.0, 5.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            MeasurementAxis.from_vector(bad)
     axis = MeasurementAxis.from_vector((3.0, 0.0, 4.0))
     assert axis.direction == pytest.approx((0.6, 0.0, 0.8))

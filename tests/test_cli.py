@@ -195,6 +195,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["validate", "--delta-list", "nan"])
     assert err.value.code == 2
+    # validate prints its report and reads no output or worker flags
+    for flags in (["--format", "json"], ["--out", "x"], ["--workers", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(["validate", *flags])
+        assert err.value.code == 2
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -9,7 +9,6 @@ from unsharp_qubit import (
     DensityMatrix,
     MeasurementSettings,
     NoiseIncrement,
-    TimeMapping,
     bloch_sde_step,
     derive_stream,
     draw_noise,
@@ -43,28 +42,23 @@ def test_time_mapping_values():
     cfg = settings(10.0)
     assert time_from_steps(0, cfg) == 0.0
     assert time_from_steps(100, cfg) == pytest.approx(12.0, abs=1e-15)
-    mapping = TimeMapping(10.0)
-    assert mapping.rate == pytest.approx(0.12, abs=1e-15)
     # n = precision^2 / 96 measurements span one eighth of a time unit
-    assert mapping.time_from_steps(100.0 / 96.0) == pytest.approx(0.125, abs=1e-15)
-    assert mapping.steps_for_time(12.0) == pytest.approx(100.0, abs=1e-12)
+    assert time_from_steps(100.0 / 96.0, cfg) == pytest.approx(0.125, abs=1e-15)
+    assert time_from_steps(math.inf, cfg) == math.inf
 
 
 def test_time_mapping_additive():
-    mapping = TimeMapping(7.3)
+    cfg = settings(7.3)
     for n1, n2 in [(3, 4), (10, 90), (1, 999)]:
-        assert mapping.time_from_steps(n1 + n2) == pytest.approx(
-            mapping.time_from_steps(n1) + mapping.time_from_steps(n2), rel=1e-12
+        assert time_from_steps(n1 + n2, cfg) == pytest.approx(
+            time_from_steps(n1, cfg) + time_from_steps(n2, cfg), rel=1e-12
         )
 
 
 def test_time_mapping_validation():
-    with pytest.raises(ValueError):
-        TimeMapping(0.0)
-    with pytest.raises(ValueError):
-        TimeMapping(3.0).time_from_steps(-1)
-    with pytest.raises(ValueError):
-        time_from_steps(-2, settings(3.0))
+    for bad in (-1, -2.5, math.nan):
+        with pytest.raises(ValueError):
+            time_from_steps(bad, settings(3.0))
 
 
 def test_drift_purity_values():
@@ -81,6 +75,10 @@ def test_drift_purity_monotone_and_vectorized():
     assert np.all(np.diff(values) > 0.0)
     with pytest.raises(ValueError):
         drift_purity(-0.1)
+    for bad in (math.nan, np.array([0.1, math.nan])):
+        with pytest.raises(ValueError):
+            drift_purity(bad)
+    assert drift_purity(math.inf) == 1.0  # the exact limit
 
 
 def test_mean_fidelity_closed_form_values():
@@ -92,6 +90,10 @@ def test_mean_fidelity_closed_form_values():
     assert abs(mean_fidelity_closed_form(n_saturated, cfg) - 2.0 / 3.0) < 1e-15
     with pytest.raises(ValueError):
         mean_fidelity_closed_form(-1, cfg)
+    for bad in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            mean_fidelity_closed_form(bad, cfg)
+    assert mean_fidelity_closed_form(math.inf, cfg) == 2.0 / 3.0  # the exact limit
 
 
 def test_closed_form_identity_with_drift():
@@ -116,8 +118,9 @@ def test_draw_noise_scaling():
     rng = derive_stream(40, 0)
     draws = np.array([draw_noise(rng, 1e-3).d_w for _ in range(4000)])
     assert abs(draws.var(ddof=1) / 1e-3 - 1.0) < 0.1
-    with pytest.raises(ValueError):
-        draw_noise(rng, 0.0)
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            draw_noise(rng, bad)
 
 
 def test_sme_step_fixed_point_at_mixed_state():
@@ -138,7 +141,6 @@ def test_sme_step_validates_dt():
     for bad in (0.0, -1e-4, 2e-3):
         with pytest.raises(ValueError):
             sme_step(FULLY_MIXED, bad, still)
-    sme_step(FULLY_MIXED, 2e-3, still, dt_max=1e-2)  # relaxed ceiling
 
 
 def test_sme_step_sphere_nearly_invariant():
@@ -281,8 +283,9 @@ def test_record_increment_values():
     )
     plus_z = DensityMatrix((0.0, 0.0, 1.0))
     assert record_increment(plus_z, 1e-3, NoiseIncrement((0.0, 0.0, 0.0))) == (0.0, 0.0, 1e-3)
-    with pytest.raises(ValueError):
-        record_increment(plus_z, 0.0, NoiseIncrement((0.0, 0.0, 0.0)))
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            record_increment(plus_z, bad, NoiseIncrement((0.0, 0.0, 0.0)))
 
 
 def test_record_increment_mean_tracks_polarization():

@@ -15,7 +15,7 @@ from unsharp_qubit import (
     GaussianEffect,
     MeasurementAxis,
     MeasurementSettings,
-    QuadratureSpec,
+    OutcomeDistribution,
     completeness_defect,
     derive_stream,
     fidelity,
@@ -81,13 +81,8 @@ def test_log_weights_survive_extreme_outcomes():
 
 @pytest.mark.parametrize("width", [1.0, 10.0, 0.1])
 def test_completeness_defect(width):
-    defect = completeness_defect(Z_AXIS, settings(width), QuadratureSpec(10.0, 10001))
+    defect = completeness_defect(settings(width))
     assert defect < 1e-9
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes=2)
 
 
 def test_outcome_density_values():
@@ -101,6 +96,13 @@ def test_outcome_density_normalized():
     grid = np.linspace(-1 - 12 * 1.5, 1 + 12 * 1.5, 8001)
     dens = [outcome_density(state, Z_AXIS, cfg, s) for s in grid]
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_outcome_branch_weights_are_complementary():
+    dist = outcome_distribution(DensityMatrix((0.3, -0.2, 0.5)), Z_AXIS, settings(1.5))
+    assert dist.weight_plus_branch == 0.75
+    assert dist.weight_minus_branch == 1.0 - dist.weight_plus_branch
+    assert OutcomeDistribution(0.2, 1.5).weight_minus_branch == 1.0 - 0.2
 
 
 def test_outcome_moments_single_branch():
