@@ -4,8 +4,9 @@ The library simulates sequences of Gaussian-smeared polarization
 measurements along random directions, forms the record-only state estimate
 by replaying the outcome record in reverse order through the same
 posterior update, and benchmarks its fidelity against the one-measurement
-optimum 2/3.  Every experiment advances a whole batch of trials through
-one (B, 3) Bloch-vector update.  A matching
+optimum 2/3.  Every experiment advances a whole batch of trials as one
+component-major (3, B) array of Bloch vectors, the layout both the discrete
+update and the continuous step use.  A matching
 time-continuous conditional master equation plus closed-form purity and
 fidelity curves covers the constant-rate measurement limit.
 """

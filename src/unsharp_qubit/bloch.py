@@ -5,7 +5,8 @@ vector |r| <= 1, so the unit trace and Hermiticity are structural and only
 positivity (|r| <= 1) needs checking.
 
 Everything here is an immutable value; the sampling helpers are pure given
-their random stream.
+their random stream.  Every module holds a batch of B states as one
+component-major (3, B) array, which `_dot` and `_purity` read like one vector.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _PAULI = np.array(
 
 
 def _dot(a, b) -> float:
+    """a.b over the leading axis in a fixed order, for a vector or a column-wise (3, ...) batch alike."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -127,24 +129,14 @@ class SpectralDecomposition:
     degenerate: bool = False
 
 
-def purity(state: DensityMatrix) -> float:
-    """tr[rho^2] = (1 + |r|^2)/2, in [1/2, 1]."""
-    r = state.bloch
+def _purity(r):
+    """(1 + |r|^2)/2 of a Bloch vector or of every column of a (3, ...) batch."""
     return 0.5 * (1.0 + _dot(r, r))
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis of (..., 3) arrays, in `_dot`'s order.
-
-    Written component by component so that a row's bits do not depend on
-    the batch it sits in.
-    """
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _row_purities(r: np.ndarray) -> np.ndarray:
-    """`purity` of every row, 0.5 * (1 + |r|^2), with the same arithmetic."""
-    return 0.5 * (1.0 + _row_dots(r, r))
+def purity(state: DensityMatrix) -> float:
+    """tr[rho^2] = (1 + |r|^2)/2, in [1/2, 1]."""
+    return _purity(state.bloch)
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -189,12 +181,12 @@ def random_pure_state(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.clipped(_random_unit(rng))
 
 
-def _pure_rows(v: np.ndarray) -> np.ndarray:
-    """`random_pure_state` of every row of accepted normals (B, 3), with the same arithmetic:
-    `_random_unit`'s division by the length, then `clipped`'s rescale of a length over 1."""
-    r = v / np.sqrt(_row_dots(v, v))[:, None]
-    length = np.sqrt(_row_dots(r, r))
-    return np.where((length > 1.0)[:, None], r / length[:, None], r)
+def _pure_batch(v: np.ndarray) -> np.ndarray:
+    """`random_pure_state` of every column of accepted normals (3, B), with the same arithmetic:
+    `_random_unit`'s division by the length, then `clipped`'s rescale, a division by max(|r|, 1)."""
+    r = v / np.sqrt(_dot(v, v))
+    r /= np.maximum(np.sqrt(_dot(r, r)), 1.0)
+    return r
 
 
 def random_axis(rng: np.random.Generator) -> MeasurementAxis:

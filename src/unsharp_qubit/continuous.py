@@ -22,8 +22,9 @@ vector that leaves the unit ball back onto the sphere.  A single
 trajectory (`simulate_trajectory`) steps three Python floats through the
 scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic;
 an ensemble (`simulate_purity_ensemble`) holds a component-major (3, B)
-batch and steps it in place through `_step_bloch_batch`, which reproduces
-the scalar step bit for bit on every column.  Both read their noise from
+batch, the layout of the discrete kernel `povm.posterior_batch` too, and
+steps it in place through `_step_bloch_batch`, which reproduces the scalar
+step bit for bit on every column.  Both read their noise from
 `_noise_blocks`, which draws each stream's increments contiguously.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _row_purities
+from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _purity
 from .montecarlo import DRAW_BLOCK, derive_stream
 from .povm import MeasurementSettings
 
@@ -340,8 +341,8 @@ def simulate_purity_ensemble(
     """
     _check_step(dt)
     t_grid = [float(t) for t in t_grid]
-    if not t_grid or any(t < 0.0 for t in t_grid) or sorted(t_grid) != t_grid:
-        raise ValueError("time grid must be nonempty, nonnegative, ascending")
+    if not t_grid or not all(0.0 <= t < math.inf for t in t_grid) or sorted(t_grid) != t_grid:
+        raise ValueError("time grid must be nonempty, finite, nonnegative, ascending")
     if trajectories < 1:
         raise ValueError(f"need at least one trajectory, got {trajectories!r}")
     steps = int(round(t_grid[-1] / dt))
@@ -355,7 +356,7 @@ def simulate_purity_ensemble(
         # sample the grid at the current step count, then count one more step
         nonlocal step
         for g in sample_at.get(step, ()):
-            out[g] = _row_purities(r.T)
+            out[g] = _purity(r)
         step += 1
 
     step = 0

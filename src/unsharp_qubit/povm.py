@@ -15,7 +15,9 @@ projective limit.
 
 Weights are kept in log form throughout: for |s| much larger than the
 precision both weights underflow in linear space while their ratio, which
-is all the state update needs, stays perfectly conditioned.
+is all the state update needs, stays perfectly conditioned.  The update
+`posterior_batch` takes a component-major (3, B) Bloch batch, the layout of
+every batch in the package; `posterior_update` is its one-column case.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .bloch import (
     DensityMatrix,
     MeasurementAxis,
     _dot,
-    _row_dots,
     random_pure_state,
     spectral_decompose,
 )
@@ -150,6 +151,7 @@ class OutcomeDistribution:
         p = float(self.weight_plus_branch)
         if not (-1e-12 <= p <= 1.0 + 1e-12):
             raise ValueError(f"branch weight out of [0, 1]: {p!r}")
+        object.__setattr__(self, "precision", MeasurementSettings(self.precision, None).precision)
 
     @property
     def weight_minus_branch(self) -> float:
@@ -211,40 +213,40 @@ def _log_or_minus_inf(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full_like(p, -np.inf), where=p > 0.0)
 
 
-def posterior_rows(
+def posterior_batch(
     r: np.ndarray, axes: np.ndarray, log_plus: np.ndarray, log_minus: np.ndarray
 ) -> np.ndarray:
-    """Conditional states sqrt(effect) rho sqrt(effect) / tr[effect rho], one per row.
+    """Conditional states sqrt(effect) rho sqrt(effect) / tr[effect rho], one per column.
 
-    Row b of the (B, 3) Bloch array r meets the effect along unit axis
-    axes[b] with log weights log_plus[b], log_minus[b].  In the effect's
+    Column b of the (3, B) Bloch batch r meets the effect along unit axis
+    axes[:, b] with log weights log_plus[b], log_minus[b].  In the effect's
     eigenbasis the branch populations are reweighted by the Gaussian
     weights while coherences pick up sqrt(g_plus g_minus); all ratios are
     formed in log space so extreme outcomes stay well conditioned.  An
-    empty branch counts as -inf, a row of zero or non-finite total weight
-    raises ValueError, and a row rounding outside the ball is rescaled.
+    empty branch counts as -inf, a column of zero or undefined total
+    weight raises ValueError before any log-sum is formed, and every column
+    is divided by max(|r|, 1), which puts one that rounded outside the ball
+    back on the sphere and leaves the others unchanged.
     """
-    along = _row_dots(axes, r)
+    along = _dot(axes, r)
     branch_plus = log_plus + _log_or_minus_inf(0.5 * (1.0 + along))
     branch_minus = log_minus + _log_or_minus_inf(0.5 * (1.0 - along))
-    log_norm = np.logaddexp(branch_plus, branch_minus)
-    if not np.isfinite(log_norm).all():
+    # the maximum propagates NaN: refuses two empty branches, an infinite or an undefined weight
+    if not np.isfinite(np.maximum(branch_plus, branch_minus)).all():
         raise ValueError("degenerate update: both spectral branches have zero weight")
+    log_norm = np.logaddexp(branch_plus, branch_minus)
     new_along = np.exp(branch_plus - log_norm) - np.exp(branch_minus - log_norm)
     damp = np.exp(0.5 * (log_plus + log_minus) - log_norm)
-    out = new_along[:, None] * axes + damp[:, None] * (r - along[:, None] * axes)
-    length = np.sqrt(_row_dots(out, out))
-    over = length > 1.0
-    if over.any():
-        out[over] /= length[over, None]
+    out = new_along * axes + damp * (r - along * axes)
+    out /= np.maximum(np.sqrt(_dot(out, out)), 1.0)
     return out
 
 
 def posterior_update(state: DensityMatrix, effect: GaussianEffect) -> DensityMatrix:
-    """Conditional state sqrt(effect) rho sqrt(effect) / tr[effect rho], via `posterior_rows`."""
+    """Conditional state sqrt(effect) rho sqrt(effect) / tr[effect rho], via `posterior_batch`."""
     weights = np.array([effect.log_weight_plus]), np.array([effect.log_weight_minus])
-    out = posterior_rows(np.array([state.bloch]), np.array([effect.axis.direction]), *weights)
-    return DensityMatrix(out[0].tolist())
+    out = posterior_batch(np.array(state.bloch)[:, None], np.array(effect.axis.direction)[:, None], *weights)
+    return DensityMatrix(out[:, 0].tolist())
 
 
 def single_estimate(effect: GaussianEffect) -> DensityMatrix:

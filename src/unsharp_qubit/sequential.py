@@ -18,8 +18,9 @@ spectrum of the estimate (singular values of A), hence its purity.  That
 identity is what the purity-based mean-fidelity estimator rests on, and
 `spectral_match` checks it numerically for every run.
 
-Every experiment advances B trials in lockstep on a (B, 3) Bloch array through
-`povm.posterior_rows`.  Trial k draws from derive_stream(seed, base_index
+Every experiment advances B trials in lockstep on a component-major (3, B)
+Bloch batch, trial k in column k, through `povm.posterior_batch`, the layout
+the SDE ensemble steps too.  Trial k draws from derive_stream(seed, base_index
 + k), as `run_sequence` does from its stream, in one fixed order: three
 normals for a drawn pure start, then per block of at most DRAW_BLOCK steps
 the axes `standard_normal((m, 3))`, branch uniforms `random(m)` and outcome
@@ -45,9 +46,8 @@ from .bloch import (
     MeasurementAxis,
     _dot,
     _norm,
-    _pure_rows,
-    _row_dots,
-    _row_purities,
+    _pure_batch,
+    _purity,
     purity,
 )
 from .montecarlo import DRAW_BLOCK, _stream_states, summarize
@@ -57,7 +57,7 @@ from .povm import (
     STRATEGIES,
     MeasurementSettings,
     log_weights,
-    posterior_rows,
+    posterior_batch,
 )
 
 # fidelity experiments require pure inputs at least this pure
@@ -65,12 +65,13 @@ PURE_INPUT_TOL = 1e-9
 
 
 def _draw_block(gens, m: int, pure_starts: bool = False):
-    """m steps of randomness per stream: unit axes (m, B, 3), uniforms and noise (m, B).
+    """m steps of randomness per stream: unit axes (m, 3, B), uniforms and noise (m, B).
 
     With pure_starts every stream first draws the three normals of a uniform
-    pure start, in the same call as its axes, and the (B, 3) start rows
+    pure start, in the same call as its axes, and the (3, B) starts
     (`random_pure_state` arithmetic) lead the result; otherwise it leads with None.
-    Every stream is a numpy Generator: it draws straight into the rows through `out=`.
+    Every stream is a numpy Generator: it draws straight into its own row of
+    the trial-major buffers through `out=`.
     """
     lead = 3 if pure_starts else 0
     normals = np.empty((len(gens), lead + 3 * m))
@@ -83,18 +84,18 @@ def _draw_block(gens, m: int, pure_starts: bool = False):
             row[:] = np.concatenate([row[3:], g.standard_normal(3)])
         g.random(out=u)
         g.standard_normal(out=z)
-    axes = normals[:, lead:].reshape(len(gens), m, 3).transpose(1, 0, 2)
-    length = np.sqrt(_row_dots(axes, axes))  # `random_axis` arithmetic
+    axes = normals[:, lead:].reshape(len(gens), m, 3).T  # (3, m, B)
+    length = np.sqrt(_dot(axes, axes))  # `random_axis` arithmetic
     if not (length > 0.0).all():
         raise ValueError("drew a measurement axis of zero length")
-    starts = _pure_rows(normals[:, :3]) if pure_starts else None
-    return starts, axes / length[..., None], uniforms.T, noise.T
+    starts = _pure_batch(normals[:, :3].T) if pure_starts else None
+    return starts, (axes / length).transpose(1, 0, 2), uniforms.T, noise.T
 
 
 def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
-    """Advance the (B, 3) batch r by n measurements, row b on stream gens[b],
+    """Advance the (3, B) batch r by n measurements, column b on stream gens[b],
     yielding (r, axes, outcomes) after every step.  Outcomes are drawn from
-    each row's current state as `povm.sample_outcome` draws them.  `first`,
+    each column's current state as `povm.sample_outcome` draws them.  `first`,
     if given, is the first block (axes, uniforms, noise), already drawn.
     """
     done = 0
@@ -102,35 +103,35 @@ def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
         axes, uniforms, noise = first or _draw_block(gens, min(DRAW_BLOCK, n - done))[1:]
         first = None
         for a, u, z in zip(axes, uniforms, noise):
-            p_plus = np.clip(0.5 * (1.0 + _row_dots(a, r)), 0.0, 1.0)
+            p_plus = np.clip(0.5 * (1.0 + _dot(a, r)), 0.0, 1.0)
             outcomes = np.where(u < p_plus, 1.0, -1.0) + precision * z
-            r = posterior_rows(r, a, *log_weights(outcomes, precision))
+            r = posterior_batch(r, a, *log_weights(outcomes, precision))
             yield r, a, outcomes
         done += len(axes)
 
 
 def _mixed_start_final(gens, n: int, precision: float) -> np.ndarray:
-    r = np.zeros((len(gens), 3))
+    r = np.zeros((3, len(gens)))
     for r, _, _ in _sampled_steps(r, gens, n, precision):
         pass
     return r
 
 
 def _replay(r: np.ndarray, axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
-    """Update the (B, 3) batch r by a recorded (n, B) record, step 0 first."""
+    """Update the (3, B) batch r by a recorded record, axes (n, 3, B) and outcomes (n, B), step 0 first."""
     for a, s in zip(axes, outcomes):
-        r = posterior_rows(r, a, *log_weights(s, precision))
+        r = posterior_batch(r, a, *log_weights(s, precision))
     return r
 
 
-def _estimate_rows(axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
+def _estimate_batch(axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
     """Record-only estimates A^dag A / tr: the reverse replay from the mixed state."""
     return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1], precision)
 
 
 def _recorded_run(start: np.ndarray, gens, n: int, precision: float, first=None):
-    """Forward run from `start`; returns (final rows, axes (n, B, 3), outcomes (n, B))."""
-    axes = np.empty((n, len(gens), 3))
+    """Forward run from the (3, B) `start`; returns (final batch, axes (n, 3, B), outcomes (n, B))."""
+    axes = np.empty((n, 3, len(gens)))
     outcomes = np.empty((n, len(gens)))
     r = start
     for i, (r, a, s) in enumerate(_sampled_steps(start, gens, n, precision, first)):
@@ -198,8 +199,8 @@ class SequenceResult:
     estimate: DensityMatrix
 
 
-def _state(row: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(row.tolist())
+def _state(r: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(r[:, 0].tolist())
 
 
 def run_sequence(
@@ -211,10 +212,10 @@ def run_sequence(
     draws are written into preallocated rows through its `out=` argument."""
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    final, axes, outcomes = _recorded_run(np.array([true_state.bloch]), [rng], n, settings.precision)
-    record = tuple((MeasurementAxis(tuple(a[0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
-    estimate = _estimate_rows(axes, outcomes, settings.precision)
-    return SequenceResult(record, _state(final[0]), _state(estimate[0]))
+    final, axes, outcomes = _recorded_run(np.array(true_state.bloch)[:, None], [rng], n, settings.precision)
+    record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
+    estimate = _estimate_batch(axes, outcomes, settings.precision)
+    return SequenceResult(record, _state(final), _state(estimate))
 
 
 def hypothetical_run(
@@ -237,11 +238,11 @@ def replay_hypothetical(
     The aposteriori field is the forward replay A A^dag / tr, the estimate
     the reverse replay A^dag A / tr.
     """
-    axes = np.array([axis.direction for axis, _ in outcomes]).reshape(-1, 1, 3)
+    axes = np.array([axis.direction for axis, _ in outcomes]).reshape(-1, 3, 1)
     values = np.array([s for _, s in outcomes], dtype=float).reshape(-1, 1)
-    forward = _replay(np.zeros((1, 3)), axes, values, settings.precision)
-    estimate = _estimate_rows(axes, values, settings.precision)
-    return SequenceResult(tuple(outcomes), _state(forward[0]), _state(estimate[0]))
+    forward = _replay(np.zeros((3, 1)), axes, values, settings.precision)
+    estimate = _estimate_batch(axes, values, settings.precision)
+    return SequenceResult(tuple(outcomes), _state(forward), _state(estimate))
 
 
 def spectral_match(result: SequenceResult, hypothetical) -> float:
@@ -289,12 +290,12 @@ def _expected_fidelities(estimate: np.ndarray, truth: np.ndarray, strategy: str)
     every expectation unchanged and only removes Monte Carlo variance.
     """
     if strategy == RANDOM_EIGENSTATE:
-        return 0.5 * (1.0 + _row_dots(estimate, truth))
+        return 0.5 * (1.0 + _dot(estimate, truth))
     if strategy == DOMINANT_EIGENSTATE:
-        length = np.sqrt(_row_dots(estimate, estimate))
+        length = np.sqrt(_dot(estimate, estimate))
         degenerate = length < DEGENERACY_TOL
-        leading = estimate / np.where(degenerate, 1.0, length)[:, None]
-        return np.where(degenerate, 0.5, 0.5 * (1.0 + _row_dots(leading, truth)))
+        leading = estimate / np.where(degenerate, 1.0, length)
+        return np.where(degenerate, 0.5, 0.5 * (1.0 + _dot(leading, truth)))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -313,7 +314,7 @@ def direct_fidelity_samples(
     def group(gens):
         truth, *first = _draw_block(gens, min(DRAW_BLOCK, n), pure_starts=True)
         _, axes, outcomes = _recorded_run(truth, gens, n, settings.precision, first)
-        return _expected_fidelities(_estimate_rows(axes, outcomes, settings.precision), truth, strategy)
+        return _expected_fidelities(_estimate_batch(axes, outcomes, settings.precision), truth, strategy)
 
     return _by_trial_groups(group, n, trials, seed, base_index)
 
@@ -351,10 +352,10 @@ def fidelity_hypothetical_fixed(
     """
     if purity(true_state) < 1.0 - PURE_INPUT_TOL:
         raise ValueError("fidelity experiments require a pure true state")
-    truth = np.array([true_state.bloch])
+    truth = np.array(true_state.bloch)[:, None]
 
     def group(gens):
-        overlap = 0.5 * (1.0 + _row_dots(_mixed_start_final(gens, n, settings.precision), truth))
+        overlap = 0.5 * (1.0 + _dot(_mixed_start_final(gens, n, settings.precision), truth))
         return 2.0 * overlap * overlap
 
     return _statistic(_by_trial_groups(group, n, trials, seed, base_index))
@@ -370,7 +371,7 @@ def purity_fidelity_samples(
     """Per-trial samples of `fidelity_purity`, shape (trials,)."""
 
     def group(gens):
-        return (1.0 + _row_purities(_mixed_start_final(gens, n, settings.precision))) / 3.0
+        return (1.0 + _purity(_mixed_start_final(gens, n, settings.precision))) / 3.0
 
     return _by_trial_groups(group, n, trials, seed, base_index)
 
@@ -408,9 +409,9 @@ def hypothetical_purity_paths(
     def group(gens):
         paths = np.empty((len(gens), n + 1))
         paths[:, 0] = 0.5
-        steps = _sampled_steps(np.zeros((len(gens), 3)), gens, n, settings.precision)
+        steps = _sampled_steps(np.zeros((3, len(gens))), gens, n, settings.precision)
         for step, (r, _, _) in enumerate(steps, 1):
-            paths[:, step] = _row_purities(r)
+            paths[:, step] = _purity(r)
         return paths
 
     return _by_trial_groups(group, n, trials, seed, base_index)

@@ -14,7 +14,7 @@ from unsharp_qubit import (
     random_pure_state,
     spectral_decompose,
 )
-from unsharp_qubit.bloch import _pure_rows, _row_dots
+from unsharp_qubit.bloch import _dot, _pure_batch
 
 SPHERE_DRAWS = 10**5
 # three-sigma bound on one Cartesian mean: component variance is 1/3
@@ -110,22 +110,22 @@ def test_random_pure_state_isotropic():
 
 def test_pure_rows_equal_random_pure_state_bitwise():
     # the batched starts of the direct estimator, on the normals each stream draws first
-    normals = np.array([derive_stream(81, k).standard_normal(3) for k in range(2000)])
-    divided = normals / np.sqrt(_row_dots(normals, normals))[:, None]
-    assert (np.sqrt(_row_dots(divided, divided)) > 1.0).sum() > 0  # rows that take `clipped`'s rescale
+    normals = np.array([derive_stream(81, k).standard_normal(3) for k in range(2000)]).T
+    divided = normals / np.sqrt(_dot(normals, normals))
+    assert (np.sqrt(_dot(divided, divided)) > 1.0).sum() > 0  # columns that take `clipped`'s rescale
     expected = [random_pure_state(derive_stream(81, k)).bloch for k in range(2000)]
-    assert _pure_rows(normals).tolist() == [list(row) for row in expected]
+    assert _pure_batch(normals).T.tolist() == [list(row) for row in expected]
 
 
 def test_clipped_equals_checked_constructor_bitwise():
     rng = derive_stream(73, 0)
-    rows = rng.standard_normal((2000, 3))
+    columns = rng.standard_normal((2000, 3)).T
     # lengths straddling 1 by a few ulps, where the rescale is decided
-    rows /= np.sqrt(_row_dots(rows, rows))[:, None]
-    rows[:1000] *= 1.0 + rng.integers(-4, 5, (1000, 1)) * 2.0**-52
-    rows[1000:1500] *= rng.uniform(0.0, 1.0, (500, 1))
+    columns /= np.sqrt(_dot(columns, columns))
+    columns[:, :1000] *= 1.0 + rng.integers(-4, 5, 1000) * 2.0**-52
+    columns[:, 1000:1500] *= rng.uniform(0.0, 1.0, 500)
     rescaled = 0
-    for row in rows.tolist() + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 3.0, 4.0]]:
+    for row in columns.T.tolist() + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 3.0, 4.0]]:
         n = math.sqrt(row[0] * row[0] + row[1] * row[1] + row[2] * row[2])
         expected = DensityMatrix(tuple(v / n for v in row) if n > 1.0 else tuple(row))
         state = DensityMatrix.clipped(np.array(row))

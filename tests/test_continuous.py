@@ -412,6 +412,9 @@ def test_simulate_purity_ensemble_validation():
         simulate_purity_ensemble((0.2, 0.1), 1e-4, 10, seed=0)
     with pytest.raises(ValueError):
         simulate_purity_ensemble((0.1,), 1e-4, 0, seed=0)
+    for grid in ((math.nan,), (0.1, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_purity_ensemble(grid, 1e-4, 10, seed=0)
 
 
 @pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (0.6, 0.0, 0.8)])

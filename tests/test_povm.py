@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 import unsharp_qubit.sequential as sequential
-from unsharp_qubit.povm import log_weights, posterior_rows
+from unsharp_qubit.bloch import _dot
+from unsharp_qubit.povm import log_weights, posterior_batch
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     FULLY_MIXED,
@@ -25,6 +27,7 @@ from unsharp_qubit import (
     posterior_update,
     purify_estimate,
     purity,
+    random_axis,
     random_pure_state,
     sample_outcome,
     single_estimate,
@@ -103,6 +106,12 @@ def test_outcome_branch_weights_are_complementary():
     assert dist.weight_plus_branch == 0.75
     assert dist.weight_minus_branch == 1.0 - dist.weight_plus_branch
     assert OutcomeDistribution(0.2, 1.5).weight_minus_branch == 1.0 - 0.2
+
+
+@pytest.mark.parametrize("precision", [math.nan, math.inf, 0.0, -2.0])
+def test_outcome_distribution_refuses_bad_precision(precision):
+    with pytest.raises(ValueError):
+        OutcomeDistribution(0.5, precision)
 
 
 def test_outcome_moments_single_branch():
@@ -188,23 +197,52 @@ class _ZeroStream:
 
 
 def test_posterior_rows_keep_the_scalar_checks():
-    axes = np.array([[0.0, 0.0, 1.0]] * 3)
+    axes = np.array([[0.0, 0.0, 1.0]] * 3).T
     log_plus, log_minus = log_weights(np.array([0.5, 0.5, 0.0]), 1.0)
-    # row 0 has an empty branch, which must never reach log; row 1 starts
-    # outside the ball and is rescaled onto it; row 2 is an ordinary state
-    r = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8 + 1e-9], [0.1, 0.2, 0.3]])
+    # column 0 has an empty branch, which must never reach log; column 1
+    # starts outside the ball and is rescaled onto it; column 2 is an ordinary state
+    r = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8 + 1e-9], [0.1, 0.2, 0.3]]).T
+    # no floating-point warning either on the way to a refusal
     with np.errstate(all="raise"):
-        out = posterior_rows(r, axes, log_plus, log_minus)
-    assert out[0].tolist() == [0.0, 0.0, 1.0]
-    assert math.sqrt(out[1] @ out[1]) <= 1.0
-    single = posterior_update(DensityMatrix((0.1, 0.2, 0.3)), make_effect(Z_AXIS, settings(1.0), 0.0))
-    assert out[2].tolist() == list(single.bloch)
-    # a row of zero or undefined total weight is refused, whatever its neighbours
-    for bad in (-math.inf, math.nan):
+        out = posterior_batch(r, axes, log_plus, log_minus)
+        assert out[:, 0].tolist() == [0.0, 0.0, 1.0]
+        assert math.sqrt(_dot(out[:, 1], out[:, 1])) <= 1.0
+        single = posterior_update(DensityMatrix((0.1, 0.2, 0.3)), make_effect(Z_AXIS, settings(1.0), 0.0))
+        assert out[:, 2].tolist() == list(single.bloch)
+        # a column of zero or undefined total weight is refused, whatever its neighbours
+        for bad in (-math.inf, math.nan):
+            with pytest.raises(ValueError):
+                posterior_batch(
+                    r, axes, np.array([log_plus[0], bad, log_plus[2]]), np.array([log_minus[0], bad, log_minus[2]])
+                )
         with pytest.raises(ValueError):
-            posterior_rows(r, axes, np.array([log_plus[0], bad, log_plus[2]]), np.array([log_minus[0], bad, log_minus[2]]))
-    with pytest.raises(ValueError):
-        posterior_rows(r, axes, *log_weights(np.array([0.5, math.nan, 0.0]), 1.0))
+            posterior_batch(r, axes, *log_weights(np.array([0.5, math.nan, 0.0]), 1.0))
+
+
+@hypothesis_settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    size=st.sampled_from([1, 2, 7, 64]),
+    width=st.sampled_from([0.3, 1.0, 20.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_posterior_batch_equals_posterior_update_per_column(size, width, seed):
+    rng = derive_stream(seed, 0)
+    cfg = settings(width)
+    columns = rng.standard_normal((3, size))
+    columns /= np.sqrt(_dot(columns, columns))
+    # lengths a few ulps either side of 1, where the repair onto the ball is
+    # decided; every third column from index 2 on is mixed
+    columns *= 1.0 + rng.integers(-4, 5, size) * 2.0**-52
+    columns[:, 2::3] *= rng.uniform(0.0, 1.0, len(range(2, size, 3)))
+    states = [DensityMatrix(c) for c in columns.T.tolist()]
+    effects = [make_effect(random_axis(rng), cfg, rng.normal(0.0, 1.0 + width)) for _ in range(size)]
+    out = posterior_batch(
+        np.array([s.bloch for s in states]).T,
+        np.array([e.axis.direction for e in effects]).T,
+        np.array([e.log_weight_plus for e in effects]),
+        np.array([e.log_weight_minus for e in effects]),
+    )
+    assert out.T.tolist() == [list(posterior_update(s, e).bloch) for s, e in zip(states, effects)]
 
 
 def test_zero_length_axis_is_refused():

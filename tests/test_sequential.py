@@ -30,6 +30,7 @@ from unsharp_qubit import (
     single_estimate,
     spectral_match,
 )
+from unsharp_qubit.bloch import _dot
 
 Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
 X_AXIS = MeasurementAxis((1.0, 0.0, 0.0))
@@ -271,7 +272,7 @@ def test_first_outcome_marginal_matches_density():
     cfg = settings(1.0)
 
     def first_outcomes(gens):
-        _, _, outcomes = sequential._recorded_run(np.zeros((len(gens), 3)), gens, 1, cfg.precision)
+        _, _, outcomes = sequential._recorded_run(np.zeros((3, len(gens))), gens, 1, cfg.precision)
         return outcomes[0]
 
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
@@ -417,13 +418,13 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
     cfg = settings(10.0)
     true_state = random_pure_state(derive_stream(999, 0))
     hypo = fidelity_hypothetical_fixed(true_state, cfg, 20, 10**4, seed=311)
-    truth = np.array([true_state.bloch])
+    truth = np.array(true_state.bloch)[:, None]
 
     def estimate_fidelities(gens):
-        start = np.repeat(truth, len(gens), axis=0)
+        start = np.repeat(truth, len(gens), axis=1)
         _, axes, outcomes = sequential._recorded_run(start, gens, 20, cfg.precision)
-        estimates = sequential._estimate_rows(axes, outcomes, cfg.precision)
-        return 0.5 * (1.0 + sequential._row_dots(estimates, truth))
+        estimates = sequential._estimate_batch(axes, outcomes, cfg.precision)
+        return 0.5 * (1.0 + _dot(estimates, truth))
 
     vals = sequential._by_trial_groups(estimate_fidelities, 20, 10**4, 312, 0)
     for k in range(50):  # the batch reproduces the public per-trial run
