@@ -25,7 +25,10 @@ an ensemble (`simulate_purity_ensemble`) holds a component-major (3, B)
 batch, the layout of the discrete kernel `povm.posterior_batch` too, and
 steps it in place through `_step_bloch_batch`, which reproduces the scalar
 step bit for bit on every column.  Both read their noise from
-`_noise_blocks`, which draws each stream's increments contiguously.
+`_noise_blocks`, which draws each stream's increments contiguously.  The
+kernel reads a step slice of a noise block without writing it, through a
+small step-major scratch; the ensemble hands it the steps between two grid
+times and samples the purity between kernel calls.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -53,6 +56,14 @@ RATE_CONSTANT = 12.0
 
 # unit noise intensity; test hook for fault-injection sensitivity checks
 _NOISE_SCALE = 1.0
+
+# Trajectory-steps of noise `_step_bloch_batch` copies into its step-major
+# scratch at once: 96 KiB, which stays in cache at every batch size.
+_KERNEL_CHUNK = 4096
+
+# Above this many trajectories a noise block keeps DRAW_BLOCK // 256 steps
+# (128) per generator call instead of shrinking to DRAW_BLOCK // B.
+_FLOOR_TRAJECTORIES = 256
 
 
 def time_from_steps(n, settings: MeasurementSettings) -> float:
@@ -197,44 +208,52 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     return (x, y, z)
 
 
-def _step_bloch_batch(r: np.ndarray, block: np.ndarray, dt: float, after_step=None) -> None:
+def _step_bloch_batch(r: np.ndarray, block: np.ndarray, dt: float) -> None:
     """`_step_bloch` in place on a component-major (3, B) batch, once per step of a noise block.
 
     Column b of r is trajectory b and block[b] its next m increments, a
-    (B, m, 3) block as `_noise_blocks` yields it.  The block is consumed:
-    it is scaled in place by 2 _NOISE_SCALE once, and each step reads its
-    (3, B) transposed view.  after_step(), if given, runs after every step.
-    Written component by component in the scalar step's operation order,
-    so every column equals `_step_bloch` bit for bit and any sub-batch
-    reproduces the same trajectories.  Scaling by a power of two is exact
-    away from underflow, so the doubled increment gives 2 (dW - r radial)
-    as 2 dW - r (2 radial), and x (4 dt) equals (4 x) dt.  Every column is
-    divided by max(|r|, 1): a division by 1.0 leaves a column inside the
-    ball unchanged.  Unchecked: callers validate dt.
+    (B, m, 3) block as `_noise_blocks` yields it, or any step slice of one.
+    The block is read, not written: at most _KERNEL_CHUNK trajectory-steps
+    at a time are copied into a step-major (c, 3, B) scratch, transposed
+    and scaled by 2 _NOISE_SCALE in one multiply, so each step reads a
+    contiguous (3, B) slice.  Written component by component in the scalar
+    step's operation order, so every column equals `_step_bloch` bit for
+    bit and any sub-batch reproduces the same trajectories.  Scaling by a
+    power of two is exact away from underflow, so the doubled increment
+    gives 2 (dW - r radial) as 2 dW - r (2 radial), and x (4 dt) equals
+    (4 x) dt.  Every column is divided by max(|r|, 1): a division by 1.0
+    leaves a column inside the ball unchanged.  The constants are 0-d
+    arrays, converted once per call and not once per step.  Unchecked:
+    callers validate dt.
     """
-    block *= 2.0 * _NOISE_SCALE
+    trajectories, steps = block.shape[:2]
+    chunk = max(1, min(steps, _KERNEL_CHUNK // trajectories))
+    scratch = np.empty((chunk, 3, trajectories))
+    two_scale = np.array(2.0 * _NOISE_SCALE)
+    four_dt = np.array(4.0 * dt)
+    one = np.array(1.0)
     prod = np.empty_like(r)
     px, py, pz = prod
     update = np.empty_like(r)
-    acc = np.empty(r.shape[1])
-    four_dt = 4.0 * dt
-    for two_dw in block.transpose(1, 2, 0):
-        np.multiply(r, two_dw, out=prod)
-        np.add(px, py, out=acc)
-        acc += pz  # twice the radial term
-        np.multiply(r, acc, out=prod)
-        np.subtract(two_dw, prod, out=update)
-        np.multiply(r, four_dt, out=prod)
-        r -= prod
-        r += update
-        np.multiply(r, r, out=prod)
-        np.add(px, py, out=acc)
-        acc += pz
-        np.sqrt(acc, out=acc)
-        np.maximum(acc, 1.0, out=acc)
-        r /= acc
-        if after_step is not None:
-            after_step()
+    acc = np.empty(trajectories)
+    for lo in range(0, steps, chunk):
+        two_dws = scratch[: min(chunk, steps - lo)]
+        np.multiply(block[:, lo:lo + chunk].transpose(1, 2, 0), two_scale, out=two_dws)
+        for two_dw in two_dws:
+            np.multiply(r, two_dw, out=prod)
+            np.add(px, py, out=acc)
+            acc += pz  # twice the radial term
+            np.multiply(r, acc, out=prod)
+            np.subtract(two_dw, prod, out=update)
+            np.multiply(r, four_dt, out=prod)
+            r -= prod
+            r += update
+            np.multiply(r, r, out=prod)
+            np.add(px, py, out=acc)
+            acc += pz
+            np.sqrt(acc, out=acc)
+            np.maximum(acc, one, out=acc)
+            r /= acc
 
 
 def _noise_blocks(gens, steps: int, dt: float):
@@ -243,13 +262,15 @@ def _noise_blocks(gens, steps: int, dt: float):
     Yields (B, m, 3) arrays whose row b holds the next m steps of gens[b],
     three normals per step drawn straight into the row: the same draws
     `draw_noise` makes one step at a time.  A block holds at most
-    max(1, DRAW_BLOCK // B) steps, which bounds memory and leaves the draws
-    unchanged.  Every block is a contiguous view of one preallocated buffer
-    (a shorter last block too, so no ufunc on it needs a buffered copy), so
-    a block must be consumed before the next is requested.
+    max(1, DRAW_BLOCK // min(B, 256)) steps: DRAW_BLOCK trajectory-steps up
+    to 256 trajectories, and at least DRAW_BLOCK // 256 steps per generator
+    call above that, where shorter calls would cost more per normal.  This
+    bounds memory and leaves the draws unchanged.  Every block is a
+    contiguous view of one preallocated buffer (a shorter last block too),
+    so a block must be read before the next is requested.
     """
     scale = math.sqrt(dt)
-    per_block = max(1, DRAW_BLOCK // len(gens))
+    per_block = max(1, DRAW_BLOCK // min(len(gens), _FLOOR_TRAJECTORIES))
     buf = np.empty(len(gens) * min(per_block, steps) * 3)
     done = 0
     while done < steps:
@@ -337,7 +358,10 @@ def simulate_purity_ensemble(
     trajectories step together, one column each of a (3, B) Bloch batch,
     through the in-place kernel `_step_bloch_batch`, so single runs,
     sub-batches and whole batches of the same index follow identical noise
-    and step arithmetic.  Grid times snap to the nearest step.
+    and step arithmetic.  Grid times snap to the nearest step; each noise
+    block is cut at the grid steps it holds, and the purity is sampled
+    between the kernel calls on its pieces, so where the blocks end changes
+    no sample.
     """
     _check_step(dt)
     t_grid = [float(t) for t in t_grid]
@@ -351,18 +375,17 @@ def simulate_purity_ensemble(
         sample_at.setdefault(int(round(t / dt)), []).append(g)
 
     out = np.empty((len(t_grid), trajectories))
-
-    def harvest():
-        # sample the grid at the current step count, then count one more step
-        nonlocal step
-        for g in sample_at.get(step, ()):
-            out[g] = _purity(r)
-        step += 1
-
-    step = 0
     r = np.repeat(np.array(initial.bloch)[:, None], trajectories, axis=1)
-    harvest()
     gens = [derive_stream(seed, base_index + k) for k in range(trajectories)]
-    for block in _noise_blocks(gens, steps, dt):
-        _step_bloch_batch(r, block, dt, after_step=harvest)
+    blocks = _noise_blocks(gens, steps, dt)
+    block, lo, taken = None, 0, 0  # the current block, its next step, steps taken
+    for mark, rows in sample_at.items():  # ascending, as the grid is
+        # step up to the grid step, across blocks, then sample
+        while taken < mark:
+            if block is None or lo == block.shape[1]:
+                block, lo = next(blocks), 0
+            hi = min(block.shape[1], lo + mark - taken)
+            _step_bloch_batch(r, block[:, lo:hi], dt)
+            taken, lo = taken + hi - lo, hi
+        out[rows] = _purity(r)
     return out

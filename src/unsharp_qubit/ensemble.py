@@ -152,12 +152,26 @@ def _process_pool(max_workers: int):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
+def _run_tasks(tasks) -> list[np.ndarray]:
+    return [_run_task(task) for task in tasks]
+
+
 def _dispatch(tasks, workers: int) -> list[np.ndarray]:
+    """Every task's samples, in task order.
+
+    On a pool, worker w is sent tasks w, w + workers, ... as one item, so
+    each worker makes one round trip however many tasks it runs.
+    """
     if workers <= 1 or len(tasks) <= 1:
-        return [_run_task(task) for task in tasks]
+        return _run_tasks(tasks)
     # the pool starts every worker at once; more than one per task only idles
-    with _process_pool(min(workers, len(tasks))) as pool:
-        return list(pool.map(_run_task, tasks))
+    workers = min(workers, len(tasks))
+    with _process_pool(workers) as pool:
+        shares = list(pool.map(_run_tasks, [tasks[w::workers] for w in range(workers)]))
+    results = [None] * len(tasks)
+    for w, share in enumerate(shares):
+        results[w::workers] = share
+    return results
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:

@@ -18,11 +18,12 @@ import math
 
 import numpy as np
 
-# Trial-steps of randomness a batched simulation pre-draws at once.  The SDE
-# ensembles hold at most this many trajectory-steps of noise (a memory
-# bound only); the measurement sequences run trials in groups of at most
-# this many trial-steps, and a single sequence longer than this draws its
-# randomness in blocks of this many steps.
+# Trial-steps of randomness a batched simulation pre-draws at once.  An SDE
+# ensemble of B trajectories holds at most DRAW_BLOCK * max(1, B / 256)
+# trajectory-steps of noise, since its blocks keep at least DRAW_BLOCK // 256
+# steps per generator call (a memory bound only); the measurement sequences
+# run trials in groups of at most this many trial-steps, and a single
+# sequence longer than this draws its randomness in blocks of this many steps.
 DRAW_BLOCK = 32768
 
 # numpy's SeedSequence: hash constants, mixing multipliers and pool size

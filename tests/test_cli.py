@@ -79,10 +79,11 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_worker_count_is_byte_identical(tmp_path):
-    base = ("fidelity-curve", "--delta", "20", "--n-grid", "0,3", "--trials", "90", "--seed", "8")
-    _, one = run_cli(tmp_path, "w1.csv", *base, "--workers", "1")
-    _, two = run_cli(tmp_path, "w2.csv", *base, "--workers", "2")
-    assert one == two
+    # a real pool: each worker runs every workers-th task of both estimators
+    base = ("fidelity-curve", "--delta", "20", "--n-grid", "0,3,5", "--trials", "90", "--seed", "8",
+            "--estimator", "both")
+    one, two, three = (run_cli(tmp_path, f"w{w}.csv", *base, "--workers", str(w))[1] for w in (1, 2, 3))
+    assert one == two == three
 
 
 def test_estimator_both_columns(tmp_path):

@@ -194,8 +194,8 @@ class _Kernel:
         self.r = np.ascontiguousarray(np.asarray(start, dtype=float).T)
 
     def step(self, d_w, dt):
-        # a one-step (B, 1, 3) block; the kernel scales its block in place
-        continuous._step_bloch_batch(self.r, d_w[:, None, :].copy(), dt)
+        # a one-step (B, 1, 3) view; the kernel only reads its block
+        continuous._step_bloch_batch(self.r, d_w[:, None, :], dt)
         return self.r.T
 
 
@@ -229,26 +229,85 @@ def test_bloch_kernel_tracks_matrix_step():
     assert worst < 1e-8
 
 
+def _scalar_purities(seed, trajectories, dt, sample_steps, start):
+    """Purities of trajectories 0.. of `seed` at each of `sample_steps`, stepped by `_step_bloch`.
+
+    Returns the (len(sample_steps), trajectories) purities as lists and the
+    number of steps that ended on the sphere.
+    """
+    steps = max(sample_steps)
+    columns, projected = [], 0
+    for b in range(trajectories):
+        d_w = math.sqrt(dt) * derive_stream(seed, b).standard_normal((steps, 3))
+        x, y, z = start
+        path = [0.5 * (1.0 + (x * x + y * y + z * z))]
+        for wx, wy, wz in d_w.tolist():
+            x, y, z = continuous._step_bloch(x, y, z, wx, wy, wz, dt)
+            projected += abs(math.sqrt(x * x + y * y + z * z) - 1.0) < 1e-12
+            path.append(0.5 * (1.0 + (x * x + y * y + z * z)))
+        columns.append([path[k] for k in sample_steps])
+    return [list(row) for row in zip(*columns)], projected
+
+
 # 2,400 trajectory-steps: blocks of 300 steps and a shorter last one
 @pytest.mark.parametrize("block", [None, 2400])
 def test_pure_start_ensemble_equals_scalar_steps_bitwise(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(continuous, "DRAW_BLOCK", block)
     dt, steps, start = 1e-4, 2000, (0.0, 0.6, 0.8)
-    grid = [k * dt for k in range(0, steps + 1, 50)]
-    ensemble = simulate_purity_ensemble(grid, dt, 8, seed=66, initial=DensityMatrix(start))
-    projected = 0
-    for b in range(8):
-        d_w = math.sqrt(dt) * derive_stream(66, b).standard_normal((steps, 3))
-        x, y, z = start
-        purities = [0.5 * (1.0 + (x * x + y * y + z * z))]
-        for k, (wx, wy, wz) in enumerate(d_w.tolist(), start=1):
-            x, y, z = continuous._step_bloch(x, y, z, wx, wy, wz, dt)
-            projected += abs(math.sqrt(x * x + y * y + z * z) - 1.0) < 1e-12
-            if k % 50 == 0:
-                purities.append(0.5 * (1.0 + (x * x + y * y + z * z)))
-        assert ensemble[:, b].tolist() == purities
+    sample_steps = list(range(0, steps + 1, 50))
+    ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, 8, seed=66, initial=DensityMatrix(start))
+    purities, projected = _scalar_purities(66, 8, dt, sample_steps, start)
+    assert ensemble.tolist() == purities
     assert projected > 0
+
+
+# 4 trajectories in blocks of 25 steps; kernel scratch of 3 steps or of a whole block
+@pytest.mark.parametrize("kernel_chunk", [12, 4096])
+@pytest.mark.parametrize(
+    "sample_steps",
+    [[0, 25, 50, 75, 100], [25, 60, 75], [0, 30, 30, 70, 70, 70], [0], [0, 0], [1, 1, 2]],
+    ids=["block-ends", "some-block-ends", "repeated", "zero-only", "zero-repeated", "first-steps"],
+)
+def test_ensemble_grid_sampling_equals_scalar_steps_bitwise(monkeypatch, kernel_chunk, sample_steps):
+    monkeypatch.setattr(continuous, "DRAW_BLOCK", 100)
+    monkeypatch.setattr(continuous, "_KERNEL_CHUNK", kernel_chunk)
+    dt, start = 1e-4, (0.0, 0.0, 1.0)
+    ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, 4, seed=69, initial=DensityMatrix(start))
+    purities, _ = _scalar_purities(69, 4, dt, sample_steps, start)
+    assert ensemble.tolist() == purities
+
+
+def test_noise_blocks_keep_a_step_floor_above_256_trajectories():
+    gens = [derive_stream(70, k) for k in range(300)]
+    assert [block.shape for block in continuous._noise_blocks(gens, 300, 1e-4)] == [
+        (300, 128, 3),
+        (300, 128, 3),
+        (300, 44, 3),
+    ]
+    # at or below 256 trajectories a block holds DRAW_BLOCK trajectory-steps
+    assert next(continuous._noise_blocks(gens[:256], 300, 1e-4)).shape == (256, 128, 3)
+    assert next(continuous._noise_blocks(gens[:64], 600, 1e-4)).shape == (64, 512, 3)
+
+
+def test_floored_blocks_above_256_trajectories_equal_single_step_blocks(monkeypatch):
+    # 300 trajectories: 128-step blocks, a grid time on the first block's end
+    grid = (0.0, 0.0128, 0.02, 0.03)
+    floored = simulate_purity_ensemble(grid, 1e-4, 300, seed=71)
+    monkeypatch.setattr(continuous, "DRAW_BLOCK", 7)
+    np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 300, seed=71), floored)
+
+
+@pytest.mark.parametrize("kernel_chunk", [10, 4096])
+def test_bloch_kernel_leaves_its_noise_block_unchanged(monkeypatch, kernel_chunk):
+    monkeypatch.setattr(continuous, "_KERNEL_CHUNK", kernel_chunk)
+    stream = derive_stream(72, 0)
+    block = 1e-2 * stream.standard_normal((5, 40, 3))
+    before = block.copy()
+    r = np.ascontiguousarray(_kernel_start(5, 2, stream).T)
+    continuous._step_bloch_batch(r, block, 1e-4)
+    continuous._step_bloch_batch(r, block[:, 7:31], 1e-4)
+    np.testing.assert_array_equal(block, before)
 
 
 def test_noise_scale_reaches_the_ensemble(monkeypatch):

@@ -124,6 +124,26 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
     assert _InlinePool.sizes == [12, 3]
 
 
+def test_pool_gets_one_share_per_worker(monkeypatch):
+    # worker w runs tasks w, w + workers, ...; the results come back in task order
+    shares = []
+
+    class _SharePool(_InlinePool):
+        def map(self, fn, items):
+            items = list(items)
+            shares.append([len(share) for share in items])
+            return map(fn, items)
+
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=6, seed=60, n_grid=(0, 2, 5))
+    expected = run_ensemble(spec, workers=1)
+    monkeypatch.setattr(ens, "_process_pool", _SharePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    assert run_ensemble(spec, workers=2) == expected
+    assert run_ensemble(spec, workers=4) == expected
+    # 3 points x 2 chunks of 3 trials; 3 points x 3 chunks of 2 trials
+    assert shares == [[3, 3], [3, 2, 2, 2]]
+
+
 def test_failing_trial_is_named(monkeypatch):
     def explode(*args, **kwargs):
         raise ValueError("boom")
