@@ -44,7 +44,7 @@ def _norm(a) -> float:
     return math.sqrt(_dot(a, a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Qubit state rho = (1 + bloch.sigma)/2."""
 
@@ -181,12 +181,27 @@ def random_pure_state(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.clipped(_random_unit(rng))
 
 
+def _clipped_batch(r: np.ndarray) -> np.ndarray:
+    """`DensityMatrix.clipped`'s Bloch vector of every column of a (3, B) batch, with the same
+    arithmetic and refusals: a column of non-finite length is refused, every column is divided
+    by max(|r|, 1), which leaves a column inside the ball unchanged, and a column still outside
+    the ball after that is refused."""
+    n = np.sqrt(_dot(r, r))
+    finite = np.isfinite(n)
+    if not finite.all():
+        bad = tuple(r[:, np.argmin(finite)].tolist())
+        raise ValueError(f"bloch vector must be a finite 3-vector of finite length, got {bad!r}")
+    r = r / np.maximum(n, 1.0)
+    squared = _dot(r, r)
+    if (squared > _MAX_SQUARED_LENGTH).any():
+        raise ValueError(f"bloch vector leaves the unit ball: |r| = {math.sqrt(squared.max())!r}")
+    return r
+
+
 def _pure_batch(v: np.ndarray) -> np.ndarray:
     """`random_pure_state` of every column of accepted normals (3, B), with the same arithmetic:
-    `_random_unit`'s division by the length, then `clipped`'s rescale, a division by max(|r|, 1)."""
-    r = v / np.sqrt(_dot(v, v))
-    r /= np.maximum(np.sqrt(_dot(r, r)), 1.0)
-    return r
+    `_random_unit`'s division by the length, then `clipped`'s rescale and checks."""
+    return _clipped_batch(v / np.sqrt(_dot(v, v)))
 
 
 def random_axis(rng: np.random.Generator) -> MeasurementAxis:

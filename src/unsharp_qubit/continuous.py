@@ -20,7 +20,10 @@ term gives the closed-form purity and mean-fidelity curves below.
 The simulations integrate the Bloch form by Euler-Maruyama, projecting any
 vector that leaves the unit ball back onto the sphere.  A single
 trajectory (`simulate_trajectory`) steps three Python floats through the
-scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic;
+scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic,
+one chunk of noise rows at a time; array passes over the chunk then form
+the snapshot times, the record and the clipped states in the scalar
+operation order, and the snapshots are built without re-checking them;
 an ensemble (`simulate_purity_ensemble`) holds a component-major (3, B)
 batch, the layout of the discrete kernel `povm.posterior_batch` too, and
 steps it in place through `_step_bloch_batch`, which reproduces the scalar
@@ -36,12 +39,13 @@ integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _purity
+from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _purity
 from .montecarlo import DRAW_BLOCK, derive_stream
 from .povm import MeasurementSettings
 
@@ -60,6 +64,11 @@ _NOISE_SCALE = 1.0
 # Trajectory-steps of noise `_step_bloch_batch` copies into its step-major
 # scratch at once: 96 KiB, which stays in cache at every batch size.
 _KERNEL_CHUNK = 4096
+
+# Noise rows `simulate_trajectory` takes through its passes at once: the
+# chunk's lists and arrays stay within a few hundred KiB whatever the path
+# length.
+_ROW_CHUNK = 1024
 
 # Above this many trajectories a noise block keeps DRAW_BLOCK // 256 steps
 # (128) per generator call instead of shrinking to DRAW_BLOCK // B.
@@ -128,7 +137,7 @@ def draw_noise(rng: np.random.Generator, dt: float) -> NoiseIncrement:
     return NoiseIncrement((scale * v[0], scale * v[1], scale * v[2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryState:
     """Snapshot of a conditional trajectory, optionally with its record."""
 
@@ -313,6 +322,16 @@ def simulate_trajectory(
     reproduces every snapshot bit for bit.  rng must be a numpy Generator:
     the increments are drawn into a preallocated block through its `out=`
     argument.
+
+    Each noise block is taken _ROW_CHUNK rows at a time, which bounds the
+    working memory, in three passes.  The step pass runs `_step_bloch` over
+    the rows' floats and keeps every state.  The array passes form the
+    snapshot times k dt; the record (rec + r dt) + 0.5 dW through one
+    `np.add.accumulate` over the interleaved terms, which adds them in step
+    order; and `DensityMatrix.clipped`'s rescale and refusals of the
+    emitted states through `_clipped_batch`.  The object pass builds the
+    snapshots without re-checking them, as `clipped` builds its state.
+    Every snapshot equals the step-by-step scalar chain bit for bit.
     """
     _check_step(dt)
     if not (t_max > 0.0) or not math.isfinite(t_max):
@@ -320,25 +339,50 @@ def simulate_trajectory(
     if output_stride < 1:
         raise ValueError(f"output stride must be at least 1, got {output_stride!r}")
     steps = max(1, int(round(t_max / dt)))
-    x, y, z = initial.bloch
-    record = (0.0, 0.0, 0.0)
-    out = [TrajectoryState(initial, 0.0, record if emit_record else None)]
-    scale = _NOISE_SCALE
-    k = 0
+    r = initial.bloch
+    out = [TrajectoryState(initial, 0.0, (0.0, 0.0, 0.0) if emit_record else None)]
+    record = np.zeros(3)  # the record after the last step taken
+    records = itertools.repeat(None)
+    new, put = object.__new__, object.__setattr__
+    k = 0  # steps taken
     for block in _noise_blocks([rng], steps, dt):
-        # one row at a time: listing the whole block would hold it twice
-        for row in block[0]:
-            k += 1
-            wx, wy, wz = row.tolist()
+        for lo in range(0, block.shape[1], _ROW_CHUNK):
+            d_w = block[0, lo : lo + _ROW_CHUNK]
+            m = len(d_w)
+            # step pass
+            path = [r]
+            append = path.append
+            for wx, wy, wz in (d_w * _NOISE_SCALE).tolist():
+                x, y, z = r
+                r = _step_bloch(x, y, z, wx, wy, wz, dt)
+                append(r)
+            # array passes; states is (3, m + 1): the chunk's start, then the state after each step
+            states = np.fromiter(itertools.chain.from_iterable(path), float, 3 * (m + 1))
+            states = states.reshape(m + 1, 3).T
+            offsets = list(range(-(k + 1) % output_stride, m, output_stride))  # emitted steps k + 1 + j
+            if k + m == steps and offsets[-1:] != [m - 1]:
+                offsets.append(m - 1)
+            emit = np.array(offsets, dtype=int)
+            blochs = zip(*_clipped_batch(states[:, emit + 1]).tolist())
+            times = ((k + 1 + emit) * dt).tolist()
             if emit_record:
-                record = (
-                    record[0] + x * dt + 0.5 * wx,
-                    record[1] + y * dt + 0.5 * wy,
-                    record[2] + z * dt + 0.5 * wz,
-                )
-            x, y, z = _step_bloch(x, y, z, scale * wx, scale * wy, scale * wz, dt)
-            if k % output_stride == 0 or k == steps:
-                out.append(TrajectoryState(DensityMatrix.clipped((x, y, z)), k * dt, record if emit_record else None))
+                terms = np.empty((2 * m + 1, 3))
+                terms[0] = record
+                terms[1::2] = states[:, :-1].T * dt
+                terms[2::2] = 0.5 * d_w
+                np.add.accumulate(terms, axis=0, out=terms)
+                record = terms[-1]
+                records = zip(*terms[2::2][emit].T.tolist())
+            # object pass
+            for bloch, t, rec in zip(blochs, times, records):
+                state = new(DensityMatrix)
+                put(state, "bloch", bloch)
+                snap = new(TrajectoryState)
+                put(snap, "state", state)
+                put(snap, "time", t)
+                put(snap, "record", rec)
+                out.append(snap)
+            k += m
     return out
 
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from unsharp_qubit import (
     DensityMatrix,
     MeasurementSettings,
     NoiseIncrement,
+    TrajectoryState,
     bloch_sde_step,
     derive_stream,
     draw_noise,
@@ -413,6 +417,61 @@ def test_noise_scale_moves_the_path_not_the_record(monkeypatch):
     assert scaled[-1].state != plain[-1].state
     # the first increment sees the shared start and the unscaled draw only
     assert scaled[1].record == plain[1].record
+
+
+# a pure start, so steps project; one noise block, then a second cut into row chunks 1024, 1024, 185
+@pytest.mark.parametrize("emit_record", [True, False], ids=["record", "no-record"])
+@pytest.mark.parametrize("stride", [1, 7, 10**30], ids=["stride-1", "stride-7", "stride-1e30"])
+def test_trajectory_equals_scalar_chain_across_blocks_and_chunks(emit_record, stride):
+    dt, steps, start = 1e-4, continuous.DRAW_BLOCK + 2233, (0.0, 0.6, 0.8)
+    run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(67, 0), emit_record, stride)
+    d_w = derive_stream(67, 0).standard_normal((steps, 3)) * math.sqrt(dt)
+    r, rec = start, (0.0, 0.0, 0.0)
+    expected = [TrajectoryState(DensityMatrix(start), 0.0, rec if emit_record else None)]
+    for k, w in enumerate(d_w.tolist(), start=1):
+        rec = tuple((rec[i] + r[i] * dt) + 0.5 * w[i] for i in range(3))
+        r = bloch_sde_step(r, dt, NoiseIncrement(w))
+        if k % stride == 0 or k == steps:
+            expected.append(TrajectoryState(DensityMatrix.clipped(r), k * dt, rec if emit_record else None))
+    assert run == expected
+    assert all(type(s.time) is float and type(s.state.bloch[0]) is float for s in run)
+
+
+def test_trajectory_rescale_is_rounding_only():
+    # every scalar step leaves the ball by rounding at most; some snapshots still take the rescale
+    dt, steps, start = 1e-4, 5000, (0.0, 0.0, 1.0)
+    run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(68, 0))
+    d_w = derive_stream(68, 0).standard_normal((steps, 3)) * math.sqrt(dt)
+    x, y, z = start
+    worst, rescaled = 0.0, 0
+    for w, snap in zip(d_w.tolist(), run[1:]):
+        x, y, z = continuous._step_bloch(x, y, z, *w, dt)
+        worst = max(worst, math.sqrt(x * x + y * y + z * z))
+        rescaled += snap.state.bloch != (x, y, z)
+    assert worst <= 1.0 + 4.0 * np.finfo(float).eps
+    assert rescaled > 0
+
+
+def test_trajectory_refuses_non_finite_states(monkeypatch):
+    monkeypatch.setattr(continuous, "_NOISE_SCALE", math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(69, 0), emit_record=True)
+
+
+def test_snapshot_classes_round_trip():
+    run = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), emit_record=True, output_stride=50)
+    bare = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), output_stride=50)
+    for value in (run[0], run[-1], bare[-1], run[-1].state):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+            assert twin == value and twin is not value
+            assert hash(twin) == hash(value)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+    assert dataclasses.replace(run[-1], record=None) == bare[-1]
+    assert dataclasses.replace(run[-1].state, bloch=[0, 0, 1]).bloch == (0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(run[-1].state, bloch=(0.0, 0.0, 1.5))
 
 
 @EULER_FLOOR_XFAIL
