@@ -12,8 +12,10 @@ Every command is a pure function of its flags plus --seed: rerunning with
 the same flags reproduces the output byte for byte at any worker count.
 The two table commands take --format, --out and --workers: CSV uses full
 round-trip float formatting; JSON wraps the same rows in an envelope
-carrying the resolved flag set.  validate takes only --seed, --delta-list
-and --quick, and prints a text report on stdout.
+carrying the resolved flag set.  --workers above 1 forks one child process
+per worker (POSIX only) and is refused at parsing where os.fork is missing.
+validate takes only --seed, --delta-list and --quick, and prints a text
+report on stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -60,6 +63,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > 1 and not hasattr(os, "fork"):
+        raise argparse.ArgumentTypeError(
+            f"{value} workers need os.fork, which this platform lacks; use --workers 1"
+        )
     return value
 
 
@@ -115,7 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False, parents=[seeded])
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    table.add_argument("--workers", type=_positive_int, default=1, help="parallel trial workers")
+    table.add_argument(
+        "--workers", type=_worker_count, default=1,
+        help="trial workers (default 1, in process); more fork one child process each, "
+        "POSIX only; the output is the same bytes at any count",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,7 +5,10 @@ estimator, and the step-resolved sequence compared with the integrated
 continuous equation.  Every spec expands into tasks (spec, part, lo, hi):
 trials [lo, hi) of one part, where a part is a grid-point index, or the
 `paths` or `sde` half of a compare.  All tasks of one `run_ensemble` call
-go through one `_dispatch`, in process or on one process pool.
+go through one `_dispatch`: in process with one worker, and otherwise in
+one forked child per worker, each sending its share's samples back once
+through a pipe while the caller only collects (POSIX only: it needs
+`os.fork`).
 
 Each trial owns the random stream derive_stream(master_seed, trial_index),
 so ensemble statistics are a pure function of the experiment spec: chunking,
@@ -16,6 +19,8 @@ Samples are aggregated in trial-index order after collection.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 
@@ -145,29 +150,96 @@ def _run_task(task) -> np.ndarray:
         raise EnsembleError(f"{spec.kind} part {part} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
 
 
-def _process_pool(max_workers: int):
-    """A process pool; its module is imported only when a command starts one."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 def _run_tasks(tasks) -> list[np.ndarray]:
     return [_run_task(task) for task in tasks]
+
+
+def _child(share, write_end: int):
+    """In a forked child: run one share, send one pickled (ok, value), leave.
+
+    value is the share's results, or the exception that stopped it.  The
+    payload is pickled whole before any byte is written, so the caller gets
+    all of it or nothing.  The child always leaves through os._exit, so it
+    runs none of the caller's exit handlers and flushes none of its buffers.
+    """
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, _run_tasks(share)), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork(share):
+    """Fork one child to run `share`; its pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(share, write_end)
+    except BaseException:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)  # the child holds the only write end, so its exit ends the read
+    return pid, open(read_end, "rb")
+
+
+def _run_forked(shares) -> list[list[np.ndarray]]:
+    """`_run_tasks` of each share, each in a child forked for it, in share order.
+
+    The pipes are read in share order and the first exception a child sent
+    is raised unchanged.  Every child is reaped before this returns or
+    raises; when it leaves early, the children still running are killed first.
+    """
+    children = []  # (pid, read end) of every child not yet reaped, in share order
+    try:
+        for share in shares:
+            children.append(_fork(share))
+        results = []
+        for w in range(len(shares)):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise EnsembleError(f"worker {w} exited with code {code} before sending its results")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        if children:
+            import signal  # loaded only here, so a dispatch that ends well does not pay for it
+
+            for pid, pipe in children:
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped between its waitpid and its removal from the list
 
 
 def _dispatch(tasks, workers: int) -> list[np.ndarray]:
     """Every task's samples, in task order.
 
-    On a pool, worker w is sent tasks w, w + workers, ... as one item, so
-    each worker makes one round trip however many tasks it runs.
+    With more than one worker, child w runs tasks w, w + workers, ... and
+    sends them back once; the caller runs no trials, it only collects.
     """
     if workers <= 1 or len(tasks) <= 1:
         return _run_tasks(tasks)
-    # the pool starts every worker at once; more than one per task only idles
+    # one child per task at most; a child with no task would only idle
     workers = min(workers, len(tasks))
-    with _process_pool(workers) as pool:
-        shares = list(pool.map(_run_tasks, [tasks[w::workers] for w in range(workers)]))
+    shares = _run_forked([tasks[w::workers] for w in range(workers)])
     results = [None] * len(tasks)
     for w, share in enumerate(shares):
         results[w::workers] = share
@@ -215,7 +287,13 @@ def _statistics(spec: ExperimentSpec, results: list[np.ndarray]) -> EnsembleStat
 
 
 def run_ensemble(*specs: ExperimentSpec, workers: int = 1) -> tuple[EnsembleStatistics, ...]:
-    """Run every trial of the experiments on one pool; one statistics per spec, in order."""
+    """Run every trial of the experiments in one dispatch; one statistics per spec, in order.
+
+    More than one worker forks child processes, so it needs `os.fork`
+    (POSIX); the statistics are the same bits at any worker count.
+    """
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers={workers} needs os.fork, which this platform lacks; use workers=1")
     for spec in specs:
         if spec.kind != CONTINUUM_COMPARE:
             continue

@@ -210,9 +210,24 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # the pool module is imported only when a command starts a pool
+    # the workers are forked children fed by pipes: no pool module is imported, even with 2 workers
     src = str(Path(unsharp_qubit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, unsharp_qubit.cli; print('concurrent.futures.process' in sys.modules)"
+    code = (
+        "import os, sys; from unsharp_qubit.cli import main; "
+        "code = main(['fidelity-curve', '--n-grid', '0,2', '--trials', '20', '--workers', '2', "
+        "'--out', os.devnull]); "
+        "print(code, *(name in sys.modules for name in ('concurrent.futures', 'multiprocessing')))"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "0 False False"
+
+
+def test_workers_need_fork(monkeypatch, capsys):
+    # refused at parsing, so no process is started; one worker needs no fork
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as err:
+        main(["fidelity-curve", "--workers", "2"])
+    assert err.value.code == 2
+    assert "2 workers need os.fork" in capsys.readouterr().err
+    assert main(["fidelity-curve", "--n-grid", "0", "--trials", "3", "--workers", "1", "--out", os.devnull]) == 0

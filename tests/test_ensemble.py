@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -94,22 +97,24 @@ def test_worker_count_does_not_change_continuum_results():
     assert run_ensemble(spec, workers=1) == run_ensemble(spec, workers=2)
 
 
-class _InlinePool:
-    """Stands in for the process pool: records its size, runs the tasks in process."""
+class _InlineForks:
+    """Stands in for the forked children: records the shares of each call, runs them in process."""
 
-    sizes = []
+    def __init__(self):
+        self.shares = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __call__(self, shares):
+        self.shares.append([len(share) for share in shares])
+        return [ens._run_tasks(share) for share in shares]
 
-    def __enter__(self):
-        return self
+    @property
+    def sizes(self):
+        return [len(shares) for shares in self.shares]
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_is_sized_by_its_tasks(monkeypatch):
@@ -117,31 +122,23 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=2, seed=55,
                           n_grid=(0, 2, 5, 10, 20, 40))
     expected = run_ensemble(spec, workers=1)
-    monkeypatch.setattr(ens, "_process_pool", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+    forks = _InlineForks()
+    monkeypatch.setattr(ens, "_run_forked", forks)
     assert run_ensemble(spec, workers=64) == expected
     assert run_ensemble(spec, workers=3) == expected
-    assert _InlinePool.sizes == [12, 3]
+    assert forks.sizes == [12, 3]
 
 
 def test_pool_gets_one_share_per_worker(monkeypatch):
     # worker w runs tasks w, w + workers, ...; the results come back in task order
-    shares = []
-
-    class _SharePool(_InlinePool):
-        def map(self, fn, items):
-            items = list(items)
-            shares.append([len(share) for share in items])
-            return map(fn, items)
-
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=6, seed=60, n_grid=(0, 2, 5))
     expected = run_ensemble(spec, workers=1)
-    monkeypatch.setattr(ens, "_process_pool", _SharePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+    forks = _InlineForks()
+    monkeypatch.setattr(ens, "_run_forked", forks)
     assert run_ensemble(spec, workers=2) == expected
     assert run_ensemble(spec, workers=4) == expected
     # 3 points x 2 chunks of 3 trials; 3 points x 3 chunks of 2 trials
-    assert shares == [[3, 3], [3, 2, 2, 2]]
+    assert forks.shares == [[3, 3], [3, 2, 2, 2]]
 
 
 def test_failing_trial_is_named(monkeypatch):
@@ -150,8 +147,11 @@ def test_failing_trial_is_named(monkeypatch):
 
     monkeypatch.setattr(ens, "direct_fidelity_samples", explode)
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3, seed=54, n_grid=(1,))
-    with pytest.raises(EnsembleError, match="trial 0"):
-        run_ensemble(spec)
+    for workers in (1, 2):
+        # with 2 workers both children fail; the first child's error is raised
+        with pytest.raises(EnsembleError, match="sequential-fidelity part 0 trial 0 failed: boom"):
+            run_ensemble(spec, workers=workers)
+        _assert_no_child_left()
 
 
 def test_failing_compare_trial_is_named(monkeypatch):
@@ -163,8 +163,45 @@ def test_failing_compare_trial_is_named(monkeypatch):
 
     monkeypatch.setattr(ens, "simulate_purity_ensemble", fail_on_two)
     spec = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=20.0, trials=4, seed=57, n_grid=(0, 1), dt=5e-4)
-    with pytest.raises(EnsembleError, match="continuum-compare part sde trial 2 failed: boom"):
-        run_ensemble(spec)
+    for workers in (1, 2):
+        # with 2 workers only the second child fails, after the first sent its results
+        with pytest.raises(EnsembleError, match="continuum-compare part sde trial 2 failed: boom"):
+            run_ensemble(spec, workers=workers)
+        _assert_no_child_left()
+
+
+def test_child_that_exits_without_sending_is_named(monkeypatch):
+    # the raw wait status of exit code 3 is 768; the error names the code
+    monkeypatch.setattr(ens, "_run_tasks", lambda share: os._exit(3))
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=4, seed=61, n_grid=(1,))
+    with pytest.raises(EnsembleError, match=r"^worker 0 exited with code 3 before sending its results$"):
+        run_ensemble(spec, workers=2)
+    _assert_no_child_left()
+
+
+def test_failure_kills_the_children_still_running(monkeypatch):
+    # the first child fails at once; the second would run for a minute
+    def first_share_fails(share):
+        if share[0][2] == 0:
+            raise ValueError("boom")
+        time.sleep(60)
+
+    monkeypatch.setattr(ens, "_run_tasks", first_share_fails)
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=4, seed=63, n_grid=(1,))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^boom$"):
+        run_ensemble(spec, workers=2)
+    assert time.monotonic() - start < 30.0
+    _assert_no_child_left()
+
+
+def test_workers_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=4, seed=62, n_grid=(0,))
+    with pytest.raises(ValueError, match="needs os.fork"):
+        run_ensemble(spec, workers=2)
+    (stats,) = run_ensemble(spec, workers=1)
+    assert stats.means == (0.5,)
 
 
 def test_specs_of_one_call_equal_separate_calls():
@@ -181,14 +218,14 @@ def test_specs_of_one_call_equal_separate_calls():
     ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--trajectories", "12"),
 ])
 def test_one_pool_per_command(monkeypatch, tmp_path, argv):
-    monkeypatch.setattr(ens, "_process_pool", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+    forks = _InlineForks()
+    monkeypatch.setattr(ens, "_run_forked", forks)
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
         assert main([*argv, "--seed", "59", "--workers", str(workers), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert _InlinePool.sizes == [2]
+    assert forks.sizes == [2]
     assert outputs[0] == outputs[1]
 
 
