@@ -31,7 +31,6 @@ from .continuous import (
     draw_noise,
     drift_purity,
     mean_fidelity_closed_form,
-    record_increment,
     simulate_purity_ensemble,
     simulate_trajectory,
     sme_step,
@@ -51,23 +50,14 @@ from .povm import (
     RANDOM_EIGENSTATE,
     STRATEGIES,
     ContinuumAdvisory,
-    GaussianEffect,
     MeasurementSettings,
-    OutcomeDistribution,
     completeness_defect,
-    make_effect,
-    outcome_density,
-    outcome_distribution,
-    posterior_update,
     purify_estimate,
-    sample_outcome,
-    single_estimate,
 )
 from .sequential import (
     FidelityStatistic,
     SequenceResult,
     fidelity_direct,
-    fidelity_hypothetical_fixed,
     fidelity_purity,
     hypothetical_purity_paths,
     hypothetical_run,

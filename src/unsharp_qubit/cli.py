@@ -101,8 +101,8 @@ def _int_grid(text: str) -> tuple[int, ...]:
         grid = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not grid or any(n < 0 for n in grid) or list(grid) != sorted(grid):
-        raise argparse.ArgumentTypeError(f"grid must be ascending and nonnegative, got {text!r}")
+    if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"grid must be strictly ascending and nonnegative, got {text!r}")
     return grid
 
 
@@ -303,7 +303,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "estimator", "direct") != "direct" and args.strategy != RANDOM_EIGENSTATE:
+        parser.error(
+            f"--estimator {args.estimator} needs --strategy {RANDOM_EIGENSTATE}: the purity "
+            "estimator's F = (1 + P)/3 holds for that strategy only"
+        )
     try:
         if args.command == "validate":
             return cmd_validate(args)

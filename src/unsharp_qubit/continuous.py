@@ -292,18 +292,6 @@ def _noise_blocks(gens, steps: int, dt: float):
         done += m
 
 
-def record_increment(state: DensityMatrix, dt: float, noise: NoiseIncrement) -> Vec3:
-    """Measurement-record increment dy = <sigma> dt + dW / 2.
-
-    `noise` must be the same increment used in the concurrent state step.
-    """
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ValueError(f"dt must be a positive real, got {dt!r}")
-    r = state.bloch
-    d_w = noise.d_w
-    return (r[0] * dt + 0.5 * d_w[0], r[1] * dt + 0.5 * d_w[1], r[2] * dt + 0.5 * d_w[2])
-
-
 def simulate_trajectory(
     initial: DensityMatrix,
     t_max: float,

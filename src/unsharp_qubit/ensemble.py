@@ -74,9 +74,12 @@ class ExperimentSpec:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.kind == HYPOTHETICAL_PURITY and self.strategy != RANDOM_EIGENSTATE:
+            # F = (1 + P)/3 is the random-eigenstate fidelity; it says nothing of the other strategy
+            raise ValueError(f"{self.kind} estimates the {RANDOM_EIGENSTATE} fidelity only, got {self.strategy!r}")
         grid = self.n_grid
-        if not grid or any(n < 0 for n in grid) or list(grid) != sorted(grid):
-            raise ValueError(f"{self.kind} needs a nonempty ascending n grid, got {grid!r}")
+        if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"{self.kind} needs a nonempty strictly ascending n grid, got {grid!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
         # delta/dt validity is enforced by the settings and integrator they feed
 

@@ -17,7 +17,7 @@ Weights are kept in log form throughout: for |s| much larger than the
 precision both weights underflow in linear space while their ratio, which
 is all the state update needs, stays perfectly conditioned.  The update
 `posterior_batch` takes a component-major (3, B) Bloch batch, the layout of
-every batch in the package; `posterior_update` is its one-column case.
+every batch in the package.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .bloch import (
     DensityMatrix,
-    MeasurementAxis,
     _dot,
     random_pure_state,
     spectral_decompose,
@@ -72,47 +71,15 @@ class MeasurementSettings:
             )
 
 
-def _gaussian_logpdf(x, width: float):
-    """log g(x) for a float or an array of floats, with the same arithmetic."""
-    return -0.5 * math.log(2.0 * math.pi * width * width) - (x * x) / (2.0 * width * width)
-
-
 def log_weights(outcomes: np.ndarray, precision: float) -> tuple[np.ndarray, np.ndarray]:
-    """log g(s - 1), log g(s + 1) of an array of outcomes, bit for bit `make_effect`'s."""
-    return _gaussian_logpdf(outcomes - 1.0, precision), _gaussian_logpdf(outcomes + 1.0, precision)
+    """log g(s - 1), log g(s + 1) of an array of outcomes.
 
-
-@dataclass(frozen=True)
-class GaussianEffect:
-    """One measurement effect in spectral form.
-
-    log_weight_plus/minus are log g(outcome -+ 1); the linear weights are
-    exposed for convenience but may underflow to 0.0 for extreme outcomes,
-    in which case the log form remains the authoritative data.
+    An infinite outcome gives -inf in both, which `posterior_batch` refuses.
     """
-
-    axis: MeasurementAxis
-    outcome: float
-    precision: float
-    log_weight_plus: float
-    log_weight_minus: float
-
-    @property
-    def weight_plus(self) -> float:
-        return math.exp(self.log_weight_plus)
-
-    @property
-    def weight_minus(self) -> float:
-        return math.exp(self.log_weight_minus)
-
-
-def make_effect(axis: MeasurementAxis, settings: MeasurementSettings, outcome: float) -> GaussianEffect:
-    """Effect for observing `outcome` when measuring n.sigma unsharply."""
-    s = float(outcome)
-    if not math.isfinite(s):
-        raise ValueError(f"outcome must be finite, got {outcome!r}")
-    w = settings.precision
-    return GaussianEffect(axis, s, w, _gaussian_logpdf(s - 1.0, w), _gaussian_logpdf(s + 1.0, w))
+    log_norm = -0.5 * math.log(2.0 * math.pi * precision * precision)
+    two_var = 2.0 * precision * precision
+    below, above = outcomes - 1.0, outcomes + 1.0
+    return log_norm - (below * below) / two_var, log_norm - (above * above) / two_var
 
 
 # completeness_defect's trapezoid rule: this many nodes over
@@ -138,74 +105,6 @@ def completeness_defect(settings: MeasurementSettings) -> float:
     # axis, so the deviation from identity has eigenvalues
     # (total_plus - 1, total_minus - 1) and no axis is needed
     return max(abs(total_plus - 1.0), abs(total_minus - 1.0))
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Two-Gaussian mixture of outcomes: branch weights tr[P_pm rho]."""
-
-    weight_plus_branch: float
-    precision: float
-
-    def __post_init__(self):
-        p = float(self.weight_plus_branch)
-        if not (-1e-12 <= p <= 1.0 + 1e-12):
-            raise ValueError(f"branch weight out of [0, 1]: {p!r}")
-        object.__setattr__(self, "precision", MeasurementSettings(self.precision, None).precision)
-
-    @property
-    def weight_minus_branch(self) -> float:
-        return 1.0 - self.weight_plus_branch
-
-    def density(self, outcome: float) -> float:
-        w = self.precision
-        g_plus = math.exp(_gaussian_logpdf(outcome - 1.0, w))
-        g_minus = math.exp(_gaussian_logpdf(outcome + 1.0, w))
-        return self.weight_plus_branch * g_plus + self.weight_minus_branch * g_minus
-
-    def cdf(self, outcome: float) -> float:
-        w = self.precision
-        phi_plus = 0.5 * (1.0 + math.erf((outcome - 1.0) / (w * math.sqrt(2.0))))
-        phi_minus = 0.5 * (1.0 + math.erf((outcome + 1.0) / (w * math.sqrt(2.0))))
-        return self.weight_plus_branch * phi_plus + self.weight_minus_branch * phi_minus
-
-    @property
-    def mean(self) -> float:
-        return self.weight_plus_branch - self.weight_minus_branch
-
-    @property
-    def variance(self) -> float:
-        return self.precision**2 + 1.0 - self.mean**2
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Exact mixture sampling: branch choice, then a Gaussian around +-1."""
-        if size is None:
-            center = 1.0 if rng.random() < self.weight_plus_branch else -1.0
-            return center + self.precision * rng.standard_normal()
-        centers = np.where(rng.random(size) < self.weight_plus_branch, 1.0, -1.0)
-        return centers + self.precision * rng.standard_normal(size)
-
-
-def outcome_distribution(
-    state: DensityMatrix, axis: MeasurementAxis, settings: MeasurementSettings
-) -> OutcomeDistribution:
-    along = _dot(axis.direction, state.bloch)
-    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + along)))
-    return OutcomeDistribution(p_plus, settings.precision)
-
-
-def outcome_density(
-    state: DensityMatrix, axis: MeasurementAxis, settings: MeasurementSettings, outcome: float
-) -> float:
-    """Probability density tr[effect(outcome) rho] of observing `outcome`."""
-    return outcome_distribution(state, axis, settings).density(float(outcome))
-
-
-def sample_outcome(
-    state: DensityMatrix, axis: MeasurementAxis, settings: MeasurementSettings, rng: np.random.Generator
-) -> float:
-    """One outcome draw from the state's mixture density (one uniform, one normal)."""
-    return float(outcome_distribution(state, axis, settings).sample(rng))
 
 
 def _log_or_minus_inf(p: np.ndarray) -> np.ndarray:
@@ -240,25 +139,6 @@ def posterior_batch(
     out = new_along * axes + damp * (r - along * axes)
     out /= np.maximum(np.sqrt(_dot(out, out)), 1.0)
     return out
-
-
-def posterior_update(state: DensityMatrix, effect: GaussianEffect) -> DensityMatrix:
-    """Conditional state sqrt(effect) rho sqrt(effect) / tr[effect rho], via `posterior_batch`."""
-    weights = np.array([effect.log_weight_plus]), np.array([effect.log_weight_minus])
-    out = posterior_batch(np.array(state.bloch)[:, None], np.array(effect.axis.direction)[:, None], *weights)
-    return DensityMatrix(out[:, 0].tolist())
-
-
-def single_estimate(effect: GaussianEffect) -> DensityMatrix:
-    """Normalized effect, effect / tr[effect]: the one-measurement estimate.
-
-    Its Bloch vector is n * (g_plus - g_minus)/(g_plus + g_minus), computed
-    as tanh of half the log-weight difference.  Generally mixed; equals the
-    posterior of a fully mixed input for the same effect.
-    """
-    along = math.tanh(0.5 * (effect.log_weight_plus - effect.log_weight_minus))
-    n = effect.axis.direction
-    return DensityMatrix.clipped((along * n[0], along * n[1], along * n[2]))
 
 
 def purify_estimate(

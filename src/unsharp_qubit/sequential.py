@@ -48,7 +48,6 @@ from .bloch import (
     _norm,
     _pure_batch,
     _purity,
-    purity,
 )
 from .montecarlo import DRAW_BLOCK, _stream_states, summarize
 from .povm import (
@@ -59,10 +58,6 @@ from .povm import (
     log_weights,
     posterior_batch,
 )
-
-# fidelity experiments require pure inputs at least this pure
-PURE_INPUT_TOL = 1e-9
-
 
 def _draw_block(gens, m: int, pure_starts: bool = False):
     """m steps of randomness per stream: unit axes (m, 3, B), uniforms and noise (m, B).
@@ -94,9 +89,11 @@ def _draw_block(gens, m: int, pure_starts: bool = False):
 
 def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
     """Advance the (3, B) batch r by n measurements, column b on stream gens[b],
-    yielding (r, axes, outcomes) after every step.  Outcomes are drawn from
-    each column's current state as `povm.sample_outcome` draws them.  `first`,
-    if given, is the first block (axes, uniforms, noise), already drawn.
+    yielding (r, axes, outcomes) after every step.  Each outcome is drawn
+    from its column's current state: +1 if the step's uniform is below
+    p_plus = (1 + axis.r)/2 and -1 otherwise, plus precision times the
+    step's normal.  `first`, if given, is the first block (axes, uniforms,
+    noise), already drawn.
     """
     done = 0
     while done < n:
@@ -334,31 +331,6 @@ def fidelity_direct(
     fidelity of the purified estimate under `strategy`.
     """
     return _statistic(direct_fidelity_samples(settings, n, trials, strategy, seed, base_index))
-
-
-def fidelity_hypothetical_fixed(
-    true_state: DensityMatrix,
-    settings: MeasurementSettings,
-    n: int,
-    trials: int,
-    seed: int = 0,
-    base_index: int = 0,
-) -> FidelityStatistic:
-    """Fidelity of the estimate for one fixed pure state, via mixed-start runs.
-
-    Per trial the sample is 2 * (tr[rho_mixed_run rho_true])^2 with the
-    outcomes drawn from the mixed-start (not the true) density; its mean
-    equals the direct estimator's target.
-    """
-    if purity(true_state) < 1.0 - PURE_INPUT_TOL:
-        raise ValueError("fidelity experiments require a pure true state")
-    truth = np.array(true_state.bloch)[:, None]
-
-    def group(gens):
-        overlap = 0.5 * (1.0 + _dot(_mixed_start_final(gens, n, settings.precision), truth))
-        return 2.0 * overlap * overlap
-
-    return _statistic(_by_trial_groups(group, n, trials, seed, base_index))
 
 
 def purity_fidelity_samples(

@@ -182,9 +182,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["fidelity-curve", "--delta", "-3"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["fidelity-curve", "--n-grid", "5,2"])
-    assert err.value.code == 2
+    for grid in ("5,2", "5,5", "0,2,2,5"):  # a repeated n would print two rows for one n
+        with pytest.raises(SystemExit) as err:
+            main(["fidelity-curve", "--n-grid", grid])
+        assert err.value.code == 2
+    # the purity estimator estimates the random-eigenstate fidelity only
+    for estimator in ("purity", "both"):
+        with pytest.raises(SystemExit) as err:
+            main(["fidelity-curve", "--estimator", estimator, "--strategy", "dominant-eigenstate"])
+        assert err.value.code == 2
     # refused at parsing, before the discrete half of the comparison runs
     with pytest.raises(SystemExit) as err:
         main(["continuum-compare", "--dt", "0.01"])

@@ -19,7 +19,6 @@ from unsharp_qubit import (
     drift_purity,
     mean_fidelity_closed_form,
     purity,
-    record_increment,
     simulate_purity_ensemble,
     simulate_trajectory,
     sme_step,
@@ -336,32 +335,6 @@ def test_ensemble_sub_batch_and_noise_block_do_not_change_results(monkeypatch):
     np.testing.assert_array_equal(whole[:, 16:32], part)
     monkeypatch.setattr(continuous, "DRAW_BLOCK", 7)
     np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 64, seed=62), whole)
-
-
-def test_record_increment_values():
-    assert record_increment(FULLY_MIXED, 1e-3, NoiseIncrement((0.02, 0.0, -0.04))) == (
-        0.01,
-        0.0,
-        -0.02,
-    )
-    plus_z = DensityMatrix((0.0, 0.0, 1.0))
-    assert record_increment(plus_z, 1e-3, NoiseIncrement((0.0, 0.0, 0.0))) == (0.0, 0.0, 1e-3)
-    for bad in (0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            record_increment(plus_z, bad, NoiseIncrement((0.0, 0.0, 0.0)))
-
-
-def test_record_increment_mean_tracks_polarization():
-    state = DensityMatrix((0.3, 0.0, 0.4))
-    rng = derive_stream(43, 0)
-    dt = 1e-4
-    total = np.zeros(3)
-    draws = 10**5
-    for _ in range(draws):
-        total += record_increment(state, dt, draw_noise(rng, dt))
-    rate = total / (draws * dt)
-    std_err = 1.0 / (2.0 * math.sqrt(dt) * math.sqrt(draws))
-    assert np.all(np.abs(rate - state.bloch) < 5.0 * std_err)
 
 
 def test_simulate_trajectory_deterministic():

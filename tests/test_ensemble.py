@@ -6,6 +6,7 @@ import pytest
 
 import unsharp_qubit.ensemble as ens
 from unsharp_qubit import (
+    DOMINANT_EIGENSTATE,
     EnsembleError,
     ExperimentSpec,
     derive_stream,
@@ -63,8 +64,13 @@ def test_spec_validation():
         ExperimentSpec(kind="bogus", delta=20.0, trials=10, seed=0, n_grid=(0,))
     with pytest.raises(ValueError):
         ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=0, seed=0, n_grid=(0,))
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=10, seed=0, n_grid=(3, 1))
+    for grid in ((3, 1), (3, 3), (0, 2, 2)):
+        with pytest.raises(ValueError):
+            ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=10, seed=0, n_grid=grid)
+    with pytest.raises(ValueError):  # (1 + P)/3 is the random-eigenstate fidelity only
+        ExperimentSpec(
+            kind=ens.HYPOTHETICAL_PURITY, delta=20.0, trials=10, seed=0, n_grid=(0,), strategy=DOMINANT_EIGENSTATE
+        )
     with pytest.raises(ValueError):
         ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=10, seed=0, n_grid=(0,), strategy="??")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 import unsharp_qubit.sequential as sequential
-from unsharp_qubit.bloch import _dot
+from unsharp_qubit.bloch import _dot, _purity
 from unsharp_qubit.povm import log_weights, posterior_batch
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
@@ -14,23 +14,15 @@ from unsharp_qubit import (
     RANDOM_EIGENSTATE,
     ContinuumAdvisory,
     DensityMatrix,
-    GaussianEffect,
     MeasurementAxis,
     MeasurementSettings,
-    OutcomeDistribution,
     completeness_defect,
     derive_stream,
     fidelity,
-    make_effect,
-    outcome_density,
-    outcome_distribution,
-    posterior_update,
     purify_estimate,
     purity,
     random_axis,
     random_pure_state,
-    sample_outcome,
-    single_estimate,
 )
 
 # unit-width Gaussian density at 0, 1, 2 (frozen from scipy.stats.norm.pdf)
@@ -38,12 +30,20 @@ G0 = 0.3989422804014327
 G1 = 0.24197072451914337
 G2 = 0.05399096651318806
 
-Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
-PLUS_Z = DensityMatrix((0.0, 0.0, 1.0))
+Z = np.array([0.0, 0.0, 1.0])
 
 
 def settings(width):
     return MeasurementSettings(width, continuum_floor=None)
+
+
+def _columns(vector, size):
+    """A (3, size) batch whose every column is `vector`."""
+    return np.repeat(np.asarray(vector, dtype=float)[:, None], size, axis=1)
+
+
+def _posterior(r, axes, width, outcomes):
+    return posterior_batch(r, axes, *log_weights(np.asarray(outcomes, dtype=float), width))
 
 
 def test_settings_validation_and_advisory():
@@ -60,26 +60,33 @@ def test_settings_validation_and_advisory():
 
 
 def test_effect_weights_symmetric_outcome():
-    effect = make_effect(Z_AXIS, settings(1.0), 0.0)
-    assert effect.log_weight_plus == effect.log_weight_minus
-    assert effect.weight_plus == pytest.approx(G1, rel=1e-12)
+    log_plus, log_minus = log_weights(np.array([0.0]), 1.0)
+    assert log_plus[0] == log_minus[0]
+    assert math.exp(log_plus[0]) == pytest.approx(G1, rel=1e-12)
 
 
 def test_effect_weights_shifted_outcome():
-    effect = make_effect(Z_AXIS, settings(1.0), 1.0)
-    assert effect.weight_plus == pytest.approx(G0, rel=1e-12)
-    assert effect.weight_minus == pytest.approx(G2, rel=1e-12)
+    log_plus, log_minus = log_weights(np.array([1.0]), 1.0)
+    assert math.exp(log_plus[0]) == pytest.approx(G0, rel=1e-12)
+    assert math.exp(log_minus[0]) == pytest.approx(G2, rel=1e-12)
 
 
 def test_effect_rejects_bad_outcome():
-    with pytest.raises(ValueError):
-        make_effect(Z_AXIS, settings(1.0), math.inf)
+    # an infinite outcome weighs -inf in both branches, and the update refuses it
+    for bad in (math.inf, -math.inf):
+        log_plus, log_minus = log_weights(np.array([bad]), 1.0)
+        assert log_plus[0] == log_minus[0] == -math.inf
+        with pytest.raises(ValueError):
+            posterior_batch(np.zeros((3, 1)), _columns(Z, 1), log_plus, log_minus)
 
 
 def test_log_weights_survive_extreme_outcomes():
-    effect = make_effect(Z_AXIS, settings(0.05), 3.0)
-    assert effect.weight_minus == 0.0  # linear form underflows
-    assert math.isfinite(effect.log_weight_minus)
+    log_plus, log_minus = log_weights(np.array([3.0]), 0.05)
+    assert math.exp(log_minus[0]) == 0.0  # linear form underflows
+    assert math.isfinite(log_minus[0])
+    # the update only needs their difference, which stays finite
+    out = posterior_batch(np.array([[0.3], [-0.2], [0.5]]), _columns(Z, 1), log_plus, log_minus)
+    assert out[:, 0].tolist() == [0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("width", [1.0, 10.0, 0.1])
@@ -88,96 +95,88 @@ def test_completeness_defect(width):
     assert defect < 1e-9
 
 
-def test_outcome_density_values():
-    assert outcome_density(FULLY_MIXED, Z_AXIS, settings(1.0), 0.0) == pytest.approx(G1, rel=1e-12)
-    assert outcome_density(PLUS_Z, Z_AXIS, settings(1.0), 1.0) == pytest.approx(G0, rel=1e-12)
-
-
 def test_outcome_density_normalized():
-    state = DensityMatrix((0.3, -0.2, 0.5))
-    cfg = settings(1.5)
-    grid = np.linspace(-1 - 12 * 1.5, 1 + 12 * 1.5, 8001)
-    dens = [outcome_density(state, Z_AXIS, cfg, s) for s in grid]
+    # tr[effect(s) rho] = p_plus g(s - 1) + p_minus g(s + 1) for the state
+    # (0.3, -0.2, 0.5) along z, from the log weights
+    width, along = 1.5, 0.5
+    grid = np.linspace(-1 - 12 * width, 1 + 12 * width, 8001)
+    log_plus, log_minus = log_weights(grid, width)
+    dens = 0.5 * (1.0 + along) * np.exp(log_plus) + 0.5 * (1.0 - along) * np.exp(log_minus)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_outcome_branch_weights_are_complementary():
-    dist = outcome_distribution(DensityMatrix((0.3, -0.2, 0.5)), Z_AXIS, settings(1.5))
-    assert dist.weight_plus_branch == 0.75
-    assert dist.weight_minus_branch == 1.0 - dist.weight_plus_branch
-    assert OutcomeDistribution(0.2, 1.5).weight_minus_branch == 1.0 - 0.2
 
 
 @pytest.mark.parametrize("precision", [math.nan, math.inf, 0.0, -2.0])
 def test_outcome_distribution_refuses_bad_precision(precision):
+    # outcomes are drawn with the width of a MeasurementSettings, which refuses it
     with pytest.raises(ValueError):
-        OutcomeDistribution(0.5, precision)
+        MeasurementSettings(precision, continuum_floor=None)
+
+
+def _outcomes(state, axis, width, rng, size):
+    """Outcomes `_sampled_steps` draws measuring `size` copies of `state` once along `axis`.
+
+    rng draws all the uniforms, then all the normals; `_sampled_steps` gets
+    them 10^5 copies at a time as an already drawn block, so it reads no
+    stream and its batch stays small.
+    """
+    uniforms, noise = rng.random((1, size)), rng.standard_normal((1, size))
+    chunks = []
+    for lo in range(0, size, 10**5):
+        u, z = uniforms[:, lo : lo + 10**5], noise[:, lo : lo + 10**5]
+        block = (_columns(axis, u.shape[1])[None], u, z)
+        ((_, _, outcomes),) = sequential._sampled_steps(_columns(state, u.shape[1]), (), 1, width, first=block)
+        chunks.append(outcomes)
+    return np.concatenate(chunks)
 
 
 def test_outcome_moments_single_branch():
-    rng = derive_stream(231, 0)
-    draws = outcome_distribution(PLUS_Z, Z_AXIS, settings(1.0)).sample(rng, 10**6)
+    draws = _outcomes(Z, Z, 1.0, derive_stream(231, 0), 10**6)
     assert abs(draws.mean() - 1.0) < 3.0 * 1.0 / 1e3
 
 
 def test_outcome_moments_mixed():
-    rng = derive_stream(231, 1)
-    dist = outcome_distribution(FULLY_MIXED, Z_AXIS, settings(1.0))
-    draws = dist.sample(rng, 10**6)
-    assert dist.variance == 2.0
+    draws = _outcomes(np.zeros(3), Z, 1.0, derive_stream(231, 1), 10**6)
     assert abs(draws.mean()) < 5.0 * math.sqrt(2.0 / 10**6)
     assert abs(draws.var(ddof=1) - 2.0) < 5.0 * 2.0 * math.sqrt(3.0 / 10**6)
 
 
 def test_outcome_mean_tracks_polarization():
-    rng = derive_stream(231, 2)
-    state = DensityMatrix((0.3, 0.1, 0.4))
-    axis = MeasurementAxis.from_vector((1.0, 2.0, -0.5))
-    dist = outcome_distribution(state, axis, settings(1.0))
-    draws = dist.sample(rng, 10**6)
-    assert abs(draws.mean() - dist.mean) < 5.0 * math.sqrt(dist.variance / 10**6)
-
-
-def test_sample_outcome_scalar_path():
-    rng = derive_stream(231, 3)
-    cfg = settings(1.0)
-    draws = np.array([sample_outcome(FULLY_MIXED, Z_AXIS, cfg, rng) for _ in range(10**4)])
-    assert abs(draws.mean()) < 5.0 * math.sqrt(2.0 / 10**4)
+    state = np.array([0.3, 0.1, 0.4])
+    axis = np.array(MeasurementAxis.from_vector((1.0, 2.0, -0.5)).direction)
+    draws = _outcomes(state, axis, 1.0, derive_stream(231, 2), 10**6)
+    mean = _dot(axis, state)  # p_plus - p_minus
+    variance = 1.0 + 1.0 - mean * mean  # precision^2 + 1 - mean^2
+    assert abs(draws.mean() - mean) < 5.0 * math.sqrt(variance / 10**6)
 
 
 def test_posterior_identity_effect_leaves_state():
-    state = DensityMatrix((0.3, -0.2, 0.5))
-    effect = make_effect(Z_AXIS, settings(1.0), 0.0)
-    updated = posterior_update(state, effect)
-    assert updated.bloch == pytest.approx(state.bloch, abs=1e-15)
+    state = np.array([[0.3], [-0.2], [0.5]])
+    updated = _posterior(state, _columns(Z, 1), 1.0, [0.0])
+    assert updated[:, 0].tolist() == pytest.approx(state[:, 0].tolist(), abs=1e-15)
 
 
 def test_posterior_from_mixed_state():
-    effect = make_effect(Z_AXIS, settings(1.0), 1.0)
-    updated = posterior_update(FULLY_MIXED, effect)
-    assert updated.bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
+    updated = _posterior(np.zeros((3, 1)), _columns(Z, 1), 1.0, [1.0])
+    assert updated[:, 0].tolist() == pytest.approx([0.0, 0.0, math.tanh(1.0)], abs=1e-12)
 
 
 def test_posterior_eigenstate_fixed_point():
-    for outcome in (-3.0, 0.2, 1.0, 7.5):
-        updated = posterior_update(PLUS_Z, make_effect(Z_AXIS, settings(1.0), outcome))
-        assert updated.bloch == (0.0, 0.0, 1.0)
+    updated = _posterior(_columns(Z, 4), _columns(Z, 4), 1.0, [-3.0, 0.2, 1.0, 7.5])
+    assert updated.T.tolist() == [[0.0, 0.0, 1.0]] * 4
 
 
 def test_posterior_preserves_purity():
     rng = derive_stream(15, 0)
-    cfg = settings(0.7)
-    for _ in range(300):
-        state = random_pure_state(rng)
-        axis = MeasurementAxis(random_pure_state(rng).bloch)
-        effect = make_effect(axis, cfg, float(rng.normal(0, 2)))
-        assert abs(purity(posterior_update(state, effect)) - 1.0) <= 1e-12
+    draws = [(random_pure_state(rng).bloch, random_pure_state(rng).bloch, rng.normal(0, 2)) for _ in range(300)]
+    states, axes, outcomes = (np.array(column) for column in zip(*draws))
+    updated = _posterior(states.T, axes.T, 0.7, outcomes)
+    assert np.all(np.abs(_purity(updated) - 1.0) <= 1e-12)
 
 
 def test_posterior_degenerate_update_error():
-    dead = GaussianEffect(Z_AXIS, 0.0, 1.0, -math.inf, -math.inf)
+    # the state's only branch meets an effect of zero weight on it
     with pytest.raises(ValueError):
-        posterior_update(FULLY_MIXED, dead)
+        posterior_batch(_columns(Z, 1), _columns(Z, 1), np.array([-math.inf]), np.array([0.0]))
 
 
 class _ZeroStream:
@@ -197,7 +196,7 @@ class _ZeroStream:
 
 
 def test_posterior_rows_keep_the_scalar_checks():
-    axes = np.array([[0.0, 0.0, 1.0]] * 3).T
+    axes = _columns(Z, 3)
     log_plus, log_minus = log_weights(np.array([0.5, 0.5, 0.0]), 1.0)
     # column 0 has an empty branch, which must never reach log; column 1
     # starts outside the ball and is rescaled onto it; column 2 is an ordinary state
@@ -207,8 +206,8 @@ def test_posterior_rows_keep_the_scalar_checks():
         out = posterior_batch(r, axes, log_plus, log_minus)
         assert out[:, 0].tolist() == [0.0, 0.0, 1.0]
         assert math.sqrt(_dot(out[:, 1], out[:, 1])) <= 1.0
-        single = posterior_update(DensityMatrix((0.1, 0.2, 0.3)), make_effect(Z_AXIS, settings(1.0), 0.0))
-        assert out[:, 2].tolist() == list(single.bloch)
+        alone = posterior_batch(r[:, 2:], axes[:, 2:], log_plus[2:], log_minus[2:])
+        assert out[:, 2].tolist() == alone[:, 0].tolist()
         # a column of zero or undefined total weight is refused, whatever its neighbours
         for bad in (-math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -225,24 +224,23 @@ def test_posterior_rows_keep_the_scalar_checks():
     width=st.sampled_from([0.3, 1.0, 20.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_posterior_batch_equals_posterior_update_per_column(size, width, seed):
+def test_posterior_batch_equals_each_column_alone(size, width, seed):
     rng = derive_stream(seed, 0)
-    cfg = settings(width)
     columns = rng.standard_normal((3, size))
     columns /= np.sqrt(_dot(columns, columns))
     # lengths a few ulps either side of 1, where the repair onto the ball is
     # decided; every third column from index 2 on is mixed
     columns *= 1.0 + rng.integers(-4, 5, size) * 2.0**-52
     columns[:, 2::3] *= rng.uniform(0.0, 1.0, len(range(2, size, 3)))
-    states = [DensityMatrix(c) for c in columns.T.tolist()]
-    effects = [make_effect(random_axis(rng), cfg, rng.normal(0.0, 1.0 + width)) for _ in range(size)]
-    out = posterior_batch(
-        np.array([s.bloch for s in states]).T,
-        np.array([e.axis.direction for e in effects]).T,
-        np.array([e.log_weight_plus for e in effects]),
-        np.array([e.log_weight_minus for e in effects]),
-    )
-    assert out.T.tolist() == [list(posterior_update(s, e).bloch) for s, e in zip(states, effects)]
+    draws = [(random_axis(rng).direction, rng.normal(0.0, 1.0 + width)) for _ in range(size)]
+    axes = np.array([axis for axis, _ in draws]).T
+    log_plus, log_minus = log_weights(np.array([outcome for _, outcome in draws]), width)
+    out = posterior_batch(columns, axes, log_plus, log_minus)
+    alone = [
+        posterior_batch(columns[:, b : b + 1], axes[:, b : b + 1], log_plus[b : b + 1], log_minus[b : b + 1])
+        for b in range(size)
+    ]
+    assert out.T.tolist() == [column[:, 0].tolist() for column in alone]
 
 
 def test_zero_length_axis_is_refused():
@@ -252,44 +250,45 @@ def test_zero_length_axis_is_refused():
 
 @pytest.mark.parametrize("width", [1.0, 3.0])
 def test_expected_update_damps_coherences(width):
-    # quadrature of posterior * density: diagonal in the measurement basis is
-    # preserved, transverse components shrink by exp(-1/(2 width^2))
-    state = DensityMatrix((0.3, -0.2, 0.5))
-    cfg = settings(width)
+    # quadrature of posterior * density over a grid of outcomes, in one
+    # update: diagonal in the measurement basis is preserved, transverse
+    # components shrink by exp(-1/(2 width^2))
+    state = np.array([0.3, -0.2, 0.5])
     half = 1.0 + 12.0 * width
     grid = np.linspace(-half, half, 20001)
-    acc = np.zeros(3)
-    for s in grid:
-        effect = make_effect(Z_AXIS, cfg, float(s))
-        weight = outcome_density(state, Z_AXIS, cfg, float(s))
-        acc += weight * np.asarray(posterior_update(state, effect).bloch)
-    mean_state = acc * (grid[1] - grid[0])
+    # tr[effect(s) rho] = p_plus g(s - 1) + p_minus g(s + 1), along z
+    gauss = lambda x: np.exp(-x * x / (2.0 * width * width)) / math.sqrt(2.0 * math.pi * width * width)  # noqa: E731
+    density = 0.5 * (1.0 + state[2]) * gauss(grid - 1.0) + 0.5 * (1.0 - state[2]) * gauss(grid + 1.0)
+    posterior = _posterior(_columns(state, grid.size), _columns(Z, grid.size), width, grid)
+    mean_state = (posterior * density).sum(axis=1) * (grid[1] - grid[0])
     damp = math.exp(-1.0 / (2.0 * width * width))
-    expected = (damp * state.bloch[0], damp * state.bloch[1], state.bloch[2])
-    assert mean_state == pytest.approx(expected, abs=1e-6)
+    expected = (damp * state[0], damp * state[1], state[2])
+    assert mean_state.tolist() == pytest.approx(expected, abs=1e-6)
+
+
+# the one-measurement estimate, effect / tr[effect], is the posterior of
+# the fully mixed state: tanh(s / width^2) along the axis
 
 
 def test_single_estimate_values():
-    cfg = settings(1.0)
-    assert single_estimate(make_effect(Z_AXIS, cfg, 0.0)).bloch == (0.0, 0.0, 0.0)
-    est = single_estimate(make_effect(Z_AXIS, cfg, 1.0))
-    assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
+    est = _posterior(np.zeros((3, 2)), _columns(Z, 2), 1.0, [0.0, 1.0])
+    assert est[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert est[:, 1].tolist() == pytest.approx([0.0, 0.0, math.tanh(1.0)], abs=1e-12)
 
 
 def test_single_estimate_sharp_limit():
-    est = single_estimate(make_effect(Z_AXIS, settings(0.01), 1.0))
-    assert est.bloch == (0.0, 0.0, 1.0)
+    est = _posterior(np.zeros((3, 1)), _columns(Z, 1), 0.01, [1.0])
+    assert est[:, 0].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_single_estimate_equals_mixed_posterior():
     rng = derive_stream(16, 0)
-    cfg = settings(1.3)
-    for _ in range(200):
-        axis = MeasurementAxis(random_pure_state(rng).bloch)
-        effect = make_effect(axis, cfg, float(rng.normal(0, 3)))
-        est = single_estimate(effect)
-        post = posterior_update(FULLY_MIXED, effect)
-        assert est.bloch == pytest.approx(post.bloch, abs=1e-12)
+    width = 1.3
+    draws = [(random_pure_state(rng).bloch, rng.normal(0, 3)) for _ in range(200)]
+    axes = np.array([axis for axis, _ in draws]).T
+    outcomes = np.array([outcome for _, outcome in draws])
+    post = _posterior(np.zeros((3, 200)), axes, width, outcomes)
+    np.testing.assert_allclose(post, np.tanh(outcomes / (width * width)) * axes, rtol=0.0, atol=1e-12)
 
 
 def test_purify_random_eigenstate_frequency():

@@ -16,21 +16,19 @@ from unsharp_qubit import (
     derive_stream,
     fidelity,
     fidelity_direct,
-    fidelity_hypothetical_fixed,
     fidelity_purity,
     hypothetical_purity_paths,
     hypothetical_run,
-    make_effect,
     mean_fidelity_closed_form,
-    outcome_distribution,
     purity,
     random_pure_state,
     replay_hypothetical,
     run_sequence,
-    single_estimate,
     spectral_match,
+    summarize,
 )
 from unsharp_qubit.bloch import _dot
+from unsharp_qubit.povm import log_weights, posterior_batch
 
 Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
 X_AXIS = MeasurementAxis((1.0, 0.0, 0.0))
@@ -109,10 +107,12 @@ def test_two_axis_chain_matches_dense_oracle():
 
 
 def test_single_effect_chain_matches_single_estimate():
-    effect = make_effect(Z_AXIS, settings(1.0), 1.0)
+    # one measurement: the estimate is the mixed state's posterior, tanh(s / width^2) n
     est = replay_hypothetical(((Z_AXIS, 1.0),), settings(1.0)).estimate
-    assert est.bloch == pytest.approx(single_estimate(effect).bloch, abs=1e-12)
+    mixed = posterior_batch(np.zeros((3, 1)), np.array(Z_AXIS.direction)[:, None], *log_weights(np.array([1.0]), 1.0))
+    assert list(est.bloch) == mixed[:, 0].tolist()
     assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
+    assert replay_hypothetical(((Z_AXIS, 1.0),), settings(0.01)).estimate.bloch == (0.0, 0.0, 1.0)
 
 
 @hypothesis_settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -278,8 +278,8 @@ def test_first_outcome_marginal_matches_density():
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
     for k in range(50):  # the batch reproduces the public per-trial run
         assert draws[k] == hypothetical_run(1, cfg, derive_stream(243, k)).outcomes[0][1]
-    dist = outcome_distribution(FULLY_MIXED, Z_AXIS, cfg)
-    cdf = lambda xs: np.array([dist.cdf(float(x)) for x in xs])  # noqa: E731
+    # the mixed state's outcome density is half g(s - 1) plus half g(s + 1)
+    cdf = lambda xs: 0.5 * (sps.norm.cdf(xs, 1.0, 1.0) + sps.norm.cdf(xs, -1.0, 1.0))  # noqa: E731
     assert sps.kstest(draws, cdf).statistic < 0.01
 
 
@@ -292,8 +292,8 @@ def test_hypothetical_single_step_equals_single_estimate():
     cfg = settings(1.0)
     result = hypothetical_run(1, cfg, derive_stream(21, 1))
     axis, outcome = result.outcomes[0]
-    est = single_estimate(make_effect(axis, cfg, outcome))
-    assert result.aposteriori.bloch == pytest.approx(est.bloch, abs=1e-12)
+    est = [math.tanh(outcome / cfg.precision**2) * x for x in axis.direction]  # tanh(s / width^2) n
+    assert result.aposteriori.bloch == pytest.approx(est, abs=1e-12)
 
 
 def _purities_after_50_steps():
@@ -400,16 +400,19 @@ def test_direct_and_purity_estimators_agree(n):
     assert abs(direct.mean - viapurity.mean) <= 3.0 * combined
 
 
-def test_fidelity_hypothetical_fixed_zero_steps():
-    true_state = DensityMatrix((0.0, 0.0, 1.0))
-    stat = fidelity_hypothetical_fixed(true_state, settings(10.0), 0, 200, seed=35)
-    assert stat.mean == 0.5
-    assert stat.std_error == 0.0
+def _fixed_state_samples(true_state, cfg, n, trials, seed):
+    """2 tr[rho rho_true]^2 for the final state rho of each mixed-start run.
 
+    Its mean is the estimate's fidelity to the fixed pure true_state,
+    although the outcomes come from the mixed-start density.
+    """
+    truth = np.array(true_state.bloch)[:, None]
 
-def test_fidelity_hypothetical_fixed_requires_pure_state():
-    with pytest.raises(ValueError):
-        fidelity_hypothetical_fixed(FULLY_MIXED, settings(10.0), 1, 10, seed=0)
+    def group(gens):
+        overlap = 0.5 * (1.0 + _dot(sequential._mixed_start_final(gens, n, cfg.precision), truth))
+        return 2.0 * overlap * overlap
+
+    return sequential._by_trial_groups(group, n, trials, seed, 0)
 
 
 def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
@@ -417,7 +420,7 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
     # random-eigenstate strategy (whose conditional mean is bilinear)
     cfg = settings(10.0)
     true_state = random_pure_state(derive_stream(999, 0))
-    hypo = fidelity_hypothetical_fixed(true_state, cfg, 20, 10**4, seed=311)
+    hypo_mean, hypo_se = summarize(_fixed_state_samples(true_state, cfg, 20, 10**4, seed=311))
     truth = np.array(true_state.bloch)[:, None]
 
     def estimate_fidelities(gens):
@@ -431,14 +434,13 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
         result = run_sequence(true_state, 20, cfg, derive_stream(312, k))
         assert vals[k] == fidelity(result.estimate, true_state)
     direct_se = vals.std(ddof=1) / math.sqrt(vals.size)
-    combined = math.hypot(hypo.std_error, direct_se)
-    assert abs(hypo.mean - vals.mean()) <= 3.0 * combined
+    combined = math.hypot(hypo_se, direct_se)
+    assert abs(hypo_mean - vals.mean()) <= 3.0 * combined
 
 
 def test_fidelity_hypothetical_fixed_uninformative_limit():
-    cfg = settings(1000.0)
-    stat = fidelity_hypothetical_fixed(DensityMatrix((0.0, 0.0, 1.0)), cfg, 5, 3000, seed=321)
-    assert abs(stat.mean - 0.5) <= 0.005
+    mean, _ = summarize(_fixed_state_samples(DensityMatrix((0.0, 0.0, 1.0)), settings(1000.0), 5, 3000, seed=321))
+    assert abs(mean - 0.5) <= 0.005
 
 
 def test_dominant_strategy_not_below_random():
