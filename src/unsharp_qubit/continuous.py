@@ -23,15 +23,14 @@ trajectory (`simulate_trajectory`) steps three Python floats through the
 scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic,
 one chunk of noise rows at a time; array passes over the chunk then form
 the snapshot times, the record and the clipped states in the scalar
-operation order, and the snapshots are built without re-checking them;
-an ensemble (`simulate_purity_ensemble`) holds a component-major (3, B)
-batch, the layout of the discrete kernel `povm.posterior_batch` too, and
-steps it in place through `_step_bloch_batch`, which reproduces the scalar
-step bit for bit on every column.  Both read their noise from
-`_noise_blocks`, which draws each stream's increments contiguously.  The
-kernel reads a step slice of a noise block without writing it, through a
-small step-major scratch; the ensemble hands it the steps between two grid
-times and samples the purity between kernel calls.
+operation order, and the snapshots are built without re-checking them.
+An ensemble (`simulate_purity_ensemble`) steps a component-major (3, B)
+batch of whole trajectory groups, the layout of the discrete kernel
+`povm.posterior_batch` too, in place through `_step_bloch_batch`, which
+reproduces the scalar step bit for bit on every column and reads the
+contiguous (3, B) step slices of the blocks `_noise_blocks` draws; the
+ensemble hands it the steps between two grid times and samples the purity
+between kernel calls.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _purity
-from .montecarlo import DRAW_BLOCK, derive_stream
+from .montecarlo import _group_streams
 from .povm import MeasurementSettings
 
 # The one Euler-Maruyama step ceiling: every integrator and the CLI's --dt
@@ -61,18 +60,14 @@ RATE_CONSTANT = 12.0
 # unit noise intensity; test hook for fault-injection sensitivity checks
 _NOISE_SCALE = 1.0
 
-# Trajectory-steps of noise `_step_bloch_batch` copies into its step-major
-# scratch at once: 96 KiB, which stays in cache at every batch size.
-_KERNEL_CHUNK = 4096
-
 # Noise rows `simulate_trajectory` takes through its passes at once: the
 # chunk's lists and arrays stay within a few hundred KiB whatever the path
 # length.
 _ROW_CHUNK = 1024
 
-# Above this many trajectories a noise block keeps DRAW_BLOCK // 256 steps
-# (128) per generator call instead of shrinking to DRAW_BLOCK // B.
-_FLOOR_TRAJECTORIES = 256
+# Steps of noise an ensemble group draws per generator call: a constant of the
+# layout, never the batch width.  A block of B trajectories holds 3 B of them.
+_BLOCK_STEPS = 128
 
 
 def time_from_steps(n, settings: MeasurementSettings) -> float:
@@ -217,79 +212,68 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     return (x, y, z)
 
 
-def _step_bloch_batch(r: np.ndarray, block: np.ndarray, dt: float) -> None:
+def _step_bloch_batch(r: np.ndarray, two_dws: np.ndarray, dt: float) -> None:
     """`_step_bloch` in place on a component-major (3, B) batch, once per step of a noise block.
 
-    Column b of r is trajectory b and block[b] its next m increments, a
-    (B, m, 3) block as `_noise_blocks` yields it, or any step slice of one.
-    The block is read, not written: at most _KERNEL_CHUNK trajectory-steps
-    at a time are copied into a step-major (c, 3, B) scratch, transposed
-    and scaled by 2 _NOISE_SCALE in one multiply, so each step reads a
-    contiguous (3, B) slice.  Written component by component in the scalar
-    step's operation order, so every column equals `_step_bloch` bit for
-    bit and any sub-batch reproduces the same trajectories.  Scaling by a
-    power of two is exact away from underflow, so the doubled increment
-    gives 2 (dW - r radial) as 2 dW - r (2 radial), and x (4 dt) equals
-    (4 x) dt.  Every column is divided by max(|r|, 1): a division by 1.0
-    leaves a column inside the ball unchanged.  The constants are 0-d
-    arrays, converted once per call and not once per step.  Unchecked:
-    callers validate dt.
+    Column b of r is trajectory b.  two_dws is a step-major (m, 3, B) block
+    of doubled increments 2 _NOISE_SCALE dW, as `_noise_blocks` yields it,
+    or any step slice of one; each step reads its contiguous (3, B) slice
+    and writes none.  Written component by component in the scalar step's
+    operation order, so every column equals `_step_bloch` bit for bit and
+    any sub-batch reproduces the same trajectories.  Scaling by a power of
+    two is exact away from underflow, so the doubled increment gives
+    2 (dW - r radial) as 2 dW - r (2 radial), and x (4 dt) equals (4 x) dt.
+    Every column is divided by max(|r|, 1): a division by 1.0 leaves a
+    column inside the ball unchanged.  The constants are 0-d arrays,
+    converted once per call and not once per step.  Unchecked: callers
+    validate dt.
     """
-    trajectories, steps = block.shape[:2]
-    chunk = max(1, min(steps, _KERNEL_CHUNK // trajectories))
-    scratch = np.empty((chunk, 3, trajectories))
-    two_scale = np.array(2.0 * _NOISE_SCALE)
     four_dt = np.array(4.0 * dt)
     one = np.array(1.0)
     prod = np.empty_like(r)
     px, py, pz = prod
     update = np.empty_like(r)
-    acc = np.empty(trajectories)
-    for lo in range(0, steps, chunk):
-        two_dws = scratch[: min(chunk, steps - lo)]
-        np.multiply(block[:, lo:lo + chunk].transpose(1, 2, 0), two_scale, out=two_dws)
-        for two_dw in two_dws:
-            np.multiply(r, two_dw, out=prod)
-            np.add(px, py, out=acc)
-            acc += pz  # twice the radial term
-            np.multiply(r, acc, out=prod)
-            np.subtract(two_dw, prod, out=update)
-            np.multiply(r, four_dt, out=prod)
-            r -= prod
-            r += update
-            np.multiply(r, r, out=prod)
-            np.add(px, py, out=acc)
-            acc += pz
-            np.sqrt(acc, out=acc)
-            np.maximum(acc, one, out=acc)
-            r /= acc
+    acc = np.empty(r.shape[1])
+    for two_dw in two_dws:
+        np.multiply(r, two_dw, out=prod)
+        np.add(px, py, out=acc)
+        acc += pz  # twice the radial term
+        np.multiply(r, acc, out=prod)
+        np.subtract(two_dw, prod, out=update)
+        np.multiply(r, four_dt, out=prod)
+        r -= prod
+        r += update
+        np.multiply(r, r, out=prod)
+        np.add(px, py, out=acc)
+        acc += pz
+        np.sqrt(acc, out=acc)
+        np.maximum(acc, one, out=acc)
+        r /= acc
 
 
-def _noise_blocks(gens, steps: int, dt: float):
-    """Wiener increments of `steps` steps for len(gens) trajectories, in blocks.
+def _noise_blocks(streams, steps: int, dt: float):
+    """Doubled Wiener increments 2 _NOISE_SCALE dW of `steps` steps for a batch of groups.
 
-    Yields (B, m, 3) arrays whose row b holds the next m steps of gens[b],
-    three normals per step drawn straight into the row: the same draws
-    `draw_noise` makes one step at a time.  A block holds at most
-    max(1, DRAW_BLOCK // min(B, 256)) steps: DRAW_BLOCK trajectory-steps up
-    to 256 trajectories, and at least DRAW_BLOCK // 256 steps per generator
-    call above that, where shorter calls would cost more per normal.  This
-    bounds memory and leaves the draws unchanged.  Every block is a
-    contiguous view of one preallocated buffer (a shorter last block too),
-    so a block must be read before the next is requested.
+    streams holds each group's (generator, width), in column order.  Per
+    step-major (m, 3, B) block of at most _BLOCK_STEPS steps, each group
+    draws standard_normal((m, 3, w)) in one call into its columns; the block
+    is then scaled by sqrt(dt) and by the power of two 2 _NOISE_SCALE, so it
+    holds exactly twice the increments `simulate_trajectory` would step one
+    stream with.  The blocks are views of one buffer (a shorter last block
+    too), so each must be read before the next is requested.
     """
     scale = math.sqrt(dt)
-    per_block = max(1, DRAW_BLOCK // min(len(gens), _FLOOR_TRAJECTORIES))
-    buf = np.empty(len(gens) * min(per_block, steps) * 3)
-    done = 0
-    while done < steps:
-        m = min(per_block, steps - done)
-        block = buf[: len(gens) * m * 3].reshape(len(gens), m, 3)
-        for g, row in zip(gens, block):
-            g.standard_normal(out=row)
+    two_scale = 2.0 * _NOISE_SCALE
+    buf = np.empty((min(_BLOCK_STEPS, steps), 3, sum(w for _, w in streams)))
+    for done in range(0, steps, _BLOCK_STEPS):
+        block = buf[: min(_BLOCK_STEPS, steps - done)]
+        lo = 0
+        for g, w in streams:
+            block[..., lo : lo + w] = g.standard_normal((len(block), 3, w))
+            lo += w
         block *= scale
+        block *= two_scale
         yield block
-        done += m
 
 
 def simulate_trajectory(
@@ -305,14 +289,13 @@ def simulate_trajectory(
     The initial state and the final step are always emitted.  When
     emit_record is set each snapshot carries the accumulated record
     integral of <sigma> dt + dW/2 up to its time.  The state steps as three
-    Python floats through the scalar step `_step_bloch`, on the draws
-    `simulate_purity_ensemble` gives its trajectory; the batched kernel
-    reproduces every snapshot bit for bit.  rng must be a numpy Generator:
-    the increments are drawn into a preallocated block through its `out=`
-    argument.
+    Python floats through the scalar step `_step_bloch`, three normals of
+    rng per step as `draw_noise` draws them; the batched kernel reproduces
+    every snapshot bit for bit, and a one-trajectory ensemble on the same
+    stream takes the same steps.
 
-    Each noise block is taken _ROW_CHUNK rows at a time, which bounds the
-    working memory, in three passes.  The step pass runs `_step_bloch` over
+    The noise is drawn _ROW_CHUNK rows at a time, which bounds the working
+    memory, and each chunk goes through three passes.  The step pass runs `_step_bloch` over
     the rows' floats and keeps every state.  The array passes form the
     snapshot times k dt; the record (rec + r dt) + 0.5 dW through one
     `np.add.accumulate` over the interleaved terms, which adds them in step
@@ -332,45 +315,44 @@ def simulate_trajectory(
     record = np.zeros(3)  # the record after the last step taken
     records = itertools.repeat(None)
     new, put = object.__new__, object.__setattr__
-    k = 0  # steps taken
-    for block in _noise_blocks([rng], steps, dt):
-        for lo in range(0, block.shape[1], _ROW_CHUNK):
-            d_w = block[0, lo : lo + _ROW_CHUNK]
-            m = len(d_w)
-            # step pass
-            path = [r]
-            append = path.append
-            for wx, wy, wz in (d_w * _NOISE_SCALE).tolist():
-                x, y, z = r
-                r = _step_bloch(x, y, z, wx, wy, wz, dt)
-                append(r)
-            # array passes; states is (3, m + 1): the chunk's start, then the state after each step
-            states = np.fromiter(itertools.chain.from_iterable(path), float, 3 * (m + 1))
-            states = states.reshape(m + 1, 3).T
-            offsets = list(range(-(k + 1) % output_stride, m, output_stride))  # emitted steps k + 1 + j
-            if k + m == steps and offsets[-1:] != [m - 1]:
-                offsets.append(m - 1)
-            emit = np.array(offsets, dtype=int)
-            blochs = zip(*_clipped_batch(states[:, emit + 1]).tolist())
-            times = ((k + 1 + emit) * dt).tolist()
-            if emit_record:
-                terms = np.empty((2 * m + 1, 3))
-                terms[0] = record
-                terms[1::2] = states[:, :-1].T * dt
-                terms[2::2] = 0.5 * d_w
-                np.add.accumulate(terms, axis=0, out=terms)
-                record = terms[-1]
-                records = zip(*terms[2::2][emit].T.tolist())
-            # object pass
-            for bloch, t, rec in zip(blochs, times, records):
-                state = new(DensityMatrix)
-                put(state, "bloch", bloch)
-                snap = new(TrajectoryState)
-                put(snap, "state", state)
-                put(snap, "time", t)
-                put(snap, "record", rec)
-                out.append(snap)
-            k += m
+    scale = math.sqrt(dt)
+    for k in range(0, steps, _ROW_CHUNK):  # k: steps taken
+        d_w = rng.standard_normal((min(_ROW_CHUNK, steps - k), 3))
+        d_w *= scale
+        m = len(d_w)
+        # step pass
+        path = [r]
+        append = path.append
+        for wx, wy, wz in (d_w * _NOISE_SCALE).tolist():
+            x, y, z = r
+            r = _step_bloch(x, y, z, wx, wy, wz, dt)
+            append(r)
+        # array passes; states is (3, m + 1): the chunk's start, then the state after each step
+        states = np.fromiter(itertools.chain.from_iterable(path), float, 3 * (m + 1))
+        states = states.reshape(m + 1, 3).T
+        offsets = list(range(-(k + 1) % output_stride, m, output_stride))  # emitted steps k + 1 + j
+        if k + m == steps and offsets[-1:] != [m - 1]:
+            offsets.append(m - 1)
+        emit = np.array(offsets, dtype=int)
+        blochs = zip(*_clipped_batch(states[:, emit + 1]).tolist())
+        times = ((k + 1 + emit) * dt).tolist()
+        if emit_record:
+            terms = np.empty((2 * m + 1, 3))
+            terms[0] = record
+            terms[1::2] = states[:, :-1].T * dt
+            terms[2::2] = 0.5 * d_w
+            np.add.accumulate(terms, axis=0, out=terms)
+            record = terms[-1]
+            records = zip(*terms[2::2][emit].T.tolist())
+        # object pass
+        for bloch, t, rec in zip(blochs, times, records):
+            state = new(DensityMatrix)
+            put(state, "bloch", bloch)
+            snap = new(TrajectoryState)
+            put(snap, "state", state)
+            put(snap, "time", t)
+            put(snap, "record", rec)
+            out.append(snap)
     return out
 
 
@@ -384,13 +366,12 @@ def simulate_purity_ensemble(
 ) -> np.ndarray:
     """Purity of independent trajectories at the requested times.
 
-    Returns shape (len(t_grid), trajectories).  Trajectory k advances with
-    noise from derive_stream(seed, base_index + k) drawn three normals per
-    step, exactly as `simulate_trajectory` would consume them, and all
-    trajectories step together, one column each of a (3, B) Bloch batch,
-    through the in-place kernel `_step_bloch_batch`, so single runs,
-    sub-batches and whole batches of the same index follow identical noise
-    and step arithmetic.  Grid times snap to the nearest step; each noise
+    Returns shape (len(t_grid), trajectories).  Group j of trajectories
+    [jG, (j + 1)G) draws its noise from derive_stream(seed, base_index + jG)
+    (see `_noise_blocks`), and all trajectories step together, one column
+    each of a (3, B) Bloch batch, through the in-place kernel
+    `_step_bloch_batch`, so a batch split at group boundaries follows the
+    same noise and step arithmetic as the whole.  Grid times snap to the nearest step; each noise
     block is cut at the grid steps it holds, and the purity is sampled
     between the kernel calls on its pieces, so where the blocks end changes
     no sample.
@@ -408,16 +389,15 @@ def simulate_purity_ensemble(
 
     out = np.empty((len(t_grid), trajectories))
     r = np.repeat(np.array(initial.bloch)[:, None], trajectories, axis=1)
-    gens = [derive_stream(seed, base_index + k) for k in range(trajectories)]
-    blocks = _noise_blocks(gens, steps, dt)
+    blocks = _noise_blocks(_group_streams(seed, base_index, 0, trajectories), steps, dt)
     block, lo, taken = None, 0, 0  # the current block, its next step, steps taken
     for mark, rows in sample_at.items():  # ascending, as the grid is
         # step up to the grid step, across blocks, then sample
         while taken < mark:
-            if block is None or lo == block.shape[1]:
+            if block is None or lo == len(block):
                 block, lo = next(blocks), 0
-            hi = min(block.shape[1], lo + mark - taken)
-            _step_bloch_batch(r, block[:, lo:hi], dt)
+            hi = min(len(block), lo + mark - taken)
+            _step_bloch_batch(r, block[lo:hi], dt)
             taken, lo = taken + hi - lo, hi
         out[rows] = _purity(r)
     return out

@@ -10,10 +10,13 @@ one forked child per worker, each sending its share's samples back once
 through a pipe while the caller only collects (POSIX only: it needs
 `os.fork`).
 
-Each trial owns the random stream derive_stream(master_seed, trial_index),
-so ensemble statistics are a pure function of the experiment spec: chunking,
+Trials draw their randomness in groups of G = `montecarlo._GROUP`: group j
+of a part covers trials [jG, (j + 1)G) and draws from derive_stream(seed,
+base + jG), where base is p * trials for grid point p and 0 for both
+halves of a compare.  Tasks split a part only at group boundaries, so
+ensemble statistics are a pure function of the experiment spec: chunking,
 worker count, and scheduling cannot change a single bit of the output.
-Samples are aggregated in trial-index order after collection.
+Samples are aggregated in trial order after collection.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .continuous import (
     simulate_purity_ensemble,
     time_from_steps,
 )
-from .montecarlo import summarize
+from .montecarlo import _GROUP, summarize
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings
 from .sequential import (
     direct_fidelity_samples,
@@ -52,7 +55,7 @@ _SDE = "sde"
 
 
 class EnsembleError(RuntimeError):
-    """A trial failed; the message names the kind, the part and the trial."""
+    """A trial group failed; the message names the kind, the part, the group's trials and its stream."""
 
 
 @dataclass(frozen=True)
@@ -118,18 +121,22 @@ def _times(spec: ExperimentSpec) -> tuple[float, ...]:
     return tuple(time_from_steps(n, settings) for n in spec.n_grid)
 
 
-def _samples(spec: ExperimentSpec, part, lo: int, hi: int) -> np.ndarray:
-    """Samples of trials [lo, hi) of one part, in one batch.
+def _base(spec: ExperimentSpec, part) -> int:
+    """The stream index of a part's trial 0: p * trials for grid point p, 0 for both halves of a compare."""
+    return 0 if spec.kind == CONTINUUM_COMPARE else part * spec.trials
 
-    Grid point p draws trial k from stream index p * trials + k; both halves
-    of a compare draw trial k from stream index k.
+
+def _samples(spec: ExperimentSpec, part, lo: int, hi: int) -> np.ndarray:
+    """Samples of trials [lo, hi) of one part, lo a group boundary, in one call.
+
+    Group j of the part draws from stream index base + jG (see `_base`).
     """
+    base = _base(spec, part) + lo
     if part == _PATHS:
-        return hypothetical_purity_paths(spec.n_grid[-1], spec.settings(), hi - lo, seed=spec.seed, base_index=lo)
+        return hypothetical_purity_paths(spec.n_grid[-1], spec.settings(), hi - lo, seed=spec.seed, base_index=base)
     if part == _SDE:
-        return simulate_purity_ensemble(_times(spec), spec.dt, hi - lo, seed=spec.seed, base_index=lo)
+        return simulate_purity_ensemble(_times(spec), spec.dt, hi - lo, seed=spec.seed, base_index=base)
     n = spec.n_grid[part]
-    base = part * spec.trials + lo
     if spec.kind == HYPOTHETICAL_PURITY:
         return purity_fidelity_samples(spec.settings(), n, hi - lo, spec.seed, base)
     return direct_fidelity_samples(spec.settings(), n, hi - lo, spec.strategy, spec.seed, base)
@@ -138,18 +145,23 @@ def _samples(spec: ExperimentSpec, part, lo: int, hi: int) -> np.ndarray:
 def _run_task(task) -> np.ndarray:
     """One task's samples.
 
-    If the batch fails, its trials rerun one at a time so the error names
-    the first trial that fails on its own.
+    If the task fails, it reruns group by group, since the trials of a group
+    share one stream and cannot run apart, and the error names the trials
+    and the stream of the first group that fails on its own.
     """
     spec, part, lo, hi = task
     try:
         return _samples(spec, part, lo, hi)
     except Exception as batch_exc:
-        for k in range(lo, hi):
+        for glo in range(lo, hi, _GROUP):
+            ghi = min(glo + _GROUP, hi)
             try:
-                _samples(spec, part, k, k + 1)
+                _samples(spec, part, glo, ghi)
             except Exception as exc:
-                raise EnsembleError(f"{spec.kind} part {part} trial {k} failed: {exc}") from exc
+                stream = _base(spec, part) + glo
+                raise EnsembleError(
+                    f"{spec.kind} part {part} trials [{glo}, {ghi}) (stream {stream}) failed: {exc}"
+                ) from exc
         raise EnsembleError(f"{spec.kind} part {part} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
 
 
@@ -250,12 +262,13 @@ def _dispatch(tasks, workers: int) -> list[np.ndarray]:
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Trial ranges: one equal chunk per worker (one chunk in process).
+    """Trial ranges: about one equal chunk per worker (one chunk in process).
 
-    Every step of a batch pays a fixed cost, and the trials of one task all
-    cost the same, so nothing is gained by splitting further.
+    A chunk is a whole number of trial groups, so no group is split.  Every
+    step of a batch pays a fixed cost, and the trials of one task all cost
+    the same, so nothing is gained by splitting further.
     """
-    size = max(1, math.ceil(total / max(1, workers)))
+    size = _GROUP * math.ceil(total / (_GROUP * max(1, workers)))
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 

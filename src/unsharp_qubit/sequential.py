@@ -18,19 +18,18 @@ spectrum of the estimate (singular values of A), hence its purity.  That
 identity is what the purity-based mean-fidelity estimator rests on, and
 `spectral_match` checks it numerically for every run.
 
-Every experiment advances B trials in lockstep on a component-major (3, B)
-Bloch batch, trial k in column k, through `povm.posterior_batch`, the layout
-the SDE ensemble steps too.  Trial k draws from derive_stream(seed, base_index
-+ k), as `run_sequence` does from its stream, in one fixed order: three
-normals for a drawn pure start, then per block of at most DRAW_BLOCK steps
-the axes `standard_normal((m, 3))`, branch uniforms `random(m)` and outcome
-noise `standard_normal(m)`.  Results depend on (seed, k) alone.
-
-That layout is read, not rebuilt, per trial: a trial group holds the PCG64
-states of its streams (`montecarlo._stream_states`) and positions one
-reused generator at each in turn, and a pure start's three normals come in
-the same call as the first block's axes, `standard_normal(3 + 3m)`, which
-consumes the stream exactly as the two separate draws do.
+Every experiment advances a batch of B trials in lockstep on a
+component-major (3, B) Bloch batch through `povm.posterior_batch`, the layout
+the SDE ensemble steps too.  A batch is whole trial groups
+(`montecarlo._GROUP` trials each, on one stream per group), and each group of
+width w draws in one fixed order, one generator call per kind: the normals
+(3, w) of its pure starts where the estimator needs them, then per block of at
+most `_BLOCK_STEPS` steps the axes `standard_normal((m, 3, w))`, the branch
+uniforms `random((m, w))` and the outcome noise `standard_normal((m, w))`,
+each copied into the group's columns of the step-major batch buffers.
+`run_sequence` is one group of width 1 on the caller's stream.  Column b of
+a group is trial b of that group; results depend on (seed, group index)
+alone.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .bloch import (
     _pure_batch,
     _purity,
 )
-from .montecarlo import DRAW_BLOCK, _stream_states, summarize
+from .montecarlo import _GROUP, DRAW_BLOCK, _group_streams, summarize
 from .povm import (
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
@@ -59,36 +58,52 @@ from .povm import (
     posterior_batch,
 )
 
-def _draw_block(gens, m: int, pure_starts: bool = False):
-    """m steps of randomness per stream: unit axes (m, 3, B), uniforms and noise (m, B).
+# Steps of measurement randomness a group draws per generator call: a constant
+# of the layout, never the batch width.
+_BLOCK_STEPS = DRAW_BLOCK // _GROUP
 
-    With pure_starts every stream first draws the three normals of a uniform
-    pure start, in the same call as its axes, and the (3, B) starts
-    (`random_pure_state` arithmetic) lead the result; otherwise it leads with None.
-    Every stream is a numpy Generator: it draws straight into its own row of
-    the trial-major buffers through `out=`.
+
+def _width(streams) -> int:
+    return sum(w for _, w in streams)
+
+
+def _draw_block(streams, m: int, pure_starts: bool = False):
+    """m steps of randomness for a batch of groups: unit axes (m, 3, B), uniforms and noise (m, B).
+
+    streams holds the (generator, width) of each group, in column order; each
+    group draws one call per kind and fills its columns.  With pure_starts
+    every group first draws the three normals (3, w) of its uniform pure
+    starts, and the (3, B) starts (`random_pure_state` arithmetic) lead the
+    result; otherwise it leads with None.  A zero-length start or axis is
+    refused.
     """
-    lead = 3 if pure_starts else 0
-    normals = np.empty((len(gens), lead + 3 * m))
-    uniforms = np.empty((len(gens), m))
-    noise = np.empty((len(gens), m))
-    for row, u, z, g in zip(normals, uniforms, noise, gens):
-        g.standard_normal(out=row)
-        while lead and not _dot(row, row) > 0.0:
-            # `_random_unit` draws three more normals for a zero-length start
-            row[:] = np.concatenate([row[3:], g.standard_normal(3)])
-        g.random(out=u)
-        g.standard_normal(out=z)
-    axes = normals[:, lead:].reshape(len(gens), m, 3).T  # (3, m, B)
-    length = np.sqrt(_dot(axes, axes))  # `random_axis` arithmetic
+    width = _width(streams)
+    starts = np.empty((3, width)) if pure_starts else None
+    axes = np.empty((m, 3, width))
+    uniforms = np.empty((m, width))
+    noise = np.empty((m, width))
+    lo = 0
+    for g, w in streams:
+        cols = slice(lo, lo + w)
+        if pure_starts:
+            starts[:, cols] = g.standard_normal((3, w))
+        axes[..., cols] = g.standard_normal((m, 3, w))
+        uniforms[:, cols] = g.random((m, w))
+        noise[:, cols] = g.standard_normal((m, w))
+        lo += w
+    if pure_starts:
+        if not (_dot(starts, starts) > 0.0).all():
+            raise ValueError("drew a pure start of zero length")
+        starts = _pure_batch(starts)
+    v = axes.transpose(1, 0, 2)
+    length = np.sqrt(_dot(v, v))  # `random_axis` arithmetic
     if not (length > 0.0).all():
         raise ValueError("drew a measurement axis of zero length")
-    starts = _pure_batch(normals[:, :3].T) if pure_starts else None
-    return starts, (axes / length).transpose(1, 0, 2), uniforms.T, noise.T
+    return starts, axes / length[:, None], uniforms, noise
 
 
-def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
-    """Advance the (3, B) batch r by n measurements, column b on stream gens[b],
+def _sampled_steps(r: np.ndarray, streams, n: int, precision: float, first=None):
+    """Advance the (3, B) batch r by n measurements on the groups' streams,
     yielding (r, axes, outcomes) after every step.  Each outcome is drawn
     from its column's current state: +1 if the step's uniform is below
     p_plus = (1 + axis.r)/2 and -1 otherwise, plus precision times the
@@ -97,7 +112,7 @@ def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
     """
     done = 0
     while done < n:
-        axes, uniforms, noise = first or _draw_block(gens, min(DRAW_BLOCK, n - done))[1:]
+        axes, uniforms, noise = first or _draw_block(streams, min(_BLOCK_STEPS, n - done))[1:]
         first = None
         for a, u, z in zip(axes, uniforms, noise):
             p_plus = np.clip(0.5 * (1.0 + _dot(a, r)), 0.0, 1.0)
@@ -107,9 +122,9 @@ def _sampled_steps(r: np.ndarray, gens, n: int, precision: float, first=None):
         done += len(axes)
 
 
-def _mixed_start_final(gens, n: int, precision: float) -> np.ndarray:
-    r = np.zeros((3, len(gens)))
-    for r, _, _ in _sampled_steps(r, gens, n, precision):
+def _mixed_start_final(streams, n: int, precision: float) -> np.ndarray:
+    r = np.zeros((3, _width(streams)))
+    for r, _, _ in _sampled_steps(r, streams, n, precision):
         pass
     return r
 
@@ -126,64 +141,30 @@ def _estimate_batch(axes: np.ndarray, outcomes: np.ndarray, precision: float) ->
     return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1], precision)
 
 
-def _recorded_run(start: np.ndarray, gens, n: int, precision: float, first=None):
+def _recorded_run(start: np.ndarray, streams, n: int, precision: float, first=None):
     """Forward run from the (3, B) `start`; returns (final batch, axes (n, 3, B), outcomes (n, B))."""
-    axes = np.empty((n, 3, len(gens)))
-    outcomes = np.empty((n, len(gens)))
+    axes = np.empty((n, 3, start.shape[1]))
+    outcomes = np.empty((n, start.shape[1]))
     r = start
-    for i, (r, a, s) in enumerate(_sampled_steps(start, gens, n, precision, first)):
+    for i, (r, a, s) in enumerate(_sampled_steps(start, streams, n, precision, first)):
         axes[i], outcomes[i] = a, s
     return r, axes, outcomes
 
 
-class _GroupStreams:
-    """The streams derive_stream(seed, k), k in [lo, hi), of one trial group, on one generator.
-
-    Iterating yields the generator positioned at each trial's stream in
-    turn, so a group of several trials can be iterated once only: it draws
-    one block, its n being at most DRAW_BLOCK.  A group of one trial is
-    positioned once and its stream carries on from block to block.
-    """
-
-    def __init__(self, seed: int, lo: int, hi: int):
-        self._states = [
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            for state, inc in _stream_states(seed, lo, hi)
-        ]
-        self._generator = np.random.Generator(np.random.PCG64(0))
-        self._generator.bit_generator.state = self._states[0]
-        self._drawn = False
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __iter__(self):
-        if len(self._states) == 1:
-            yield self._generator
-            return
-        if self._drawn:
-            raise RuntimeError("a group of several trials draws one block only")
-        self._drawn = True
-        bits = self._generator.bit_generator
-        for state in self._states:
-            bits.state = state
-            yield self._generator
-
-
 def _by_trial_groups(fn, n: int, trials: int, seed: int, base_index: int) -> np.ndarray:
-    """fn(gens) over consecutive trial groups of at most DRAW_BLOCK trial-steps, concatenated.
+    """fn(streams) over consecutive batches of trial groups, concatenated.
 
-    A group has several trials only if each draws a single block (n at most
-    DRAW_BLOCK / 2); a longer run is a group of its own.
+    Group j covers trials [jG, (j + 1)G) and draws from derive_stream(seed,
+    base_index + jG); a batch is as many whole groups as fit in DRAW_BLOCK
+    trial-steps, and at least one.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    size = max(1, DRAW_BLOCK // max(1, n))
+    size = _GROUP * max(1, DRAW_BLOCK // (_GROUP * max(1, n)))
     return np.concatenate([
-        fn(_GroupStreams(seed, base_index + lo, base_index + min(lo + size, trials)))
-        for lo in range(0, trials, size)
+        fn(_group_streams(seed, base_index, lo, min(lo + size, trials))) for lo in range(0, trials, size)
     ])
 
 
@@ -205,11 +186,11 @@ def run_sequence(
 ) -> SequenceResult:
     """n measurements on `true_state`: fresh random axis, outcome sampled
     from the current conditional state, posterior update; the estimate is
-    the reverse replay of the record.  rng must be a numpy Generator: the
-    draws are written into preallocated rows through its `out=` argument."""
+    the reverse replay of the record.  rng is a numpy Generator, drawn
+    from as the one stream of a group of width 1."""
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    final, axes, outcomes = _recorded_run(np.array(true_state.bloch)[:, None], [rng], n, settings.precision)
+    final, axes, outcomes = _recorded_run(np.array(true_state.bloch)[:, None], [(rng, 1)], n, settings.precision)
     record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
     estimate = _estimate_batch(axes, outcomes, settings.precision)
     return SequenceResult(record, _state(final), _state(estimate))
@@ -308,9 +289,9 @@ def direct_fidelity_samples(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def group(gens):
-        truth, *first = _draw_block(gens, min(DRAW_BLOCK, n), pure_starts=True)
-        _, axes, outcomes = _recorded_run(truth, gens, n, settings.precision, first)
+    def group(streams):
+        truth, *first = _draw_block(streams, min(_BLOCK_STEPS, n), pure_starts=True)
+        _, axes, outcomes = _recorded_run(truth, streams, n, settings.precision, first)
         return _expected_fidelities(_estimate_batch(axes, outcomes, settings.precision), truth, strategy)
 
     return _by_trial_groups(group, n, trials, seed, base_index)
@@ -326,9 +307,9 @@ def fidelity_direct(
 ) -> FidelityStatistic:
     """Mean estimate fidelity over random pure inputs, one run per trial.
 
-    Trial k draws its own stream derive_stream(seed, base_index + k), a
-    uniform pure true state, runs the sequence, and records the expected
-    fidelity of the purified estimate under `strategy`.
+    Every trial draws a uniform pure true state on its group's stream
+    derive_stream(seed, base_index + jG), runs the sequence, and records
+    the expected fidelity of the purified estimate under `strategy`.
     """
     return _statistic(direct_fidelity_samples(settings, n, trials, strategy, seed, base_index))
 
@@ -342,8 +323,8 @@ def purity_fidelity_samples(
 ) -> np.ndarray:
     """Per-trial samples of `fidelity_purity`, shape (trials,)."""
 
-    def group(gens):
-        return (1.0 + _purity(_mixed_start_final(gens, n, settings.precision))) / 3.0
+    def group(streams):
+        return (1.0 + _purity(_mixed_start_final(streams, n, settings.precision))) / 3.0
 
     return _by_trial_groups(group, n, trials, seed, base_index)
 
@@ -378,10 +359,10 @@ def hypothetical_purity_paths(
     continuous-measurement curves.
     """
 
-    def group(gens):
-        paths = np.empty((len(gens), n + 1))
+    def group(streams):
+        paths = np.empty((_width(streams), n + 1))
         paths[:, 0] = 0.5
-        steps = _sampled_steps(np.zeros((3, len(gens))), gens, n, settings.precision)
+        steps = _sampled_steps(np.zeros((3, _width(streams))), streams, n, settings.precision)
         for step, (r, _, _) in enumerate(steps, 1):
             paths[:, step] = _purity(r)
         return paths

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import unsharp_qubit.continuous as continuous
+import unsharp_qubit.montecarlo as montecarlo
 from unsharp_qubit import (
     FULLY_MIXED,
     DensityMatrix,
@@ -197,8 +198,8 @@ class _Kernel:
         self.r = np.ascontiguousarray(np.asarray(start, dtype=float).T)
 
     def step(self, d_w, dt):
-        # a one-step (B, 1, 3) view; the kernel only reads its block
-        continuous._step_bloch_batch(self.r, d_w[:, None, :], dt)
+        # a one-step (1, 3, B) block of doubled increments; the kernel only reads it
+        continuous._step_bloch_batch(self.r, 2.0 * d_w.T[None], dt)
         return self.r.T
 
 
@@ -232,31 +233,46 @@ def test_bloch_kernel_tracks_matrix_step():
     assert worst < 1e-8
 
 
+def _group_increments(seed, index, width, steps, dt):
+    """The (steps, 3, width) Wiener increments of the group on derive_stream(seed, index).
+
+    Read off the stream in the layout `_noise_blocks` draws it: per block of
+    `_BLOCK_STEPS` steps, standard_normal((m, 3, width)).
+    """
+    rng = derive_stream(seed, index)
+    block = continuous._BLOCK_STEPS
+    normals = [rng.standard_normal((min(block, steps - lo), 3, width)) for lo in range(0, steps, block)]
+    return math.sqrt(dt) * np.concatenate(normals) if normals else np.empty((0, 3, width))
+
+
 def _scalar_purities(seed, trajectories, dt, sample_steps, start):
     """Purities of trajectories 0.. of `seed` at each of `sample_steps`, stepped by `_step_bloch`.
 
+    Trajectory b is column b % G of group b // G, on that group's draws.
     Returns the (len(sample_steps), trajectories) purities as lists and the
     number of steps that ended on the sphere.
     """
+    g = montecarlo._GROUP
     steps = max(sample_steps)
     columns, projected = [], 0
-    for b in range(trajectories):
-        d_w = math.sqrt(dt) * derive_stream(seed, b).standard_normal((steps, 3))
-        x, y, z = start
-        path = [0.5 * (1.0 + (x * x + y * y + z * z))]
-        for wx, wy, wz in d_w.tolist():
-            x, y, z = continuous._step_bloch(x, y, z, wx, wy, wz, dt)
-            projected += abs(math.sqrt(x * x + y * y + z * z) - 1.0) < 1e-12
-            path.append(0.5 * (1.0 + (x * x + y * y + z * z)))
-        columns.append([path[k] for k in sample_steps])
+    for lo in range(0, trajectories, g):
+        d_ws = _group_increments(seed, lo, min(g, trajectories - lo), steps, dt)
+        for b in range(d_ws.shape[2]):
+            x, y, z = start
+            path = [0.5 * (1.0 + (x * x + y * y + z * z))]
+            for wx, wy, wz in d_ws[:, :, b].tolist():
+                x, y, z = continuous._step_bloch(x, y, z, wx, wy, wz, dt)
+                projected += abs(math.sqrt(x * x + y * y + z * z) - 1.0) < 1e-12
+                path.append(0.5 * (1.0 + (x * x + y * y + z * z)))
+            columns.append([path[k] for k in sample_steps])
     return [list(row) for row in zip(*columns)], projected
 
 
-# 2,400 trajectory-steps: blocks of 300 steps and a shorter last one
+# 2,400 trajectory-steps a block: 8 trajectories in blocks of 300 steps and a shorter last one
 @pytest.mark.parametrize("block", [None, 2400])
 def test_pure_start_ensemble_equals_scalar_steps_bitwise(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(continuous, "DRAW_BLOCK", block)
+        monkeypatch.setattr(continuous, "_BLOCK_STEPS", block // 8)
     dt, steps, start = 1e-4, 2000, (0.0, 0.6, 0.8)
     sample_steps = list(range(0, steps + 1, 50))
     ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, 8, seed=66, initial=DensityMatrix(start))
@@ -265,51 +281,39 @@ def test_pure_start_ensemble_equals_scalar_steps_bitwise(monkeypatch, block):
     assert projected > 0
 
 
-# 4 trajectories in blocks of 25 steps; kernel scratch of 3 steps or of a whole block
-@pytest.mark.parametrize("kernel_chunk", [12, 4096])
+# 4 trajectories in blocks of 12 steps, or in one block
+@pytest.mark.parametrize("block_steps", [12, 4096])
 @pytest.mark.parametrize(
     "sample_steps",
-    [[0, 25, 50, 75, 100], [25, 60, 75], [0, 30, 30, 70, 70, 70], [0], [0, 0], [1, 1, 2]],
+    [[0, 12, 24, 36, 48], [12, 30, 36], [0, 30, 30, 70, 70, 70], [0], [0, 0], [1, 1, 2]],
     ids=["block-ends", "some-block-ends", "repeated", "zero-only", "zero-repeated", "first-steps"],
 )
-def test_ensemble_grid_sampling_equals_scalar_steps_bitwise(monkeypatch, kernel_chunk, sample_steps):
-    monkeypatch.setattr(continuous, "DRAW_BLOCK", 100)
-    monkeypatch.setattr(continuous, "_KERNEL_CHUNK", kernel_chunk)
+def test_ensemble_grid_sampling_equals_scalar_steps_bitwise(monkeypatch, block_steps, sample_steps):
+    monkeypatch.setattr(continuous, "_BLOCK_STEPS", block_steps)
     dt, start = 1e-4, (0.0, 0.0, 1.0)
     ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, 4, seed=69, initial=DensityMatrix(start))
     purities, _ = _scalar_purities(69, 4, dt, sample_steps, start)
     assert ensemble.tolist() == purities
 
 
-def test_noise_blocks_keep_a_step_floor_above_256_trajectories():
-    gens = [derive_stream(70, k) for k in range(300)]
-    assert [block.shape for block in continuous._noise_blocks(gens, 300, 1e-4)] == [
-        (300, 128, 3),
-        (300, 128, 3),
-        (300, 44, 3),
-    ]
-    # at or below 256 trajectories a block holds DRAW_BLOCK trajectory-steps
-    assert next(continuous._noise_blocks(gens[:256], 300, 1e-4)).shape == (256, 128, 3)
-    assert next(continuous._noise_blocks(gens[:64], 600, 1e-4)).shape == (64, 512, 3)
+def test_ensemble_of_several_groups_equals_scalar_steps_bitwise():
+    # 2G + 1 trajectories in one batch: three groups, each column on its own group's draws
+    dt, start = 1e-4, (0.0, 0.0, 0.0)
+    sample_steps = [0, 100, 250]
+    trajectories = 2 * montecarlo._GROUP + 1
+    ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, trajectories, seed=73)
+    purities, _ = _scalar_purities(73, trajectories, dt, sample_steps, start)
+    assert ensemble.tolist() == purities
 
 
-def test_floored_blocks_above_256_trajectories_equal_single_step_blocks(monkeypatch):
-    # 300 trajectories: 128-step blocks, a grid time on the first block's end
-    grid = (0.0, 0.0128, 0.02, 0.03)
-    floored = simulate_purity_ensemble(grid, 1e-4, 300, seed=71)
-    monkeypatch.setattr(continuous, "DRAW_BLOCK", 7)
-    np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 300, seed=71), floored)
-
-
-@pytest.mark.parametrize("kernel_chunk", [10, 4096])
-def test_bloch_kernel_leaves_its_noise_block_unchanged(monkeypatch, kernel_chunk):
-    monkeypatch.setattr(continuous, "_KERNEL_CHUNK", kernel_chunk)
+@pytest.mark.parametrize("trajectories", [10, 4096])
+def test_bloch_kernel_leaves_its_noise_block_unchanged(trajectories):
     stream = derive_stream(72, 0)
-    block = 1e-2 * stream.standard_normal((5, 40, 3))
+    block = 2e-2 * stream.standard_normal((40, 3, trajectories))
     before = block.copy()
-    r = np.ascontiguousarray(_kernel_start(5, 2, stream).T)
+    r = np.ascontiguousarray(_kernel_start(trajectories, 2, stream).T)
     continuous._step_bloch_batch(r, block, 1e-4)
-    continuous._step_bloch_batch(r, block[:, 7:31], 1e-4)
+    continuous._step_bloch_batch(r, block[7:31], 1e-4)
     np.testing.assert_array_equal(block, before)
 
 
@@ -321,20 +325,34 @@ def test_noise_scale_reaches_the_ensemble(monkeypatch):
     assert np.all(scaled != plain)
 
 
-def test_single_trajectory_batches_equal_the_whole_batch():
+def test_single_trajectory_batches_equal_the_whole_batch(monkeypatch):
+    # batches of whole groups give the columns of the whole batch; with
+    # groups of one trajectory, that is every single-trajectory batch
     grid = (0.0, 0.01, 0.05)
+    g = montecarlo._GROUP
+    whole = simulate_purity_ensemble(grid, 1e-4, 2 * g + 1, seed=68)
+    groups = [simulate_purity_ensemble(grid, 1e-4, min(g, 2 * g + 1 - lo), seed=68, base_index=lo)
+              for lo in range(0, 2 * g + 1, g)]
+    np.testing.assert_array_equal(whole, np.concatenate(groups, axis=1))
+    monkeypatch.setattr(montecarlo, "_GROUP", 1)
     whole = simulate_purity_ensemble(grid, 1e-4, 64, seed=68)
     singles = [simulate_purity_ensemble(grid, 1e-4, 1, seed=68, base_index=k)[:, 0] for k in range(64)]
     np.testing.assert_array_equal(whole, np.array(singles).T)
 
 
 def test_ensemble_sub_batch_and_noise_block_do_not_change_results(monkeypatch):
+    # a sub-batch at group boundaries gives its columns of the whole; one
+    # stream's normals do not depend on the block length, so with groups of
+    # one trajectory neither does the ensemble
     grid = (0.01, 0.05, 0.1)
-    whole = simulate_purity_ensemble(grid, 1e-4, 64, seed=62)
-    part = simulate_purity_ensemble(grid, 1e-4, 16, seed=62, base_index=16)
-    np.testing.assert_array_equal(whole[:, 16:32], part)
-    monkeypatch.setattr(continuous, "DRAW_BLOCK", 7)
-    np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 64, seed=62), whole)
+    g = montecarlo._GROUP
+    whole = simulate_purity_ensemble(grid, 1e-4, 3 * g, seed=62)
+    part = simulate_purity_ensemble(grid, 1e-4, g, seed=62, base_index=g)
+    np.testing.assert_array_equal(whole[:, g : 2 * g], part)
+    monkeypatch.setattr(montecarlo, "_GROUP", 1)
+    singles = simulate_purity_ensemble(grid, 1e-4, 16, seed=62)
+    monkeypatch.setattr(continuous, "_BLOCK_STEPS", 7)
+    np.testing.assert_array_equal(simulate_purity_ensemble(grid, 1e-4, 16, seed=62), singles)
 
 
 def test_simulate_trajectory_deterministic():
@@ -356,9 +374,10 @@ def test_simulate_trajectory_record_accumulates():
 
 
 def test_trajectory_matches_ensemble_bitwise():
+    # a one-trajectory ensemble is one group of width 1 on the same stream
     run = simulate_trajectory(FULLY_MIXED, 0.02, 1e-4, derive_stream(45, 3))
-    ensemble = simulate_purity_ensemble((0.02,), 1e-4, 5, seed=45, base_index=0)
-    assert purity(run[-1].state) == ensemble[0][3]
+    ensemble = simulate_purity_ensemble((0.02,), 1e-4, 1, seed=45, base_index=3)
+    assert purity(run[-1].state) == ensemble[0][0]
 
 
 # the mixed start stays inside the ball; the pure start leaves it and is projected
@@ -392,11 +411,11 @@ def test_noise_scale_moves_the_path_not_the_record(monkeypatch):
     assert scaled[1].record == plain[1].record
 
 
-# a pure start, so steps project; one noise block, then a second cut into row chunks 1024, 1024, 185
+# a pure start, so steps project; 34 noise chunks of 1024 rows and a shorter last one of 185
 @pytest.mark.parametrize("emit_record", [True, False], ids=["record", "no-record"])
 @pytest.mark.parametrize("stride", [1, 7, 10**30], ids=["stride-1", "stride-7", "stride-1e30"])
 def test_trajectory_equals_scalar_chain_across_blocks_and_chunks(emit_record, stride):
-    dt, steps, start = 1e-4, continuous.DRAW_BLOCK + 2233, (0.0, 0.6, 0.8)
+    dt, steps, start = 1e-4, 34 * 1024 + 185, (0.0, 0.6, 0.8)
     run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(67, 0), emit_record, stride)
     d_w = derive_stream(67, 0).standard_normal((steps, 3)) * math.sqrt(dt)
     r, rec = start, (0.0, 0.0, 0.0)

@@ -123,9 +123,29 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _tasks(spec, workers):
+    return len(ens._parts(spec)) * len(ens._chunk_ranges(spec.trials, workers))
+
+
+def _in_children_only(stand_in):
+    """`stand_in` for `_run_tasks` in a forked child; in the test process it raises instead.
+
+    A stand-in that leaves the process must never run in process, where it
+    would end the test run itself.
+    """
+    parent = os.getpid()
+
+    def guarded(share):
+        if os.getpid() == parent:
+            raise AssertionError("the stand-in ran in the test process")
+        return stand_in(share)
+
+    return guarded
+
+
 def test_pool_is_sized_by_its_tasks(monkeypatch):
-    # 6 grid points x 2 one-trial chunks = 12 tasks, however many workers are asked for
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=2, seed=55,
+    # 6 grid points x 2 chunks (trials [0, G) and [G, G + 1)) = 12 tasks, however many workers are asked for
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=ens._GROUP + 1, seed=55,
                           n_grid=(0, 2, 5, 10, 20, 40))
     expected = run_ensemble(spec, workers=1)
     forks = _InlineForks()
@@ -137,49 +157,61 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
 
 def test_pool_gets_one_share_per_worker(monkeypatch):
     # worker w runs tasks w, w + workers, ...; the results come back in task order
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=6, seed=60, n_grid=(0, 2, 5))
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3 * ens._GROUP, seed=60,
+                          n_grid=(0, 2, 5))
     expected = run_ensemble(spec, workers=1)
     forks = _InlineForks()
     monkeypatch.setattr(ens, "_run_forked", forks)
     assert run_ensemble(spec, workers=2) == expected
     assert run_ensemble(spec, workers=4) == expected
-    # 3 points x 2 chunks of 3 trials; 3 points x 3 chunks of 2 trials
+    # 3 points x 2 chunks of 2G and G trials; 3 points x 3 chunks of G trials
     assert forks.shares == [[3, 3], [3, 2, 2, 2]]
 
 
 def test_failing_trial_is_named(monkeypatch):
-    def explode(*args, **kwargs):
-        raise ValueError("boom")
+    # grid point 1 fails; its first group, trials [0, G), draws from stream 1 * trials + 0
+    def explode(settings, n, trials, strategy, seed, base_index):
+        if n == 1:
+            raise ValueError("boom")
+        return np.full(trials, 0.5)
 
     monkeypatch.setattr(ens, "direct_fidelity_samples", explode)
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3, seed=54, n_grid=(1,))
+    g = ens._GROUP
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=g + 1, seed=54, n_grid=(0, 1))
+    assert _tasks(spec, 2) == 4
+    message = rf"^sequential-fidelity part 1 trials \[0, {g}\) \(stream {g + 1}\) failed: boom$"
     for workers in (1, 2):
         # with 2 workers both children fail; the first child's error is raised
-        with pytest.raises(EnsembleError, match="sequential-fidelity part 0 trial 0 failed: boom"):
+        with pytest.raises(EnsembleError, match=message):
             run_ensemble(spec, workers=workers)
         _assert_no_child_left()
 
 
 def test_failing_compare_trial_is_named(monkeypatch):
-    # the integrated half fails only for trajectory 2; the rerun finds it on its own
-    def fail_on_two(t_grid, dt, trajectories, seed, base_index):
-        if base_index <= 2 < base_index + trajectories:
+    # the integrated half fails only for trajectory 2G + 50; the rerun finds its group on its own
+    g = ens._GROUP
+
+    def fail_on_one(t_grid, dt, trajectories, seed, base_index):
+        if base_index <= 2 * g + 50 < base_index + trajectories:
             raise ValueError("boom")
         return np.zeros((len(t_grid), trajectories))
 
-    monkeypatch.setattr(ens, "simulate_purity_ensemble", fail_on_two)
-    spec = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=20.0, trials=4, seed=57, n_grid=(0, 1), dt=5e-4)
+    monkeypatch.setattr(ens, "simulate_purity_ensemble", fail_on_one)
+    spec = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=20.0, trials=3 * g + 1, seed=57, n_grid=(0, 1), dt=5e-4)
+    assert _tasks(spec, 2) == 4
+    message = rf"^continuum-compare part sde trials \[{2 * g}, {3 * g}\) \(stream {2 * g}\) failed: boom$"
     for workers in (1, 2):
         # with 2 workers only the second child fails, after the first sent its results
-        with pytest.raises(EnsembleError, match="continuum-compare part sde trial 2 failed: boom"):
+        with pytest.raises(EnsembleError, match=message):
             run_ensemble(spec, workers=workers)
         _assert_no_child_left()
 
 
 def test_child_that_exits_without_sending_is_named(monkeypatch):
     # the raw wait status of exit code 3 is 768; the error names the code
-    monkeypatch.setattr(ens, "_run_tasks", lambda share: os._exit(3))
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=4, seed=61, n_grid=(1,))
+    monkeypatch.setattr(ens, "_run_tasks", _in_children_only(lambda share: os._exit(3)))
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=ens._GROUP + 1, seed=61, n_grid=(1,))
+    assert _tasks(spec, 2) == 2
     with pytest.raises(EnsembleError, match=r"^worker 0 exited with code 3 before sending its results$"):
         run_ensemble(spec, workers=2)
     _assert_no_child_left()
@@ -192,8 +224,9 @@ def test_failure_kills_the_children_still_running(monkeypatch):
             raise ValueError("boom")
         time.sleep(60)
 
-    monkeypatch.setattr(ens, "_run_tasks", first_share_fails)
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=4, seed=63, n_grid=(1,))
+    monkeypatch.setattr(ens, "_run_tasks", _in_children_only(first_share_fails))
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=ens._GROUP + 1, seed=63, n_grid=(1,))
+    assert _tasks(spec, 2) == 2
     start = time.monotonic()
     with pytest.raises(ValueError, match="^boom$"):
         run_ensemble(spec, workers=2)

@@ -182,17 +182,11 @@ def test_posterior_degenerate_update_error():
 class _ZeroStream:
     """Stand-in random stream whose normals are all exactly zero."""
 
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return np.zeros(size)
-        out[...] = 0.0
-        return out
+    def standard_normal(self, size):
+        return np.zeros(size)
 
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.full(size, 0.5)
-        out[...] = 0.5
-        return out
+    def random(self, size):
+        return np.full(size, 0.5)
 
 
 def test_posterior_rows_keep_the_scalar_checks():
@@ -245,7 +239,7 @@ def test_posterior_batch_equals_each_column_alone(size, width, seed):
 
 def test_zero_length_axis_is_refused():
     with pytest.raises(ValueError):
-        sequential._draw_block([derive_stream(17, 0), _ZeroStream()], 2)
+        sequential._draw_block([(derive_stream(17, 0), 1), (_ZeroStream(), 1)], 2)
 
 
 @pytest.mark.parametrize("width", [1.0, 3.0])

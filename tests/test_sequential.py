@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import stats as sps
 
+import unsharp_qubit.montecarlo as montecarlo
 import unsharp_qubit.sequential as sequential
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
@@ -43,6 +44,38 @@ CALIBRATION_XFAIL = pytest.mark.xfail(
 
 def settings(width):
     return MeasurementSettings(width, continuum_floor=None)
+
+
+G = montecarlo._GROUP
+
+
+class _ColumnStream:
+    """Column b of one trial group's draws, served as a one-trial group draws them.
+
+    A draw of shape (..., 1), or `random_pure_state`'s three normals, takes
+    the group's draw of shape (..., width) from its stream and keeps column
+    b, so the public one-trial runs replay trial b of the group.
+    """
+
+    def __init__(self, rng, width, b):
+        self._rng, self._width, self._b = rng, width, b
+
+    def _column(self, draw, size):
+        if size == 3:  # a pure start: the group draws (3, width)
+            return draw((3, self._width))[:, self._b]
+        return draw((*size[:-1], self._width))[..., self._b : self._b + 1]
+
+    def standard_normal(self, size):
+        return self._column(self._rng.standard_normal, size)
+
+    def random(self, size):
+        return self._column(self._rng.random, size)
+
+
+def _trial_stream(seed, base_index, trials, k):
+    """Trial k of a part of `trials` trials, as a one-trial stream: its column of its group."""
+    lo = k - k % G
+    return _ColumnStream(derive_stream(seed, base_index + lo), min(G, trials - lo), k % G)
 
 
 def _dense_effect_sqrt(axis, width, outcome):
@@ -161,8 +194,9 @@ def _rows_by_sub_batch(fn, trials, size):
 
 
 @pytest.mark.parametrize("width", [1.0, 20.0])
-def test_batch_rows_do_not_depend_on_batch(width):
-    # every row bit for bit the same at B = 1, in sub-batches of 25 and in the full batch
+def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
+    # every row bit for bit the same in the full batch of three groups, in
+    # sub-batches split at group boundaries, and in batches of one group each
     cfg = settings(width)
     samplers = {
         "direct": lambda trials, lo: sequential.direct_fidelity_samples(cfg, 30, trials, seed=61, base_index=lo),
@@ -172,78 +206,78 @@ def test_batch_rows_do_not_depend_on_batch(width):
         "purity": lambda trials, lo: sequential.purity_fidelity_samples(cfg, 30, trials, seed=62, base_index=lo),
         "paths": lambda trials, lo: hypothetical_purity_paths(30, cfg, trials, seed=63, base_index=lo),
     }
+    trials = 2 * G + G // 2
+    wholes = {name: fn(trials, 0) for name, fn in samplers.items()}
     for name, fn in samplers.items():
-        whole = fn(100, 0)
-        np.testing.assert_array_equal(_rows_by_sub_batch(fn, 100, 25), whole, err_msg=name)
-        np.testing.assert_array_equal(_rows_by_sub_batch(fn, 100, 1), whole, err_msg=name)
+        np.testing.assert_array_equal(_rows_by_sub_batch(fn, trials, G), wholes[name], err_msg=name)
+        np.testing.assert_array_equal(_rows_by_sub_batch(fn, trials, 2 * G), wholes[name], err_msg=name)
+    monkeypatch.setattr(sequential, "DRAW_BLOCK", 30)  # one group per batch
+    for name, fn in samplers.items():
+        np.testing.assert_array_equal(fn(trials, 0), wholes[name], err_msg=name)
 
 
 def test_batched_direct_samples_equal_scalar_runs():
-    # trial k of the batch is run_sequence on derive_stream(seed, k) after its pure start
+    # trial b of group j is run_sequence on column b of group j's draws, after its pure start
     cfg = settings(3.0)
-    batch = sequential.direct_fidelity_samples(cfg, 25, 40, seed=64)
-    for k in range(40):
-        rng = derive_stream(64, k)
+    trials = G + 50
+    batch = sequential.direct_fidelity_samples(cfg, 25, trials, seed=64)
+    for k in range(trials):
+        rng = _trial_stream(64, 0, trials, k)
         true_state = random_pure_state(rng)
         assert batch[k] == fidelity(run_sequence(true_state, 25, cfg, rng).estimate, true_state)
 
 
 def test_draw_block_bounds_memory_not_results(monkeypatch):
-    # trials run in groups of at most DRAW_BLOCK trial-steps (one trial per
-    # group here), which must not change a row; a sequence longer than
-    # DRAW_BLOCK draws block by block and stays a function of (seed, index)
+    # DRAW_BLOCK bounds the groups of a batch (one group per batch here),
+    # which must not change a row; with groups drawing blocks shorter than
+    # the sequence, every row is the run on its column of its group's draws
     cfg = settings(5.0)
-    whole = hypothetical_purity_paths(12, cfg, 3, seed=65)
+    trials = G + 20
+    whole = hypothetical_purity_paths(12, cfg, trials, seed=65)
     monkeypatch.setattr(sequential, "DRAW_BLOCK", 12)
-    np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, 3, seed=65), whole)
-    monkeypatch.setattr(sequential, "DRAW_BLOCK", 5)
-    blocked = hypothetical_purity_paths(12, cfg, 3, seed=65)
-    rows = [hypothetical_purity_paths(12, cfg, 1, seed=65, base_index=k)[0] for k in range(3)]
-    np.testing.assert_array_equal(blocked, np.array(rows))
+    np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, trials, seed=65), whole)
+    monkeypatch.setattr(sequential, "_BLOCK_STEPS", 5)
+    blocked = hypothetical_purity_paths(12, cfg, trials, seed=65)
+    finals = [purity(hypothetical_run(12, cfg, _trial_stream(65, 0, trials, k)).aposteriori) for k in range(trials)]
+    assert blocked[:, -1].tolist() == finals
     assert np.all(blocked[:, 0] == 0.5) and np.all((blocked >= 0.5) & (blocked <= 1.0))
 
 
 class _ZeroStartStream:
-    """A real stream with three exact zeros put before its first normal."""
+    """A real group stream whose first draw, the group's pure starts, has one column of exact zeros."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, column):
         self._rng = rng
-        self._zeros = 3
+        self._column = column
 
-    def standard_normal(self, size=None, out=None):
-        shape = size if out is None else out.shape
-        count = int(np.prod(shape))
-        zeros = min(self._zeros, count)
-        self._zeros -= zeros
-        values = np.concatenate([np.zeros(zeros), self._rng.standard_normal(count - zeros)]).reshape(shape)
-        if out is None:
-            return values
-        out[...] = values
-        return out
+    def standard_normal(self, size):
+        values = self._rng.standard_normal(size)
+        if self._column is not None:
+            values[:, self._column] = 0.0
+            self._column = None
+        return values
 
-    def random(self, size=None, out=None):
-        return self._rng.random(size, out=out)
+    def random(self, size):
+        return self._rng.random(size)
 
 
 @pytest.mark.parametrize("block", [None, 10])
-def test_zero_length_start_is_redrawn_as_random_unit_does(monkeypatch, block):
-    # trial 0's first three normals are zero: its start is `_random_unit`'s
-    # redraw, and its axes and outcomes continue the stream after it
+def test_zero_length_start_is_refused(monkeypatch, block):
+    # trial G + 30's three start normals are zero: the batch refuses it, as it
+    # refuses a zero-length axis, whether its group shares a batch or not
     cfg, n = settings(3.0), 25
     if block is not None:
-        monkeypatch.setattr(sequential, "DRAW_BLOCK", block)  # one trial per group, three blocks
-    plain = sequential.direct_fidelity_samples(cfg, n, 3, seed=72)
+        monkeypatch.setattr(sequential, "DRAW_BLOCK", block)  # one group per batch
+    assert np.all(np.isfinite(sequential.direct_fidelity_samples(cfg, n, G + 50, seed=72)))
+    real = sequential._group_streams
 
-    def zero_first(seed, lo, hi):
-        return [_ZeroStartStream(derive_stream(seed, k)) if k == 0 else derive_stream(seed, k) for k in range(lo, hi)]
+    def zero_start(seed, base_index, lo, hi):
+        return [(_ZeroStartStream(g, 30) if base_index + lo + j * G == G else g, w)
+                for j, (g, w) in enumerate(real(seed, base_index, lo, hi))]
 
-    monkeypatch.setattr(sequential, "_GroupStreams", zero_first)
-    samples = sequential.direct_fidelity_samples(cfg, n, 3, seed=72)
-    rng = _ZeroStartStream(derive_stream(72, 0))
-    true_state = random_pure_state(rng)
-    assert true_state.bloch == random_pure_state(derive_stream(72, 0)).bloch  # the redraw took the next three
-    assert samples[0] == fidelity(run_sequence(true_state, n, cfg, rng).estimate, true_state)
-    assert samples[1:].tolist() == plain[1:].tolist()
+    monkeypatch.setattr(sequential, "_group_streams", zero_start)
+    with pytest.raises(ValueError, match="pure start of zero length"):
+        sequential.direct_fidelity_samples(cfg, n, G + 50, seed=72)
 
 
 def test_run_sequence_zero_steps():
@@ -271,13 +305,13 @@ def test_first_outcome_marginal_matches_density():
     # mixed initial state so the outcome density is axis-independent
     cfg = settings(1.0)
 
-    def first_outcomes(gens):
-        _, _, outcomes = sequential._recorded_run(np.zeros((3, len(gens))), gens, 1, cfg.precision)
+    def first_outcomes(streams):
+        _, _, outcomes = sequential._recorded_run(np.zeros((3, sequential._width(streams))), streams, 1, cfg.precision)
         return outcomes[0]
 
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
-    for k in range(50):  # the batch reproduces the public per-trial run
-        assert draws[k] == hypothetical_run(1, cfg, derive_stream(243, k)).outcomes[0][1]
+    for k in [*range(50), *range(10**5 - 50, 10**5)]:  # the batch reproduces the public per-trial run
+        assert draws[k] == hypothetical_run(1, cfg, _trial_stream(243, 0, 10**5, k)).outcomes[0][1]
     # the mixed state's outcome density is half g(s - 1) plus half g(s + 1)
     cdf = lambda xs: 0.5 * (sps.norm.cdf(xs, 1.0, 1.0) + sps.norm.cdf(xs, -1.0, 1.0))  # noqa: E731
     assert sps.kstest(draws, cdf).statistic < 0.01
@@ -297,15 +331,15 @@ def test_hypothetical_single_step_equals_single_estimate():
 
 
 def _purities_after_50_steps():
-    # trial k is hypothetical_run(50, ...) on derive_stream(22, k), batched
+    # trial k is hypothetical_run(50, ...) on its column of its group's draws, batched
     return hypothetical_purity_paths(50, settings(10.0), 10**3, seed=22)[:, 50]
 
 
 def test_purity_paths_equal_hypothetical_runs():
     batched = _purities_after_50_steps()
     cfg = settings(10.0)
-    for k in range(50):
-        assert batched[k] == purity(hypothetical_run(50, cfg, derive_stream(22, k)).aposteriori)
+    for k in [*range(50), *range(10**3 - 50, 10**3)]:
+        assert batched[k] == purity(hypothetical_run(50, cfg, _trial_stream(22, 0, 10**3, k)).aposteriori)
 
 
 @CALIBRATION_XFAIL
@@ -408,8 +442,8 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
     """
     truth = np.array(true_state.bloch)[:, None]
 
-    def group(gens):
-        overlap = 0.5 * (1.0 + _dot(sequential._mixed_start_final(gens, n, cfg.precision), truth))
+    def group(streams):
+        overlap = 0.5 * (1.0 + _dot(sequential._mixed_start_final(streams, n, cfg.precision), truth))
         return 2.0 * overlap * overlap
 
     return sequential._by_trial_groups(group, n, trials, seed, 0)
@@ -423,15 +457,15 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
     hypo_mean, hypo_se = summarize(_fixed_state_samples(true_state, cfg, 20, 10**4, seed=311))
     truth = np.array(true_state.bloch)[:, None]
 
-    def estimate_fidelities(gens):
-        start = np.repeat(truth, len(gens), axis=1)
-        _, axes, outcomes = sequential._recorded_run(start, gens, 20, cfg.precision)
+    def estimate_fidelities(streams):
+        start = np.repeat(truth, sequential._width(streams), axis=1)
+        _, axes, outcomes = sequential._recorded_run(start, streams, 20, cfg.precision)
         estimates = sequential._estimate_batch(axes, outcomes, cfg.precision)
         return 0.5 * (1.0 + _dot(estimates, truth))
 
     vals = sequential._by_trial_groups(estimate_fidelities, 20, 10**4, 312, 0)
-    for k in range(50):  # the batch reproduces the public per-trial run
-        result = run_sequence(true_state, 20, cfg, derive_stream(312, k))
+    for k in [*range(50), *range(10**4 - 50, 10**4)]:  # the batch reproduces the public per-trial run
+        result = run_sequence(true_state, 20, cfg, _trial_stream(312, 0, 10**4, k))
         assert vals[k] == fidelity(result.estimate, true_state)
     direct_se = vals.std(ddof=1) / math.sqrt(vals.size)
     combined = math.hypot(hypo_se, direct_se)
