@@ -5,8 +5,8 @@ vector |r| <= 1, so the unit trace and Hermiticity are structural and only
 positivity (|r| <= 1) needs checking.
 
 Everything here is an immutable value; the sampling helpers are pure given
-their random stream.  Every module holds a batch of B states as one
-component-major (3, B) array, which `_dot` and `_purity` read like one vector.
+their random stream.  A batch of B states is one component-major (3, B)
+array, which `_dot` and `_purity` read like one vector.
 """
 
 from __future__ import annotations

@@ -24,13 +24,15 @@ scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic,
 one chunk of noise rows at a time; array passes over the chunk then form
 the snapshot times, the record and the clipped states in the scalar
 operation order, and the snapshots are built without re-checking them.
-An ensemble (`simulate_purity_ensemble`) steps a component-major (3, B)
-batch of whole trajectory groups, the layout of the discrete kernel
-`povm.posterior_batch` too, in place through `_step_bloch_batch`, which
-reproduces the scalar step bit for bit on every column and reads the
-contiguous (3, B) step slices of the blocks `_noise_blocks` draws; the
-ensemble hands it the steps between two grid times and samples the purity
-between kernel calls.
+An ensemble (`simulate_purity_ensemble`) steps only the Bloch lengths, a
+(B,) array of whole trajectory groups, in place through `_step_lengths`.
+The step commutes with rotations and the noise is isotropic, so the length
+alone is a Markov chain: one normal along the vector and one exponential
+for the squared increment across it give the scalar step's length exactly
+in law, at two variates per trajectory-step instead of three.  Its paths
+are therefore not `simulate_trajectory`'s bit for bit.  The ensemble hands
+the kernel the steps between two grid times of the blocks `_length_noise`
+draws, and samples the purity between kernel calls.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _purity
+from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _norm
 from .montecarlo import _group_streams
 from .povm import MeasurementSettings
 
@@ -66,7 +68,8 @@ _NOISE_SCALE = 1.0
 _ROW_CHUNK = 1024
 
 # Steps of noise an ensemble group draws per generator call: a constant of the
-# layout, never the batch width.  A block of B trajectories holds 3 B of them.
+# layout, never the batch width.  A group draws its normals and then its
+# exponentials for a block, so the ensemble's bits depend on this value.
 _BLOCK_STEPS = 128
 
 
@@ -145,7 +148,7 @@ def _step_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
     """One Euler-Maruyama step of the matrix-form equation on a 2x2 state, trace-renormalized.
 
     The matrix-form reference behind `sme_step`; the simulations step the
-    Bloch form through `_step_bloch` and `_step_bloch_batch` instead.  The
+    Bloch form through `_step_bloch` and `_step_lengths` instead.  The
     update keeps a unit trace in exact arithmetic, so the division only
     repairs rounding.
     """
@@ -186,8 +189,8 @@ def bloch_sde_step(r, dt: float, noise: NoiseIncrement) -> Vec3:
     """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)).
 
     Agrees pathwise with `sme_step` under shared noise.  This is the scalar
-    step `simulate_trajectory` runs, and the in-place (3, B) kernel
-    `_step_bloch_batch` reproduces it bit for bit on every column.
+    step `simulate_trajectory` runs; the ensemble kernel `_step_lengths`
+    steps its length map.
     """
     _check_step(dt)
     d_w = noise.d_w
@@ -198,9 +201,8 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     """One Euler-Maruyama step of the Bloch vector (x, y, z) under the increment (wx, wy, wz).
 
     Radial term first, then each component, then the length; the vector is
-    divided by its length only when that exceeds 1.  `_step_bloch_batch`
-    repeats this operation order on every column, so both give the same bits.
-    Unchecked: callers validate dt.
+    divided by its length only when that exceeds 1.  Unchecked: callers
+    validate dt.
     """
     radial = x * wx + y * wy + z * wz
     x = x - 4.0 * x * dt + 2.0 * (wx - x * radial)
@@ -212,68 +214,57 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     return (x, y, z)
 
 
-def _step_bloch_batch(r: np.ndarray, two_dws: np.ndarray, dt: float) -> None:
-    """`_step_bloch` in place on a component-major (3, B) batch, once per step of a noise block.
+def _step_lengths(rho: np.ndarray, two_as: np.ndarray, eight_b2s: np.ndarray, dt: float) -> None:
+    """`_step_bloch`'s length map in place on a (B,) array of Bloch lengths, once per step of a block.
 
-    Column b of r is trajectory b.  two_dws is a step-major (m, 3, B) block
-    of doubled increments 2 _NOISE_SCALE dW, as `_noise_blocks` yields it,
-    or any step slice of one; each step reads its contiguous (3, B) slice
-    and writes none.  Written component by component in the scalar step's
-    operation order, so every column equals `_step_bloch` bit for bit and
-    any sub-batch reproduces the same trajectories.  Scaling by a power of
-    two is exact away from underflow, so the doubled increment gives
-    2 (dW - r radial) as 2 dW - r (2 radial), and x (4 dt) equals (4 x) dt.
-    Every column is divided by max(|r|, 1): a division by 1.0 leaves a
-    column inside the ball unchanged.  The constants are 0-d arrays,
-    converted once per call and not once per step.  Unchecked: callers
-    validate dt.
+    Write r = rho e and dW = a e + b with b orthogonal to e.  The scalar step
+    gives r' = e s + 2 b with s = rho (1 - 4 dt) + 2 a (1 - rho^2), so
+    |r'| = sqrt(s^2 + 4 |b|^2), and the projection keeps min(|r'|, 1).  two_as
+    holds 2 _NOISE_SCALE a and eight_b2s holds 4 _NOISE_SCALE^2 |b|^2, as
+    step-major (m, B) blocks or step slices of them; the kernel only reads
+    them.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt, so the
+    reference in the tests repeats the same operations on Python floats.
+    The constants are 0-d arrays, converted once per call and not once per
+    step.  Unchecked: callers validate dt.
     """
-    four_dt = np.array(4.0 * dt)
+    c = np.array(1.0 - 4.0 * dt)
     one = np.array(1.0)
-    prod = np.empty_like(r)
-    px, py, pz = prod
-    update = np.empty_like(r)
-    acc = np.empty(r.shape[1])
-    for two_dw in two_dws:
-        np.multiply(r, two_dw, out=prod)
-        np.add(px, py, out=acc)
-        acc += pz  # twice the radial term
-        np.multiply(r, acc, out=prod)
-        np.subtract(two_dw, prod, out=update)
-        np.multiply(r, four_dt, out=prod)
-        r -= prod
-        r += update
-        np.multiply(r, r, out=prod)
-        np.add(px, py, out=acc)
-        acc += pz
-        np.sqrt(acc, out=acc)
-        np.maximum(acc, one, out=acc)
-        r /= acc
+    t = np.empty_like(rho)
+    for two_a, eight_b2 in zip(two_as, eight_b2s):
+        np.multiply(rho, two_a, out=t)
+        np.subtract(c, t, out=t)
+        t *= rho
+        t += two_a
+        t *= t
+        t += eight_b2
+        np.sqrt(t, out=t)
+        np.minimum(t, one, out=rho)
 
 
-def _noise_blocks(streams, steps: int, dt: float):
-    """Doubled Wiener increments 2 _NOISE_SCALE dW of `steps` steps for a batch of groups.
+def _length_noise(streams, steps: int, dt: float):
+    """The blocks (2 _NOISE_SCALE a, 4 _NOISE_SCALE^2 |b|^2) of `steps` steps for a batch of groups.
 
     streams holds each group's (generator, width), in column order.  Per
-    step-major (m, 3, B) block of at most _BLOCK_STEPS steps, each group
-    draws standard_normal((m, 3, w)) in one call into its columns; the block
-    is then scaled by sqrt(dt) and by the power of two 2 _NOISE_SCALE, so it
-    holds exactly twice the increments `simulate_trajectory` would step one
-    stream with.  The blocks are views of one buffer (a shorter last block
-    too), so each must be read before the next is requested.
+    step-major (m, B) block of at most _BLOCK_STEPS steps, each group draws
+    standard_normal((m, w)) and then standard_exponential((m, w)) into its
+    columns of the two blocks: a ~ N(0, dt) is the increment along the
+    Bloch vector and |b|^2 = 2 dt Exp(1) the squared length of the
+    increment across it.  The blocks are views of two buffers (shorter
+    last ones too), so each pair must be read before the next is requested.
     """
-    scale = math.sqrt(dt)
-    two_scale = 2.0 * _NOISE_SCALE
-    buf = np.empty((min(_BLOCK_STEPS, steps), 3, sum(w for _, w in streams)))
+    a_scale = 2.0 * _NOISE_SCALE * math.sqrt(dt)
+    b_scale = 8.0 * _NOISE_SCALE * _NOISE_SCALE * dt
+    two_as, eight_b2s = np.empty((2, min(_BLOCK_STEPS, steps), sum(w for _, w in streams)))
     for done in range(0, steps, _BLOCK_STEPS):
-        block = buf[: min(_BLOCK_STEPS, steps - done)]
+        m = min(_BLOCK_STEPS, steps - done)
         lo = 0
         for g, w in streams:
-            block[..., lo : lo + w] = g.standard_normal((len(block), 3, w))
+            two_as[:m, lo : lo + w] = g.standard_normal((m, w))
+            eight_b2s[:m, lo : lo + w] = g.standard_exponential((m, w))
             lo += w
-        block *= scale
-        block *= two_scale
-        yield block
+        two_as[:m] *= a_scale
+        eight_b2s[:m] *= b_scale
+        yield two_as[:m], eight_b2s[:m]
 
 
 def simulate_trajectory(
@@ -290,9 +281,8 @@ def simulate_trajectory(
     emit_record is set each snapshot carries the accumulated record
     integral of <sigma> dt + dW/2 up to its time.  The state steps as three
     Python floats through the scalar step `_step_bloch`, three normals of
-    rng per step as `draw_noise` draws them; the batched kernel reproduces
-    every snapshot bit for bit, and a one-trajectory ensemble on the same
-    stream takes the same steps.
+    rng per step as `draw_noise` draws them.  An ensemble steps the same
+    law through the length chain, not these bits.
 
     The noise is drawn _ROW_CHUNK rows at a time, which bounds the working
     memory, and each chunk goes through three passes.  The step pass runs `_step_bloch` over
@@ -366,15 +356,16 @@ def simulate_purity_ensemble(
 ) -> np.ndarray:
     """Purity of independent trajectories at the requested times.
 
-    Returns shape (len(t_grid), trajectories).  Group j of trajectories
+    Returns shape (len(t_grid), trajectories).  Only the length
+    |initial.bloch| enters: the Bloch lengths of all trajectories step
+    together, one entry each of a (B,) array, through the in-place kernel
+    `_step_lengths`, the scalar step's law exactly.  Group j of trajectories
     [jG, (j + 1)G) draws its noise from derive_stream(seed, base_index + jG)
-    (see `_noise_blocks`), and all trajectories step together, one column
-    each of a (3, B) Bloch batch, through the in-place kernel
-    `_step_bloch_batch`, so a batch split at group boundaries follows the
-    same noise and step arithmetic as the whole.  Grid times snap to the nearest step; each noise
-    block is cut at the grid steps it holds, and the purity is sampled
-    between the kernel calls on its pieces, so where the blocks end changes
-    no sample.
+    (see `_length_noise`), so a batch split at group boundaries follows the
+    same noise and step arithmetic as the whole.  Grid times snap to the
+    nearest step; each noise block is cut at the grid steps it holds, and
+    the purity (1 + rho^2)/2 is sampled between the kernel calls on its
+    pieces, so where the blocks end changes no sample.
     """
     _check_step(dt)
     t_grid = [float(t) for t in t_grid]
@@ -388,16 +379,16 @@ def simulate_purity_ensemble(
         sample_at.setdefault(int(round(t / dt)), []).append(g)
 
     out = np.empty((len(t_grid), trajectories))
-    r = np.repeat(np.array(initial.bloch)[:, None], trajectories, axis=1)
-    blocks = _noise_blocks(_group_streams(seed, base_index, 0, trajectories), steps, dt)
-    block, lo, taken = None, 0, 0  # the current block, its next step, steps taken
+    rho = np.full(trajectories, _norm(initial.bloch))
+    blocks = _length_noise(_group_streams(seed, base_index, 0, trajectories), steps, dt)
+    two_as, eight_b2s, lo, taken = (), (), 0, 0  # the current blocks, their next step, steps taken
     for mark, rows in sample_at.items():  # ascending, as the grid is
         # step up to the grid step, across blocks, then sample
         while taken < mark:
-            if block is None or lo == len(block):
-                block, lo = next(blocks), 0
-            hi = min(len(block), lo + mark - taken)
-            _step_bloch_batch(r, block[lo:hi], dt)
+            if lo == len(two_as):
+                (two_as, eight_b2s), lo = next(blocks), 0
+            hi = min(len(two_as), lo + mark - taken)
+            _step_lengths(rho, two_as[lo:hi], eight_b2s[lo:hi], dt)
             taken, lo = taken + hi - lo, hi
-        out[rows] = _purity(r)
+        out[rows] = 0.5 * (1.0 + rho * rho)
     return out

@@ -17,7 +17,7 @@ Weights are kept in log form throughout: for |s| much larger than the
 precision both weights underflow in linear space while their ratio, which
 is all the state update needs, stays perfectly conditioned.  The update
 `posterior_batch` takes a component-major (3, B) Bloch batch, the layout of
-every batch in the package.
+every Bloch-vector batch in the package.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ identity is what the purity-based mean-fidelity estimator rests on, and
 `spectral_match` checks it numerically for every run.
 
 Every experiment advances a batch of B trials in lockstep on a
-component-major (3, B) Bloch batch through `povm.posterior_batch`, the layout
-the SDE ensemble steps too.  A batch is whole trial groups
+component-major (3, B) Bloch batch through `povm.posterior_batch`.  A batch
+is whole trial groups
 (`montecarlo._GROUP` trials each, on one stream per group), and each group of
 width w draws in one fixed order, one generator call per kind: the normals
 (3, w) of its pure starts where the estimator needs them, then per block of at

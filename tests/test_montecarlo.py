@@ -20,9 +20,9 @@ TABLE_DIGESTS = {
     (CURVE_FLAGS, "--trials", 30): "73072ac61c05172c8f04540a5a5aed60bded766dd106ff6e78996f2ac63fdfb0",
     (CURVE_FLAGS, "--trials", 101): "42f1f7ff6662e2873b8f568c98d20be5ba16c4161ff61b02e0045bd5bb6211ef",
     (CURVE_FLAGS, "--trials", 201): "a7daf9e2b6f00da1a5885a334b807d48464898279bc4bc3bf044f68ed5e2c429",
-    (COMPARE_FLAGS, "--trajectories", 30): "73da08d8ff651f6b6dbb84debe1e2c247caafc6c4c578ddde871fe0f4fa1645f",
-    (COMPARE_FLAGS, "--trajectories", 101): "eda53a762477b1a9ec297081aa0eee6a19f4ab80d861efdd91876cbbd8254756",
-    (COMPARE_FLAGS, "--trajectories", 201): "02da6e5cc01ba868531fcc9b758809c62e79d1ca551d35812d5b5ea31cb9966e",
+    (COMPARE_FLAGS, "--trajectories", 30): "bc392cd8dd6b285dcc1b1354b121fd1eb00961b421319c40c6403f0d3f8b5ef3",
+    (COMPARE_FLAGS, "--trajectories", 101): "1fb219784625869f0fa4c6e30bce1d300f84adc78096fdb5b3906b4227c8fda8",
+    (COMPARE_FLAGS, "--trajectories", 201): "25983ec4e56eb891a3bd16b9a90f7563f5cb43719ef263a248bfc1b57c8d226e",
 }
 # the snapshots of one trajectory, 2500 steps across several noise chunks
 TRAJECTORY_DIGEST = "54229908dd98556c73003d03630c41d2618fc3633f81ac4f5472ce7b389eecdb"
