@@ -45,11 +45,9 @@ from .ensemble import (
 )
 from .montecarlo import derive_stream, summarize
 from .povm import (
-    CONTINUUM_PRECISION_FLOOR,
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
     STRATEGIES,
-    ContinuumAdvisory,
     MeasurementSettings,
     completeness_defect,
     purify_estimate,

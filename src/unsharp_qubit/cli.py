@@ -234,14 +234,14 @@ def cmd_continuum_compare(args: argparse.Namespace) -> tuple[tuple[str, ...], li
 def _validate_checks(deltas, quick: bool, seed: int) -> list[tuple[str, bool, str]]:
     checks = []
 
-    worst = max(completeness_defect(MeasurementSettings(d, continuum_floor=None)) for d in deltas)
+    worst = max(completeness_defect(MeasurementSettings(d)) for d in deltas)
     checks.append(("completeness-quadrature", worst < 1e-9, f"max defect {worst:.3e}, tol 1e-9"))
 
     lengths = (1, 5, 25) if quick else (1, 5, 25, 100, 200)
     worst = 0.0
     for i, n in enumerate(lengths):
         for j, delta in enumerate((1.0, 10.0)):
-            settings = MeasurementSettings(delta, continuum_floor=None)
+            settings = MeasurementSettings(delta)
             run = hypothetical_run(n, settings, derive_stream(seed, 1000 + 10 * i + j))
             replay = replay_hypothetical(run.outcomes, settings)
             worst = max(worst, spectral_match(run, replay))
@@ -263,7 +263,7 @@ def _validate_checks(deltas, quick: bool, seed: int) -> list[tuple[str, bool, st
 
     worst = 0.0
     for delta in (0.5, 3.0, 20.0):
-        settings = MeasurementSettings(delta, continuum_floor=None)
+        settings = MeasurementSettings(delta)
         for n in range(0, 200, 7):
             lhs = mean_fidelity_closed_form(n, settings)
             rhs = 1.0 / 3.0 + drift_purity(time_from_steps(n, settings)) / 3.0

@@ -30,9 +30,10 @@ The step commutes with rotations and the noise is isotropic, so the length
 alone is a Markov chain: one normal along the vector and one exponential
 for the squared increment across it give the scalar step's length exactly
 in law, at two variates per trajectory-step instead of three.  Its paths
-are therefore not `simulate_trajectory`'s bit for bit.  The ensemble hands
-the kernel the steps between two grid times of the blocks `_length_noise`
-draws, and samples the purity between kernel calls.
+are therefore not `simulate_trajectory`'s bit for bit.  The ensemble draws
+its noise in the block layout the `montecarlo` docstring describes
+(`_length_noise`), hands the kernel the steps between two grid times, and
+samples the purity between kernel calls.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _norm
-from .montecarlo import _group_streams
+from .montecarlo import _group_blocks, _group_streams
 from .povm import MeasurementSettings
 
 # The one Euler-Maruyama step ceiling: every integrator and the CLI's --dt
@@ -71,6 +72,9 @@ _ROW_CHUNK = 1024
 # layout, never the batch width.  A group draws its normals and then its
 # exponentials for a block, so the ensemble's bits depend on this value.
 _BLOCK_STEPS = 128
+
+# A trajectory-step's variates, in draw order: the normal along the vector, the exponential across it.
+_LENGTH_KINDS = (("standard_normal", ()), ("standard_exponential", ()))
 
 
 def time_from_steps(n, settings: MeasurementSettings) -> float:
@@ -244,27 +248,19 @@ def _step_lengths(rho: np.ndarray, two_as: np.ndarray, eight_b2s: np.ndarray, dt
 def _length_noise(streams, steps: int, dt: float):
     """The blocks (2 _NOISE_SCALE a, 4 _NOISE_SCALE^2 |b|^2) of `steps` steps for a batch of groups.
 
-    streams holds each group's (generator, width), in column order.  Per
-    step-major (m, B) block of at most _BLOCK_STEPS steps, each group draws
-    standard_normal((m, w)) and then standard_exponential((m, w)) into its
-    columns of the two blocks: a ~ N(0, dt) is the increment along the
-    Bloch vector and |b|^2 = 2 dt Exp(1) the squared length of the
-    increment across it.  The blocks are views of two buffers (shorter
-    last ones too), so each pair must be read before the next is requested.
+    The groups draw a standard normal and then a standard exponential per
+    trajectory-step, in the `montecarlo` block layout at _BLOCK_STEPS steps
+    a block: a ~ N(0, dt) is the increment along the Bloch vector and
+    |b|^2 = 2 dt Exp(1) the squared length of the increment across it.  The
+    step-major (m, B) blocks are scaled views of reused buffers, so each
+    pair must be read before the next is requested.
     """
     a_scale = 2.0 * _NOISE_SCALE * math.sqrt(dt)
     b_scale = 8.0 * _NOISE_SCALE * _NOISE_SCALE * dt
-    two_as, eight_b2s = np.empty((2, min(_BLOCK_STEPS, steps), sum(w for _, w in streams)))
-    for done in range(0, steps, _BLOCK_STEPS):
-        m = min(_BLOCK_STEPS, steps - done)
-        lo = 0
-        for g, w in streams:
-            two_as[:m, lo : lo + w] = g.standard_normal((m, w))
-            eight_b2s[:m, lo : lo + w] = g.standard_exponential((m, w))
-            lo += w
-        two_as[:m] *= a_scale
-        eight_b2s[:m] *= b_scale
-        yield two_as[:m], eight_b2s[:m]
+    for two_as, eight_b2s in _group_blocks(streams, steps, _BLOCK_STEPS, _LENGTH_KINDS):
+        two_as *= a_scale
+        eight_b2s *= b_scale
+        yield two_as, eight_b2s
 
 
 def simulate_trajectory(

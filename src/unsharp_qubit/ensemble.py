@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import (
-    RATE_CONSTANT,
     drift_purity,
     mean_fidelity_closed_form,
     simulate_purity_ensemble,
@@ -87,7 +86,7 @@ class ExperimentSpec:
         # delta/dt validity is enforced by the settings and integrator they feed
 
     def settings(self) -> MeasurementSettings:
-        return MeasurementSettings(self.delta, continuum_floor=None)
+        return MeasurementSettings(self.delta)
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,8 @@ def run_ensemble(*specs: ExperimentSpec, workers: int = 1) -> tuple[EnsembleStat
     for spec in specs:
         if spec.kind != CONTINUUM_COMPARE:
             continue
-        # one tenth of a step interval, delta^2 / (10 * 12); 10 * 12 = 120 is exact
-        resolution_guard = spec.delta * spec.delta / (10.0 * RATE_CONSTANT)
+        # one tenth of the time one measurement stands for
+        resolution_guard = time_from_steps(1, spec.settings()) / 10.0
         if spec.dt > resolution_guard:
             warnings.warn(
                 f"dt {spec.dt:g} is coarser than the comparison resolution guard "

@@ -6,6 +6,18 @@ of a part (a run of trials sharing one base index) covers trials
 stream `derive_stream(seed, base_index + jG)`.  G is a constant of the
 layout, so results are a function of (seed, base index, trial) alone: a part
 split at group boundaries, across batches or processes, gives the same bits.
+
+A batch of groups draws its step randomness through `_group_blocks`: per
+block of m steps, each group of width w makes one generator call per kind of
+variate, in a fixed order, and fills its columns of that kind's step-major
+(m, ..., B) buffer.  Column b of a group is trial b of that group.
+
+- discrete, blocks of `sequential._BLOCK_STEPS`: the axes
+  standard_normal((m, 3, w)), the branch uniforms random((m, w)), the outcome
+  noise standard_normal((m, w)); where the estimator needs pure starts, each
+  group first draws their normals (3, w);
+- SDE ensemble, blocks of `continuous._BLOCK_STEPS`: standard_normal((m, w)),
+  then standard_exponential((m, w)).
 """
 
 from __future__ import annotations
@@ -44,6 +56,29 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
 def _group_streams(seed: int, base_index: int, lo: int, hi: int) -> list[tuple[np.random.Generator, int]]:
     """(stream, width) of every group of trials [lo, hi) of a part, lo a group boundary."""
     return [(derive_stream(seed, base_index + g), min(_GROUP, hi - g)) for g in range(lo, hi, _GROUP)]
+
+
+def _group_blocks(streams, steps: int, block_steps: int, kinds):
+    """Blocks of `steps` steps of randomness for a batch of groups, one list of buffers per block.
+
+    streams holds the (generator, width) of each group, in column order, and
+    kinds the (method name, trailing shape) of each kind of variate, in draw
+    order.  Per block of m <= block_steps steps, each group calls
+    getattr(g, name)((m, *shape, w)) once per kind and fills its columns of
+    that kind's (m, *shape, B) buffer.  The buffers are allocated once and
+    yielded as [:m] views, so a block must be read before the next is
+    requested.
+    """
+    width = sum(w for _, w in streams)
+    buffers = [np.empty((min(block_steps, steps), *shape, width)) for _, shape in kinds]
+    for done in range(0, steps, block_steps):
+        m = min(block_steps, steps - done)
+        lo = 0
+        for g, w in streams:
+            for (name, shape), buffer in zip(kinds, buffers):
+                buffer[:m, ..., lo : lo + w] = getattr(g, name)((m, *shape, w))
+            lo += w
+        yield [buffer[:m] for buffer in buffers]
 
 
 def summarize(samples) -> tuple[float, float]:

@@ -23,7 +23,6 @@ every Bloch-vector batch in the package.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,36 +38,17 @@ RANDOM_EIGENSTATE = "random-eigenstate"
 DOMINANT_EIGENSTATE = "dominant-eigenstate"
 STRATEGIES = (RANDOM_EIGENSTATE, DOMINANT_EIGENSTATE)
 
-# Constant-rate mapping onto continuous measurement is advertised for
-# precisions at least sqrt(96); below that the closed-form reference curves
-# stop being meaningful.  Advisory only: small precisions stay valid (and
-# are required for the projective-limit checks).
-CONTINUUM_PRECISION_FLOOR = math.sqrt(96.0)
-
-
-class ContinuumAdvisory(UserWarning):
-    """Precision is too sharp for the constant-rate continuum mapping."""
-
-
 @dataclass(frozen=True)
 class MeasurementSettings:
     """Width of the Gaussian smearing, in units of the +-1 eigenvalues."""
 
     precision: float
-    continuum_floor: float | None = CONTINUUM_PRECISION_FLOOR
 
     def __post_init__(self):
         p = float(self.precision)
         if not math.isfinite(p) or p <= 0.0:
             raise ValueError(f"precision must be a positive real, got {self.precision!r}")
         object.__setattr__(self, "precision", p)
-        if self.continuum_floor is not None and p < self.continuum_floor:
-            warnings.warn(
-                f"precision {p:g} is below {self.continuum_floor:g}; the "
-                "constant-rate continuum mapping is unreliable this sharp",
-                ContinuumAdvisory,
-                stacklevel=2,
-            )
 
 
 def log_weights(outcomes: np.ndarray, precision: float) -> tuple[np.ndarray, np.ndarray]:

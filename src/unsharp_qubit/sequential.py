@@ -20,16 +20,10 @@ identity is what the purity-based mean-fidelity estimator rests on, and
 
 Every experiment advances a batch of B trials in lockstep on a
 component-major (3, B) Bloch batch through `povm.posterior_batch`.  A batch
-is whole trial groups
-(`montecarlo._GROUP` trials each, on one stream per group), and each group of
-width w draws in one fixed order, one generator call per kind: the normals
-(3, w) of its pure starts where the estimator needs them, then per block of at
-most `_BLOCK_STEPS` steps the axes `standard_normal((m, 3, w))`, the branch
-uniforms `random((m, w))` and the outcome noise `standard_normal((m, w))`,
-each copied into the group's columns of the step-major batch buffers.
-`run_sequence` is one group of width 1 on the caller's stream.  Column b of
-a group is trial b of that group; results depend on (seed, group index)
-alone.
+is whole trial groups (`montecarlo._GROUP` trials each, on one stream per
+group), drawn in the block layout the `montecarlo` docstring describes, in
+blocks of at most `_BLOCK_STEPS` steps.  `run_sequence` is one group of width
+1 on the caller's stream.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from .bloch import (
     _pure_batch,
     _purity,
 )
-from .montecarlo import _GROUP, DRAW_BLOCK, _group_streams, summarize
+from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, summarize
 from .povm import (
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
@@ -62,64 +56,44 @@ from .povm import (
 # of the layout, never the batch width.
 _BLOCK_STEPS = DRAW_BLOCK // _GROUP
 
+# A step's variates, in draw order: the axis normals, the branch uniform, the outcome noise.
+_STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()))
+
 
 def _width(streams) -> int:
     return sum(w for _, w in streams)
 
 
-def _draw_block(streams, m: int, pure_starts: bool = False):
-    """m steps of randomness for a batch of groups: unit axes (m, 3, B), uniforms and noise (m, B).
+def _pure_starts(streams) -> np.ndarray:
+    """The (3, B) uniform pure starts of a batch of groups, each group's normals (3, w) in turn.
 
-    streams holds the (generator, width) of each group, in column order; each
-    group draws one call per kind and fills its columns.  With pure_starts
-    every group first draws the three normals (3, w) of its uniform pure
-    starts, and the (3, B) starts (`random_pure_state` arithmetic) lead the
-    result; otherwise it leads with None.  A zero-length start or axis is
-    refused.
+    `random_pure_state` arithmetic; a zero-length start is refused.
     """
-    width = _width(streams)
-    starts = np.empty((3, width)) if pure_starts else None
-    axes = np.empty((m, 3, width))
-    uniforms = np.empty((m, width))
-    noise = np.empty((m, width))
-    lo = 0
-    for g, w in streams:
-        cols = slice(lo, lo + w)
-        if pure_starts:
-            starts[:, cols] = g.standard_normal((3, w))
-        axes[..., cols] = g.standard_normal((m, 3, w))
-        uniforms[:, cols] = g.random((m, w))
-        noise[:, cols] = g.standard_normal((m, w))
-        lo += w
-    if pure_starts:
-        if not (_dot(starts, starts) > 0.0).all():
-            raise ValueError("drew a pure start of zero length")
-        starts = _pure_batch(starts)
-    v = axes.transpose(1, 0, 2)
-    length = np.sqrt(_dot(v, v))  # `random_axis` arithmetic
-    if not (length > 0.0).all():
-        raise ValueError("drew a measurement axis of zero length")
-    return starts, axes / length[:, None], uniforms, noise
+    starts = np.concatenate([g.standard_normal((3, w)) for g, w in streams], axis=1)
+    if not (_dot(starts, starts) > 0.0).all():
+        raise ValueError("drew a pure start of zero length")
+    return _pure_batch(starts)
 
 
-def _sampled_steps(r: np.ndarray, streams, n: int, precision: float, first=None):
+def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     """Advance the (3, B) batch r by n measurements on the groups' streams,
     yielding (r, axes, outcomes) after every step.  Each outcome is drawn
     from its column's current state: +1 if the step's uniform is below
     p_plus = (1 + axis.r)/2 and -1 otherwise, plus precision times the
-    step's normal.  `first`, if given, is the first block (axes, uniforms,
-    noise), already drawn.
+    step's normal.  The axes are views of a reused buffer; a zero-length
+    axis is refused.
     """
-    done = 0
-    while done < n:
-        axes, uniforms, noise = first or _draw_block(streams, min(_BLOCK_STEPS, n - done))[1:]
-        first = None
+    for axes, uniforms, noise in _group_blocks(streams, n, _BLOCK_STEPS, _STEP_KINDS):
+        v = axes.transpose(1, 0, 2)
+        length = np.sqrt(_dot(v, v))  # `random_axis` arithmetic
+        if not (length > 0.0).all():
+            raise ValueError("drew a measurement axis of zero length")
+        axes /= length[:, None]
         for a, u, z in zip(axes, uniforms, noise):
             p_plus = np.clip(0.5 * (1.0 + _dot(a, r)), 0.0, 1.0)
             outcomes = np.where(u < p_plus, 1.0, -1.0) + precision * z
             r = posterior_batch(r, a, *log_weights(outcomes, precision))
             yield r, a, outcomes
-        done += len(axes)
 
 
 def _mixed_start_final(streams, n: int, precision: float) -> np.ndarray:
@@ -141,12 +115,12 @@ def _estimate_batch(axes: np.ndarray, outcomes: np.ndarray, precision: float) ->
     return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1], precision)
 
 
-def _recorded_run(start: np.ndarray, streams, n: int, precision: float, first=None):
+def _recorded_run(start: np.ndarray, streams, n: int, precision: float):
     """Forward run from the (3, B) `start`; returns (final batch, axes (n, 3, B), outcomes (n, B))."""
     axes = np.empty((n, 3, start.shape[1]))
     outcomes = np.empty((n, start.shape[1]))
     r = start
-    for i, (r, a, s) in enumerate(_sampled_steps(start, streams, n, precision, first)):
+    for i, (r, a, s) in enumerate(_sampled_steps(start, streams, n, precision)):
         axes[i], outcomes[i] = a, s
     return r, axes, outcomes
 
@@ -290,8 +264,8 @@ def direct_fidelity_samples(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def group(streams):
-        truth, *first = _draw_block(streams, min(_BLOCK_STEPS, n), pure_starts=True)
-        _, axes, outcomes = _recorded_run(truth, streams, n, settings.precision, first)
+        truth = _pure_starts(streams)
+        _, axes, outcomes = _recorded_run(truth, streams, n, settings.precision)
         return _expected_fidelities(_estimate_batch(axes, outcomes, settings.precision), truth, strategy)
 
     return _by_trial_groups(group, n, trials, seed, base_index)

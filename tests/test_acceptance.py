@@ -59,7 +59,7 @@ TRIALS = 10**4
 
 
 def settings(width):
-    return MeasurementSettings(width, continuum_floor=None)
+    return MeasurementSettings(width)
 
 
 def _empirical_reference(n, width):

@@ -42,7 +42,7 @@ EULER_FLOOR_XFAIL = pytest.mark.xfail(
 
 
 def settings(width):
-    return MeasurementSettings(width, continuum_floor=None)
+    return MeasurementSettings(width)
 
 
 def test_time_mapping_values():
@@ -385,7 +385,7 @@ def test_trajectory_matches_ensemble_bitwise():
 @pytest.mark.parametrize(
     "start,projects", [((0.3, -0.2, 0.1), False), ((0.0, 0.0, 1.0), True)], ids=["mixed", "pure"]
 )
-def test_trajectory_snapshots_equal_batch_kernel_bitwise(start, projects):
+def test_trajectory_equals_bloch_sde_step_chain_and_projects_pure_only(start, projects):
     dt, steps = 1e-4, 2000
     run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(63, 0), emit_record=True)
     d_w = math.sqrt(dt) * derive_stream(63, 0).standard_normal((steps, 3))

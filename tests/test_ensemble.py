@@ -1,5 +1,6 @@
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,20 @@ def test_continuum_compare_grid_and_zero_row():
     assert stats.reference[0] == 0.5
     assert len(stats.sde_means) == 3
 
+
+def test_resolution_guard_warns_when_dt_exceeds_a_tenth_of_a_measurement():
+    # at delta = 50 a measurement stands for 12/50^2 = 4.8e-3, so dt = 1e-3 is
+    # above the guard 4.8e-4, and grid times 4.8e-3, 9.6e-3, 1.44e-2 snap to steps 5, 10, 14
+    spec = ExperimentSpec(
+        kind=ens.CONTINUUM_COMPARE, delta=50.0, trials=2, seed=57, n_grid=(0, 1, 2, 3), dt=1e-3
+    )
+    with pytest.warns(UserWarning, match="resolution guard"):
+        run_ensemble(spec)
+
+
+def test_resolution_guard_is_silent_when_a_measurement_spans_many_steps():
+    # at delta = 0.3 a measurement stands for 12/0.3^2 = 133, far above dt = 1e-3
+    spec = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=0.3, trials=2, seed=58, n_grid=(0, 1), dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_ensemble(spec)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     FULLY_MIXED,
     RANDOM_EIGENSTATE,
-    ContinuumAdvisory,
     DensityMatrix,
     MeasurementAxis,
     MeasurementSettings,
@@ -34,7 +32,7 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def settings(width):
-    return MeasurementSettings(width, continuum_floor=None)
+    return MeasurementSettings(width)
 
 
 def _columns(vector, size):
@@ -46,17 +44,11 @@ def _posterior(r, axes, width, outcomes):
     return posterior_batch(r, axes, *log_weights(np.asarray(outcomes, dtype=float), width))
 
 
-def test_settings_validation_and_advisory():
+def test_settings_refuse_nonpositive_precision():
     with pytest.raises(ValueError):
         MeasurementSettings(0.0)
     with pytest.raises(ValueError):
         MeasurementSettings(-2.0)
-    with pytest.warns(ContinuumAdvisory):
-        MeasurementSettings(1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        MeasurementSettings(10.0)  # above the default floor
-        MeasurementSettings(0.05, continuum_floor=None)  # advisory disabled
 
 
 def test_effect_weights_symmetric_outcome():
@@ -109,22 +101,35 @@ def test_outcome_density_normalized():
 def test_outcome_distribution_refuses_bad_precision(precision):
     # outcomes are drawn with the width of a MeasurementSettings, which refuses it
     with pytest.raises(ValueError):
-        MeasurementSettings(precision, continuum_floor=None)
+        MeasurementSettings(precision)
+
+
+class _StepStream:
+    """Stand-in stream serving one step of a group: the given axes (1, 3, w), uniforms and noise (1, w)."""
+
+    def __init__(self, axes, uniforms, noise):
+        self._axes, self._uniforms, self._noise = axes, uniforms, noise
+
+    def standard_normal(self, size):
+        return self._axes if len(size) == 3 else self._noise
+
+    def random(self, size):
+        return self._uniforms
 
 
 def _outcomes(state, axis, width, rng, size):
     """Outcomes `_sampled_steps` draws measuring `size` copies of `state` once along `axis`.
 
-    rng draws all the uniforms, then all the normals; `_sampled_steps` gets
-    them 10^5 copies at a time as an already drawn block, so it reads no
-    stream and its batch stays small.
+    rng draws all the uniforms, then all the normals; `_sampled_steps` reads
+    them 10^5 copies at a time from a stand-in stream, so its batch stays
+    small.
     """
     uniforms, noise = rng.random((1, size)), rng.standard_normal((1, size))
     chunks = []
     for lo in range(0, size, 10**5):
         u, z = uniforms[:, lo : lo + 10**5], noise[:, lo : lo + 10**5]
-        block = (_columns(axis, u.shape[1])[None], u, z)
-        ((_, _, outcomes),) = sequential._sampled_steps(_columns(state, u.shape[1]), (), 1, width, first=block)
+        stream = _StepStream(_columns(axis, u.shape[1])[None], u, z)
+        ((_, _, outcomes),) = sequential._sampled_steps(_columns(state, u.shape[1]), [(stream, u.shape[1])], 1, width)
         chunks.append(outcomes)
     return np.concatenate(chunks)
 
@@ -238,8 +243,9 @@ def test_posterior_batch_equals_each_column_alone(size, width, seed):
 
 
 def test_zero_length_axis_is_refused():
-    with pytest.raises(ValueError):
-        sequential._draw_block([(derive_stream(17, 0), 1), (_ZeroStream(), 1)], 2)
+    streams = [(derive_stream(17, 0), 1), (_ZeroStream(), 1)]
+    with pytest.raises(ValueError, match="axis of zero length"):
+        next(sequential._sampled_steps(np.zeros((3, 2)), streams, 2, 1.0))
 
 
 @pytest.mark.parametrize("width", [1.0, 3.0])

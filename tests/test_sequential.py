@@ -43,7 +43,7 @@ CALIBRATION_XFAIL = pytest.mark.xfail(
 
 
 def settings(width):
-    return MeasurementSettings(width, continuum_floor=None)
+    return MeasurementSettings(width)
 
 
 G = montecarlo._GROUP
