@@ -20,7 +20,6 @@ from .bloch import (
     SpectralDecomposition,
     fidelity,
     purity,
-    random_axis,
     random_pure_state,
     spectral_decompose,
 )
@@ -53,12 +52,8 @@ from .povm import (
     purify_estimate,
 )
 from .sequential import (
-    FidelityStatistic,
     SequenceResult,
-    fidelity_direct,
-    fidelity_purity,
     hypothetical_purity_paths,
-    hypothetical_run,
     replay_hypothetical,
     run_sequence,
     spectral_match,

@@ -103,16 +103,6 @@ class MeasurementAxis:
             raise ValueError(f"axis must be a unit vector, |n| = {_norm(n)!r}")
         object.__setattr__(self, "direction", n)
 
-    @classmethod
-    def from_vector(cls, v) -> "MeasurementAxis":
-        """Normalize an arbitrary nonzero 3-vector into an axis."""
-        if len(v) != 3:
-            raise ValueError(f"axis must be a finite 3-vector, got {v!r}")
-        n = _norm(v)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls((v[0] / n, v[1] / n, v[2] / n))
-
     def matrix(self) -> np.ndarray:
         n = self.direction
         return n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
@@ -203,7 +193,3 @@ def _pure_batch(v: np.ndarray) -> np.ndarray:
     `_random_unit`'s division by the length, then `clipped`'s rescale and checks."""
     return _clipped_batch(v / np.sqrt(_dot(v, v)))
 
-
-def random_axis(rng: np.random.Generator) -> MeasurementAxis:
-    """Measurement direction uniform on the unit sphere."""
-    return MeasurementAxis(_random_unit(rng))

@@ -13,7 +13,8 @@ the same flags reproduces the output byte for byte at any worker count.
 The two table commands take --format, --out and --workers: CSV uses full
 round-trip float formatting; JSON wraps the same rows in an envelope
 carrying the resolved flag set.  --workers above 1 forks one child process
-per worker (POSIX only) and is refused at parsing where os.fork is missing.
+per worker, never more than the CPU count nor the task count (POSIX only),
+and is refused at parsing where os.fork is missing.
 validate takes only --seed, --delta-list and --quick, and prints a text
 report on stdout.
 """
@@ -56,7 +57,7 @@ from .povm import (
     MeasurementSettings,
     completeness_defect,
 )
-from .sequential import hypothetical_run, replay_hypothetical, spectral_match
+from .sequential import replay_hypothetical, run_sequence, spectral_match
 
 
 def _positive_int(text: str) -> int:
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--workers", type=_worker_count, default=1,
         help="trial workers (default 1, in process); more fork one child process each, "
-        "POSIX only; the output is the same bytes at any count",
+        "at most one per CPU, POSIX only; the output is the same bytes at any count",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,7 +243,7 @@ def _validate_checks(deltas, quick: bool, seed: int) -> list[tuple[str, bool, st
     for i, n in enumerate(lengths):
         for j, delta in enumerate((1.0, 10.0)):
             settings = MeasurementSettings(delta)
-            run = hypothetical_run(n, settings, derive_stream(seed, 1000 + 10 * i + j))
+            run = run_sequence(FULLY_MIXED, n, settings, derive_stream(seed, 1000 + 10 * i + j))
             replay = replay_hypothetical(run.outcomes, settings)
             worst = max(worst, spectral_match(run, replay))
     checks.append(("spectral-match", worst <= 1e-9, f"max eigenvalue gap {worst:.3e}, tol 1e-9"))

@@ -60,9 +60,6 @@ DEFAULT_DT_MAX = 1e-3
 # their rate RATE_CONSTANT / precision^2 from this one value.
 RATE_CONSTANT = 12.0
 
-# unit noise intensity; test hook for fault-injection sensitivity checks
-_NOISE_SCALE = 1.0
-
 # Noise rows `simulate_trajectory` takes through its passes at once: the
 # chunk's lists and arrays stay within a few hundred KiB whatever the path
 # length.
@@ -162,7 +159,7 @@ def _step_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
 
 def _euler_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
     """The Euler-Maruyama update of `_step_density` before its trace division."""
-    d_w = _NOISE_SCALE * np.asarray(d_w, dtype=float)
+    d_w = np.asarray(d_w, dtype=float)
     expect = np.einsum("kij,ji->k", _PAULI, rho).real
     sig_rho = np.einsum("kij,jl->kil", _PAULI, rho)
     rho_sig = np.einsum("ij,kjl->kil", rho, _PAULI)
@@ -224,12 +221,12 @@ def _step_lengths(rho: np.ndarray, two_as: np.ndarray, eight_b2s: np.ndarray, dt
     Write r = rho e and dW = a e + b with b orthogonal to e.  The scalar step
     gives r' = e s + 2 b with s = rho (1 - 4 dt) + 2 a (1 - rho^2), so
     |r'| = sqrt(s^2 + 4 |b|^2), and the projection keeps min(|r'|, 1).  two_as
-    holds 2 _NOISE_SCALE a and eight_b2s holds 4 _NOISE_SCALE^2 |b|^2, as
-    step-major (m, B) blocks or step slices of them; the kernel only reads
-    them.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt, so the
-    reference in the tests repeats the same operations on Python floats.
-    The constants are 0-d arrays, converted once per call and not once per
-    step.  Unchecked: callers validate dt.
+    holds 2 a and eight_b2s holds 4 |b|^2, as step-major (m, B) blocks or
+    step slices of them; the kernel only reads them.  s is formed as
+    (c - rho 2a) rho + 2a with c = 1 - 4 dt, so the reference in the tests
+    repeats the same operations on Python floats.  The constants are 0-d
+    arrays, converted once per call and not once per step.  Unchecked:
+    callers validate dt.
     """
     c = np.array(1.0 - 4.0 * dt)
     one = np.array(1.0)
@@ -246,7 +243,7 @@ def _step_lengths(rho: np.ndarray, two_as: np.ndarray, eight_b2s: np.ndarray, dt
 
 
 def _length_noise(streams, steps: int, dt: float):
-    """The blocks (2 _NOISE_SCALE a, 4 _NOISE_SCALE^2 |b|^2) of `steps` steps for a batch of groups.
+    """The blocks (2 a, 4 |b|^2) of `steps` steps for a batch of groups.
 
     The groups draw a standard normal and then a standard exponential per
     trajectory-step, in the `montecarlo` block layout at _BLOCK_STEPS steps
@@ -255,8 +252,8 @@ def _length_noise(streams, steps: int, dt: float):
     step-major (m, B) blocks are scaled views of reused buffers, so each
     pair must be read before the next is requested.
     """
-    a_scale = 2.0 * _NOISE_SCALE * math.sqrt(dt)
-    b_scale = 8.0 * _NOISE_SCALE * _NOISE_SCALE * dt
+    a_scale = 2.0 * math.sqrt(dt)
+    b_scale = 8.0 * dt
     for two_as, eight_b2s in _group_blocks(streams, steps, _BLOCK_STEPS, _LENGTH_KINDS):
         two_as *= a_scale
         eight_b2s *= b_scale
@@ -309,7 +306,7 @@ def simulate_trajectory(
         # step pass
         path = [r]
         append = path.append
-        for wx, wy, wz in (d_w * _NOISE_SCALE).tolist():
+        for wx, wy, wz in d_w.tolist():
             x, y, z = r
             r = _step_bloch(x, y, z, wx, wy, wz, dt)
             append(r)

@@ -6,9 +6,9 @@ continuous equation.  Every spec expands into tasks (spec, part, lo, hi):
 trials [lo, hi) of one part, where a part is a grid-point index, or the
 `paths` or `sde` half of a compare.  All tasks of one `run_ensemble` call
 go through one `_dispatch`: in process with one worker, and otherwise in
-one forked child per worker, each sending its share's samples back once
-through a pipe while the caller only collects (POSIX only: it needs
-`os.fork`).
+one forked child per worker (at most one per CPU and one per task), each
+sending its share's samples back once through a pipe while the caller only
+collects (POSIX only: it needs `os.fork`).
 
 Trials draw their randomness in groups of G = `montecarlo._GROUP`: group j
 of a part covers trials [jG, (j + 1)G) and draws from derive_stream(seed,
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import (
+    _check_step,
     drift_purity,
     mean_fidelity_closed_form,
     simulate_purity_ensemble,
@@ -83,7 +84,10 @@ class ExperimentSpec:
         if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"{self.kind} needs a nonempty strictly ascending n grid, got {grid!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
-        # delta/dt validity is enforced by the settings and integrator they feed
+        self.settings()  # refuses a bad delta
+        _check_step(self.dt)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
     def settings(self) -> MeasurementSettings:
         return MeasurementSettings(self.delta)
@@ -304,11 +308,14 @@ def _statistics(spec: ExperimentSpec, results: list[np.ndarray]) -> EnsembleStat
 def run_ensemble(*specs: ExperimentSpec, workers: int = 1) -> tuple[EnsembleStatistics, ...]:
     """Run every trial of the experiments in one dispatch; one statistics per spec, in order.
 
-    More than one worker forks child processes, so it needs `os.fork`
-    (POSIX); the statistics are the same bits at any worker count.
+    More than one worker forks child processes, at most one per CPU, so it
+    needs `os.fork` (POSIX); the statistics are the same bits at any worker
+    count.
     """
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"workers={workers} needs os.fork, which this platform lacks; use workers=1")
+    # more children than CPUs would only contend for them
+    workers = min(workers, os.cpu_count() or 1)
     for spec in specs:
         if spec.kind != CONTINUUM_COMPARE:
             continue

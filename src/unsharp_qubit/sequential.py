@@ -23,7 +23,9 @@ component-major (3, B) Bloch batch through `povm.posterior_batch`.  A batch
 is whole trial groups (`montecarlo._GROUP` trials each, on one stream per
 group), drawn in the block layout the `montecarlo` docstring describes, in
 blocks of at most `_BLOCK_STEPS` steps.  `run_sequence` is one group of width
-1 on the caller's stream.
+1 on the caller's stream.  The per-trial samples of the two estimators
+(`direct_fidelity_samples`, `purity_fidelity_samples`) are summarized by
+`ensemble.run_ensemble`, the one place their statistics are formed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 from .bloch import (
     DEGENERACY_TOL,
-    FULLY_MIXED,
     DensityMatrix,
     MeasurementAxis,
     _dot,
@@ -42,7 +43,7 @@ from .bloch import (
     _pure_batch,
     _purity,
 )
-from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, summarize
+from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams
 from .povm import (
     DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
@@ -85,7 +86,7 @@ def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     """
     for axes, uniforms, noise in _group_blocks(streams, n, _BLOCK_STEPS, _STEP_KINDS):
         v = axes.transpose(1, 0, 2)
-        length = np.sqrt(_dot(v, v))  # `random_axis` arithmetic
+        length = np.sqrt(_dot(v, v))  # `_random_unit` arithmetic
         if not (length > 0.0).all():
             raise ValueError("drew a measurement axis of zero length")
         axes /= length[:, None]
@@ -161,25 +162,17 @@ def run_sequence(
     """n measurements on `true_state`: fresh random axis, outcome sampled
     from the current conditional state, posterior update; the estimate is
     the reverse replay of the record.  rng is a numpy Generator, drawn
-    from as the one stream of a group of width 1."""
+    from as the one stream of a group of width 1.
+
+    From `FULLY_MIXED` the aposteriori field realizes A A^dag / tr[A A^dag]
+    for the recorded outcomes, the spectral twin of the estimate.
+    """
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
     final, axes, outcomes = _recorded_run(np.array(true_state.bloch)[:, None], [(rng, 1)], n, settings.precision)
     record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
     estimate = _estimate_batch(axes, outcomes, settings.precision)
     return SequenceResult(record, _state(final), _state(estimate))
-
-
-def hypothetical_run(
-    n: int, settings: MeasurementSettings, rng: np.random.Generator
-) -> SequenceResult:
-    """A run whose initial state is fully mixed, outcomes sampled accordingly.
-
-    The aposteriori field then realizes A A^dag / tr[A A^dag] for the
-    recorded outcomes, the spectral twin of the sequence estimate.  rng
-    must be a numpy Generator, as for `run_sequence`.
-    """
-    return run_sequence(FULLY_MIXED, n, settings, rng)
 
 
 def replay_hypothetical(
@@ -218,20 +211,6 @@ def spectral_match(result: SequenceResult, hypothetical) -> float:
     return 0.5 * abs(len_est - len_hyp)
 
 
-@dataclass(frozen=True)
-class FidelityStatistic:
-    """Monte Carlo mean, standard error, and sample count."""
-
-    mean: float
-    std_error: float
-    samples: int
-
-
-def _statistic(samples: np.ndarray) -> FidelityStatistic:
-    mean, err = summarize(samples)
-    return FidelityStatistic(mean, err, len(samples))
-
-
 def _expected_fidelities(estimate: np.ndarray, truth: np.ndarray, strategy: str) -> np.ndarray:
     """Exact conditional mean of the purified-estimate fidelity given each record.
 
@@ -259,7 +238,13 @@ def direct_fidelity_samples(
     seed: int = 0,
     base_index: int = 0,
 ) -> np.ndarray:
-    """Per-trial samples of `fidelity_direct`, shape (trials,)."""
+    """Estimate fidelities over random pure inputs, one run per trial, shape (trials,).
+
+    Every trial draws a uniform pure true state on its group's stream
+    derive_stream(seed, base_index + jG), runs the sequence, and records
+    the expected fidelity of the purified estimate under `strategy`.
+    `ensemble.run_ensemble` summarizes them per grid point.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -271,23 +256,6 @@ def direct_fidelity_samples(
     return _by_trial_groups(group, n, trials, seed, base_index)
 
 
-def fidelity_direct(
-    settings: MeasurementSettings,
-    n: int,
-    trials: int,
-    strategy: str = RANDOM_EIGENSTATE,
-    seed: int = 0,
-    base_index: int = 0,
-) -> FidelityStatistic:
-    """Mean estimate fidelity over random pure inputs, one run per trial.
-
-    Every trial draws a uniform pure true state on its group's stream
-    derive_stream(seed, base_index + jG), runs the sequence, and records
-    the expected fidelity of the purified estimate under `strategy`.
-    """
-    return _statistic(direct_fidelity_samples(settings, n, trials, strategy, seed, base_index))
-
-
 def purity_fidelity_samples(
     settings: MeasurementSettings,
     n: int,
@@ -295,28 +263,17 @@ def purity_fidelity_samples(
     seed: int = 0,
     base_index: int = 0,
 ) -> np.ndarray:
-    """Per-trial samples of `fidelity_purity`, shape (trials,)."""
-
-    def group(streams):
-        return (1.0 + _purity(_mixed_start_final(streams, n, settings.precision))) / 3.0
-
-    return _by_trial_groups(group, n, trials, seed, base_index)
-
-
-def fidelity_purity(
-    settings: MeasurementSettings,
-    n: int,
-    trials: int,
-    seed: int = 0,
-    base_index: int = 0,
-) -> FidelityStatistic:
-    """Mean fidelity over random pure inputs from mixed-start purities alone.
+    """Fidelities over random pure inputs from mixed-start purities alone, shape (trials,).
 
     Per trial the sample is (1 + tr[rho^2])/3 for the final state of a
     mixed-start run; the estimate state shares that purity, which is all
     the average over random pure inputs depends on.
     """
-    return _statistic(purity_fidelity_samples(settings, n, trials, seed, base_index))
+
+    def group(streams):
+        return (1.0 + _purity(_mixed_start_final(streams, n, settings.precision))) / 3.0
+
+    return _by_trial_groups(group, n, trials, seed, base_index)
 
 
 def hypothetical_purity_paths(

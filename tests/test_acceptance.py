@@ -30,7 +30,6 @@ import pytest
 
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
-    RANDOM_EIGENSTATE,
     ExperimentSpec,
     MeasurementSettings,
     bloch_sde_step,
@@ -38,13 +37,11 @@ from unsharp_qubit import (
     derive_stream,
     draw_noise,
     drift_purity,
-    fidelity_direct,
-    fidelity_purity,
     hypothetical_purity_paths,
-    hypothetical_run,
     mean_fidelity_closed_form,
     replay_hypothetical,
     run_ensemble,
+    run_sequence,
     simulate_purity_ensemble,
     sme_step,
     spectral_match,
@@ -52,6 +49,7 @@ from unsharp_qubit import (
 )
 from unsharp_qubit.bloch import FULLY_MIXED
 from unsharp_qubit.cli import main
+from unsharp_qubit.ensemble import HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY
 
 DELTA = 20.0
 GRID = (0, 2, 5, 10, 20, 40)
@@ -71,23 +69,28 @@ def _report(tag, ok, detail):
     print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def _points(stats):
+    """{n: (mean, standard error)} of one curve."""
+    return {int(n): (mean, err) for n, mean, err in zip(stats.grid, stats.means, stats.std_errors)}
+
+
 @pytest.fixture(scope="module")
 def curves():
-    cfg = settings(DELTA)
-    direct = {}
-    purity = {}
-    for i, n in enumerate(GRID):
-        direct[n] = fidelity_direct(cfg, n, TRIALS, RANDOM_EIGENSTATE, seed=1001, base_index=i * TRIALS)
-        purity[n] = fidelity_purity(cfg, n, TRIALS, seed=1002, base_index=i * TRIALS)
-    return direct, purity
+    # grid point i of each curve draws from the streams from i * TRIALS on
+    specs = (
+        ExperimentSpec(kind=SEQUENTIAL_FIDELITY, delta=DELTA, trials=TRIALS, seed=1001, n_grid=GRID),
+        ExperimentSpec(kind=HYPOTHETICAL_PURITY, delta=DELTA, trials=TRIALS, seed=1002, n_grid=GRID),
+    )
+    direct, purity = run_ensemble(*specs)
+    return _points(direct), _points(purity)
 
 
 def test_criterion_1_saturation_to_optimum(curves):
     _, purity = curves
-    stat = purity[40]
-    gap = abs(stat.mean - 2.0 / 3.0)
+    mean, err = purity[40]
+    gap = abs(mean - 2.0 / 3.0)
     detail = (
-        f"fidelity_purity(delta=20, n=40, 1e4 trials) = {stat.mean:.5f} +- {stat.std_error:.5f}, "
+        f"purity estimator (delta=20, n=40, 1e4 trials) = {mean:.5f} +- {err:.5f}, "
         f"required 2/3 +- 0.005 (gap {gap:.5f}); "
         f"empirical-calibration prediction {_empirical_reference(40, DELTA):.5f}"
     )
@@ -102,12 +105,12 @@ def test_criterion_2_saturation_curve_shape(curves):
     failures = []
     for n in GRID:
         reference = mean_fidelity_closed_form(n, cfg)
-        for label, stat in (("direct", direct[n]), ("purity", purity[n])):
-            tolerance = max(0.01, 3.0 * stat.std_error)
-            gap = abs(stat.mean - reference)
+        for label, (mean, err) in (("direct", direct[n]), ("purity", purity[n])):
+            tolerance = max(0.01, 3.0 * err)
+            gap = abs(mean - reference)
             if gap > tolerance:
                 failures.append(
-                    f"{label} n={n}: {stat.mean:.5f} vs closed form {reference:.5f} "
+                    f"{label} n={n}: {mean:.5f} vs closed form {reference:.5f} "
                     f"(gap {gap:.5f} > {tolerance:.5f}, empirical {_empirical_reference(n, DELTA):.5f})"
                 )
     ok = not failures
@@ -120,8 +123,9 @@ def test_criterion_2_estimator_agreement(curves):
     direct, purity = curves
     worst = 0.0
     for n in GRID:
-        combined = math.hypot(direct[n].std_error, purity[n].std_error)
-        gap = abs(direct[n].mean - purity[n].mean)
+        (direct_mean, direct_err), (purity_mean, purity_err) = direct[n], purity[n]
+        combined = math.hypot(direct_err, purity_err)
+        gap = abs(direct_mean - purity_mean)
         if combined == 0.0:
             assert gap == 0.0
             continue
@@ -134,17 +138,12 @@ def test_criterion_2_estimator_agreement(curves):
 
 def test_criterion_3_fidelity_bounds(curves):
     direct, purity = curves
-    ok = (
-        direct[0].mean == 0.5
-        and purity[0].mean == 0.5
-        and direct[0].std_error == 0.0
-        and purity[0].std_error == 0.0
-    )
+    ok = direct[0] == purity[0] == (0.5, 0.0)
     excesses = []
     for n in GRID:
-        for stat in (direct[n], purity[n]):
-            if stat.mean > 2.0 / 3.0 + 3.0 * stat.std_error:
-                excesses.append((n, stat.mean))
+        for mean, err in (direct[n], purity[n]):
+            if mean > 2.0 / 3.0 + 3.0 * err:
+                excesses.append((n, mean))
     ok = ok and not excesses
     detail = f"n=0 exact at 0.5; no point above 2/3 + 3 stderr (excesses: {excesses})"
     _report("3 fidelity-bounds", ok, detail)
@@ -152,10 +151,13 @@ def test_criterion_3_fidelity_bounds(curves):
 
 
 def test_criterion_4_sharp_limit():
-    stat = fidelity_direct(settings(0.05), 1, 10**5, DOMINANT_EIGENSTATE, seed=401)
-    gap = abs(stat.mean - 2.0 / 3.0)
+    spec = ExperimentSpec(
+        kind=SEQUENTIAL_FIDELITY, delta=0.05, trials=10**5, seed=401, n_grid=(1,), strategy=DOMINANT_EIGENSTATE
+    )
+    ((mean, err),) = _points(*run_ensemble(spec)).values()
+    gap = abs(mean - 2.0 / 3.0)
     ok = gap <= 0.005
-    detail = f"one sharp measurement: {stat.mean:.5f} +- {stat.std_error:.5f}, gap to 2/3 = {gap:.5f}"
+    detail = f"one sharp measurement: {mean:.5f} +- {err:.5f}, gap to 2/3 = {gap:.5f}"
     _report("4 sharp-limit", ok, detail)
     assert ok, detail
 
@@ -209,7 +211,7 @@ def test_criterion_7_property_suite():
     spectral = 0.0
     for i, (n, width) in enumerate([(50, 10.0), (120, 10.0), (200, 10.0), (200, 1.0)]):
         cfg = settings(width)
-        run = hypothetical_run(n, cfg, derive_stream(701, i))
+        run = run_sequence(FULLY_MIXED, n, cfg, derive_stream(701, i))
         spectral = max(spectral, spectral_match(run, replay_hypothetical(run.outcomes, cfg)))
 
     rng = derive_stream(702, 0)

@@ -10,10 +10,10 @@ from unsharp_qubit import (
     derive_stream,
     fidelity,
     purity,
-    random_axis,
     random_pure_state,
     spectral_decompose,
 )
+from unsharp_qubit import sequential
 from unsharp_qubit.bloch import _clipped_batch, _dot, _pure_batch
 
 SPHERE_DRAWS = 10**5
@@ -158,26 +158,20 @@ def test_distinct_streams_give_distinct_states():
     assert a != b
 
 
-def test_random_axis_unit_and_isotropic():
-    rng = derive_stream(101, 1)
+def test_sampled_axes_unit_and_isotropic():
+    # the measurement axes of one group of 100 trials over SPHERE_DRAWS / 100 steps
+    width = 100
+    streams = [(derive_stream(101, 1), width)]
+    steps = sequential._sampled_steps(np.zeros((3, width)), streams, SPHERE_DRAWS // width, 1.0)
     n_z = 0.0
-    for _ in range(SPHERE_DRAWS):
-        axis = random_axis(rng)
-        assert abs(math.sqrt(sum(c * c for c in axis.direction)) - 1.0) <= 1e-12
-        n_z += axis.direction[2]
+    for _, axes, _ in steps:
+        assert np.all(np.abs(np.sqrt(_dot(axes, axes)) - 1.0) <= 1e-12)
+        n_z += axes[2].sum()
     assert abs(n_z / SPHERE_DRAWS) < SPHERE_MEAN_BOUND
-
-
-def test_random_axis_deterministic_per_stream():
-    assert random_axis(derive_stream(42, 7)) == random_axis(derive_stream(42, 7))
 
 
 def test_axis_validation():
     for bad in ((0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 5.0), (1.0, 0.0), (math.nan, 0.0, 1.0)):
         with pytest.raises(ValueError):
             MeasurementAxis(bad)
-    for bad in ((1.0, 0.0, 0.0, 5.0), (1.0, 0.0)):
-        with pytest.raises(ValueError):
-            MeasurementAxis.from_vector(bad)
-    axis = MeasurementAxis.from_vector((3.0, 0.0, 4.0))
-    assert axis.direction == pytest.approx((0.6, 0.0, 0.8))
+    assert MeasurementAxis([0.6, 0, 0.8]).direction == (0.6, 0.0, 0.8)

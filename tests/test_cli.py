@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unsharp_qubit
@@ -170,7 +171,15 @@ def test_validate_delta_list(capsys):
 
 
 def test_validate_detects_injected_noise_fault(monkeypatch, capsys):
-    monkeypatch.setattr(continuous, "_NOISE_SCALE", 2.0)
+    # twice the noise in the matrix reference step and in the ensemble's length chain
+    euler, length_noise = continuous._euler_density, continuous._length_noise
+
+    def doubled_noise(streams, steps, dt):
+        for two_as, eight_b2s in length_noise(streams, steps, dt):
+            yield 2.0 * two_as, 4.0 * eight_b2s
+
+    monkeypatch.setattr(continuous, "_euler_density", lambda rho, d_w, dt: euler(rho, 2.0 * np.asarray(d_w), dt))
+    monkeypatch.setattr(continuous, "_length_noise", doubled_noise)
     assert main(["validate", "--quick", "--seed", "15"]) == 1
     statuses = _check_statuses(capsys.readouterr().out)
     assert statuses["bloch-vs-matrix-pathwise"] == "FAIL"

@@ -191,17 +191,15 @@ def _group_lengths_noise(seed, index, width, steps, dt):
 
     Read off the stream in the layout the ensemble draws it: per block of
     `_BLOCK_STEPS` steps, standard_normal((m, width)) and then
-    standard_exponential((m, width)), scaled by 2 _NOISE_SCALE sqrt(dt) and
-    8 _NOISE_SCALE^2 dt.
+    standard_exponential((m, width)), scaled by 2 sqrt(dt) and 8 dt.
     """
     rng = derive_stream(seed, index)
     block = continuous._BLOCK_STEPS
-    scale = continuous._NOISE_SCALE
     two_as, eight_b2s = [], []
     for lo in range(0, steps, block):
         m = min(block, steps - lo)
-        two_as += (2.0 * scale * math.sqrt(dt) * rng.standard_normal((m, width))).tolist()
-        eight_b2s += (8.0 * scale * scale * dt * rng.standard_exponential((m, width))).tolist()
+        two_as += (2.0 * math.sqrt(dt) * rng.standard_normal((m, width))).tolist()
+        eight_b2s += (8.0 * dt * rng.standard_exponential((m, width))).tolist()
     return two_as, eight_b2s
 
 
@@ -271,28 +269,16 @@ def test_ensemble_of_several_groups_equals_scalar_steps_bitwise():
     assert ensemble.tolist() == purities
 
 
-def test_noise_scale_reaches_the_ensemble(monkeypatch):
-    grid = (0.01, 0.05)
-    plain = simulate_purity_ensemble(grid, 1e-4, 8, seed=67)
-    monkeypatch.setattr(continuous, "_NOISE_SCALE", 2.0)
-    scaled = simulate_purity_ensemble(grid, 1e-4, 8, seed=67)
-    assert np.all(scaled != plain)
-
-
-def test_noise_scale_reaches_both_variates(monkeypatch):
+def test_zero_noise_length_chain_is_the_drift_recursion():
     # without noise the length chain is the drift recursion rho <- (1 - 4 dt) rho,
-    # as the kernel forms it: the square root of a square is exact; an
-    # unscaled exponential would move every step
-    monkeypatch.setattr(continuous, "_NOISE_SCALE", 0.0)
+    # as the kernel forms it: the square root of a square is exact
     dt, steps = 1e-4, 300
-    c, rho, expected = 1.0 - 4.0 * dt, 0.5, []
-    for _ in range(steps + 1):
-        expected.append(0.5 * (1.0 + rho * rho))
+    c, rho = 1.0 - 4.0 * dt, 0.5
+    lengths, zeros = np.full(3, rho), np.zeros((1, 3))
+    for _ in range(steps):
+        continuous._step_lengths(lengths, zeros, zeros, dt)
         rho = c * rho
-    ensemble = simulate_purity_ensemble(
-        [k * dt for k in range(steps + 1)], dt, 3, seed=71, initial=DensityMatrix((0.0, 0.0, 0.5))
-    )
-    assert ensemble.T.tolist() == [expected] * 3
+        assert lengths.tolist() == [rho] * 3
 
 
 @hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -401,16 +387,6 @@ def test_trajectory_equals_bloch_sde_step_chain_and_projects_pure_only(start, pr
     assert (projected > 0) == projects
 
 
-def test_noise_scale_moves_the_path_not_the_record(monkeypatch):
-    plain = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(64, 0), emit_record=True)
-    monkeypatch.setattr(continuous, "_NOISE_SCALE", 2.0)
-    scaled = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(64, 0), emit_record=True)
-    assert scaled[1].state != plain[1].state
-    assert scaled[-1].state != plain[-1].state
-    # the first increment sees the shared start and the unscaled draw only
-    assert scaled[1].record == plain[1].record
-
-
 # a pure start, so steps project; 34 noise chunks of 1024 rows and a shorter last one of 185
 @pytest.mark.parametrize("emit_record", [True, False], ids=["record", "no-record"])
 @pytest.mark.parametrize("stride", [1, 7, 10**30], ids=["stride-1", "stride-7", "stride-1e30"])
@@ -444,10 +420,16 @@ def test_trajectory_rescale_is_rounding_only():
     assert rescaled > 0
 
 
-def test_trajectory_refuses_non_finite_states(monkeypatch):
-    monkeypatch.setattr(continuous, "_NOISE_SCALE", math.inf)
+class _InfiniteNormals:
+    """Stand-in random stream whose normals are all infinite."""
+
+    def standard_normal(self, size):
+        return np.full(size, math.inf)
+
+
+def test_trajectory_refuses_non_finite_states():
     with pytest.raises(ValueError, match="finite"):
-        simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(69, 0), emit_record=True)
+        simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, _InfiniteNormals(), emit_record=True)
 
 
 def test_snapshot_classes_round_trip():

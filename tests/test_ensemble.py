@@ -1,3 +1,4 @@
+import math
 import os
 import time
 import warnings
@@ -76,6 +77,18 @@ def test_spec_validation():
         ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=10, seed=0, n_grid=(0,), strategy="??")
 
 
+def test_spec_refuses_bad_delta_dt_and_seed_when_built():
+    # refused when built, not inside the first task or after the other half of a compare has run
+    bad = [
+        ("delta", -1.0, "precision"), ("delta", math.nan, "precision"),
+        ("dt", 0.5, "dt must"), ("dt", 0.0, "dt must"), ("seed", -3, "seed must be nonnegative"),
+    ]
+    for kind in (ens.SEQUENTIAL_FIDELITY, ens.CONTINUUM_COMPARE):
+        for field, value, message in bad:
+            with pytest.raises(ValueError, match=message):
+                ExperimentSpec(**{**dict(kind=kind, delta=20.0, trials=10, seed=0, n_grid=(0, 1)), field: value})
+
+
 def test_sequential_fidelity_zero_point():
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=200, seed=50, n_grid=(0,))
     (stats,) = run_ensemble(spec)
@@ -124,6 +137,12 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """A CPU count above every worker count asked for, so each test plans and forks as many as it asks."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1024)
+
+
 def _tasks(spec, workers):
     return len(ens._parts(spec)) * len(ens._chunk_ranges(spec.trials, workers))
 
@@ -144,7 +163,7 @@ def _in_children_only(stand_in):
     return guarded
 
 
-def test_pool_is_sized_by_its_tasks(monkeypatch):
+def test_pool_is_sized_by_its_tasks(monkeypatch, many_cpus):
     # 6 grid points x 2 chunks (trials [0, G) and [G, G + 1)) = 12 tasks, however many workers are asked for
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=ens._GROUP + 1, seed=55,
                           n_grid=(0, 2, 5, 10, 20, 40))
@@ -156,7 +175,7 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
     assert forks.sizes == [12, 3]
 
 
-def test_pool_gets_one_share_per_worker(monkeypatch):
+def test_pool_gets_one_share_per_worker(monkeypatch, many_cpus):
     # worker w runs tasks w, w + workers, ...; the results come back in task order
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3 * ens._GROUP, seed=60,
                           n_grid=(0, 2, 5))
@@ -167,6 +186,26 @@ def test_pool_gets_one_share_per_worker(monkeypatch):
     assert run_ensemble(spec, workers=4) == expected
     # 3 points x 2 chunks of 2G and G trials; 3 points x 3 chunks of G trials
     assert forks.shares == [[3, 3], [3, 2, 2, 2]]
+
+
+def test_pool_is_sized_by_the_cpu_count(monkeypatch):
+    # --workers 100000 once planned a chunk per 100 trials and forked a child per task
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3 * ens._GROUP, seed=60,
+                          n_grid=(0, 2, 5))
+    expected = run_ensemble(spec, workers=1)
+    forks = _InlineForks()
+    monkeypatch.setattr(ens, "_run_forked", forks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_ensemble(spec, workers=100_000) == expected
+    # planned as for 2 workers: 3 points x 2 chunks of 2G and G trials
+    assert forks.shares == [[3, 3]]
+    argv = ["fidelity-curve", "--n-grid", "0,2", "--trials", "30", "--estimator", "both", "--workers", "100000"]
+    assert main([*argv, "--out", os.devnull]) == 0
+    assert forks.shares == [[3, 3], [2, 2]]
+    for cpus in (1, None):  # one CPU, or a count the platform cannot tell: in process
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_ensemble(spec, workers=100_000) == expected
+    assert len(forks.shares) == 2
 
 
 def test_failing_trial_is_named(monkeypatch):
@@ -208,7 +247,7 @@ def test_failing_compare_trial_is_named(monkeypatch):
         _assert_no_child_left()
 
 
-def test_child_that_exits_without_sending_is_named(monkeypatch):
+def test_child_that_exits_without_sending_is_named(monkeypatch, many_cpus):
     # the raw wait status of exit code 3 is 768; the error names the code
     monkeypatch.setattr(ens, "_run_tasks", _in_children_only(lambda share: os._exit(3)))
     spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=ens._GROUP + 1, seed=61, n_grid=(1,))
@@ -218,7 +257,7 @@ def test_child_that_exits_without_sending_is_named(monkeypatch):
     _assert_no_child_left()
 
 
-def test_failure_kills_the_children_still_running(monkeypatch):
+def test_failure_kills_the_children_still_running(monkeypatch, many_cpus):
     # the first child fails at once; the second would run for a minute
     def first_share_fails(share):
         if share[0][2] == 0:
@@ -257,7 +296,7 @@ def test_specs_of_one_call_equal_separate_calls():
     ("fidelity-curve", "--delta", "20", "--n-grid", "0,2,5", "--trials", "30", "--estimator", "both"),
     ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--trajectories", "12"),
 ])
-def test_one_pool_per_command(monkeypatch, tmp_path, argv):
+def test_one_pool_per_command(monkeypatch, tmp_path, argv, many_cpus):
     forks = _InlineForks()
     monkeypatch.setattr(ens, "_run_forked", forks)
     outputs = []

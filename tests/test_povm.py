@@ -12,14 +12,12 @@ from unsharp_qubit import (
     FULLY_MIXED,
     RANDOM_EIGENSTATE,
     DensityMatrix,
-    MeasurementAxis,
     MeasurementSettings,
     completeness_defect,
     derive_stream,
     fidelity,
     purify_estimate,
     purity,
-    random_axis,
     random_pure_state,
 )
 
@@ -147,7 +145,8 @@ def test_outcome_moments_mixed():
 
 def test_outcome_mean_tracks_polarization():
     state = np.array([0.3, 0.1, 0.4])
-    axis = np.array(MeasurementAxis.from_vector((1.0, 2.0, -0.5)).direction)
+    axis = np.array([1.0, 2.0, -0.5])
+    axis /= np.sqrt(_dot(axis, axis))
     draws = _outcomes(state, axis, 1.0, derive_stream(231, 2), 10**6)
     mean = _dot(axis, state)  # p_plus - p_minus
     variance = 1.0 + 1.0 - mean * mean  # precision^2 + 1 - mean^2
@@ -231,8 +230,9 @@ def test_posterior_batch_equals_each_column_alone(size, width, seed):
     # decided; every third column from index 2 on is mixed
     columns *= 1.0 + rng.integers(-4, 5, size) * 2.0**-52
     columns[:, 2::3] *= rng.uniform(0.0, 1.0, len(range(2, size, 3)))
-    draws = [(random_axis(rng).direction, rng.normal(0.0, 1.0 + width)) for _ in range(size)]
+    draws = [(rng.standard_normal(3), rng.normal(0.0, 1.0 + width)) for _ in range(size)]
     axes = np.array([axis for axis, _ in draws]).T
+    axes /= np.sqrt(_dot(axes, axes))
     log_plus, log_minus = log_weights(np.array([outcome for _, outcome in draws]), width)
     out = posterior_batch(columns, axes, log_plus, log_minus)
     alone = [

@@ -14,21 +14,21 @@ from unsharp_qubit import (
     DensityMatrix,
     MeasurementAxis,
     MeasurementSettings,
+    ExperimentSpec,
     derive_stream,
     fidelity,
-    fidelity_direct,
-    fidelity_purity,
     hypothetical_purity_paths,
-    hypothetical_run,
     mean_fidelity_closed_form,
     purity,
     random_pure_state,
     replay_hypothetical,
+    run_ensemble,
     run_sequence,
     spectral_match,
     summarize,
 )
 from unsharp_qubit.bloch import _dot
+from unsharp_qubit.ensemble import HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY
 from unsharp_qubit.povm import log_weights, posterior_batch
 
 Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
@@ -238,7 +238,9 @@ def test_draw_block_bounds_memory_not_results(monkeypatch):
     np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, trials, seed=65), whole)
     monkeypatch.setattr(sequential, "_BLOCK_STEPS", 5)
     blocked = hypothetical_purity_paths(12, cfg, trials, seed=65)
-    finals = [purity(hypothetical_run(12, cfg, _trial_stream(65, 0, trials, k)).aposteriori) for k in range(trials)]
+    finals = [
+        purity(run_sequence(FULLY_MIXED, 12, cfg, _trial_stream(65, 0, trials, k)).aposteriori) for k in range(trials)
+    ]
     assert blocked[:, -1].tolist() == finals
     assert np.all(blocked[:, 0] == 0.5) and np.all((blocked >= 0.5) & (blocked <= 1.0))
 
@@ -311,27 +313,27 @@ def test_first_outcome_marginal_matches_density():
 
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
     for k in [*range(50), *range(10**5 - 50, 10**5)]:  # the batch reproduces the public per-trial run
-        assert draws[k] == hypothetical_run(1, cfg, _trial_stream(243, 0, 10**5, k)).outcomes[0][1]
+        assert draws[k] == run_sequence(FULLY_MIXED, 1, cfg, _trial_stream(243, 0, 10**5, k)).outcomes[0][1]
     # the mixed state's outcome density is half g(s - 1) plus half g(s + 1)
     cdf = lambda xs: 0.5 * (sps.norm.cdf(xs, 1.0, 1.0) + sps.norm.cdf(xs, -1.0, 1.0))  # noqa: E731
     assert sps.kstest(draws, cdf).statistic < 0.01
 
 
 def test_hypothetical_zero_steps_is_mixed():
-    result = hypothetical_run(0, settings(10.0), derive_stream(21, 0))
+    result = run_sequence(FULLY_MIXED, 0, settings(10.0), derive_stream(21, 0))
     assert purity(result.aposteriori) == 0.5
 
 
 def test_hypothetical_single_step_equals_single_estimate():
     cfg = settings(1.0)
-    result = hypothetical_run(1, cfg, derive_stream(21, 1))
+    result = run_sequence(FULLY_MIXED, 1, cfg, derive_stream(21, 1))
     axis, outcome = result.outcomes[0]
     est = [math.tanh(outcome / cfg.precision**2) * x for x in axis.direction]  # tanh(s / width^2) n
     assert result.aposteriori.bloch == pytest.approx(est, abs=1e-12)
 
 
 def _purities_after_50_steps():
-    # trial k is hypothetical_run(50, ...) on its column of its group's draws, batched
+    # trial k is run_sequence(FULLY_MIXED, 50, ...) on its column of its group's draws, batched
     return hypothetical_purity_paths(50, settings(10.0), 10**3, seed=22)[:, 50]
 
 
@@ -339,7 +341,7 @@ def test_purity_paths_equal_hypothetical_runs():
     batched = _purities_after_50_steps()
     cfg = settings(10.0)
     for k in [*range(50), *range(10**3 - 50, 10**3)]:
-        assert batched[k] == purity(hypothetical_run(50, cfg, _trial_stream(22, 0, 10**3, k)).aposteriori)
+        assert batched[k] == purity(run_sequence(FULLY_MIXED, 50, cfg, _trial_stream(22, 0, 10**3, k)).aposteriori)
 
 
 @CALIBRATION_XFAIL
@@ -349,7 +351,7 @@ def test_hypothetical_purifies_within_characteristic_steps():
 
 def test_spectral_match_single_step():
     cfg = settings(1.0)
-    result = hypothetical_run(1, cfg, derive_stream(23, 0))
+    result = run_sequence(FULLY_MIXED, 1, cfg, derive_stream(23, 0))
     replay = replay_hypothetical(result.outcomes, cfg)
     assert spectral_match(result, replay) <= 1e-12
 
@@ -357,7 +359,7 @@ def test_spectral_match_single_step():
 @pytest.mark.parametrize("n,width", [(5, 1.0), (100, 10.0), (200, 10.0)])
 def test_spectral_match_random_sequences(n, width):
     cfg = settings(width)
-    result = hypothetical_run(n, cfg, derive_stream(24, n))
+    result = run_sequence(FULLY_MIXED, n, cfg, derive_stream(24, n))
     replay = replay_hypothetical(result.outcomes, cfg)
     assert spectral_match(result, replay) <= 1e-9
 
@@ -376,62 +378,64 @@ def test_spectral_match_holds_for_any_outcome_source():
 
 def test_spectral_match_rejects_mismatched_records():
     cfg = settings(1.0)
-    first = hypothetical_run(2, cfg, derive_stream(26, 0))
-    second = hypothetical_run(2, cfg, derive_stream(26, 1))
+    first = run_sequence(FULLY_MIXED, 2, cfg, derive_stream(26, 0))
+    second = run_sequence(FULLY_MIXED, 2, cfg, derive_stream(26, 1))
     with pytest.raises(ValueError):
         spectral_match(first, second)
 
 
 def test_spectral_match_accepts_bare_state():
     cfg = settings(1.0)
-    result = hypothetical_run(3, cfg, derive_stream(26, 2))
+    result = run_sequence(FULLY_MIXED, 3, cfg, derive_stream(26, 2))
     replay = replay_hypothetical(result.outcomes, cfg)
     assert spectral_match(result, replay.aposteriori) == spectral_match(result, replay)
 
 
+def _point(kind, delta, n, trials, seed, strategy=RANDOM_EIGENSTATE):
+    """(mean, standard error, samples) of one estimator at one n, on the streams from 0 on."""
+    spec = ExperimentSpec(kind=kind, delta=delta, trials=trials, seed=seed, n_grid=(n,), strategy=strategy)
+    (stats,) = run_ensemble(spec)
+    return stats.means[0], stats.std_errors[0], stats.samples
+
+
 def test_fidelity_direct_zero_steps_exact():
-    stat = fidelity_direct(settings(20.0), 0, 500, RANDOM_EIGENSTATE, seed=30)
-    assert stat.mean == 0.5
-    assert stat.std_error == 0.0
-    assert stat.samples == 500
+    assert _point(SEQUENTIAL_FIDELITY, 20.0, 0, 500, seed=30) == (0.5, 0.0, 500)
 
 
 def test_fidelity_direct_validates_trials():
     with pytest.raises(ValueError):
-        fidelity_direct(settings(1.0), 1, 0, RANDOM_EIGENSTATE, seed=0)
+        sequential.direct_fidelity_samples(settings(1.0), 1, 0)
+    with pytest.raises(ValueError):
+        ExperimentSpec(kind=SEQUENTIAL_FIDELITY, delta=1.0, trials=0, seed=0, n_grid=(1,))
 
 
 @CALIBRATION_XFAIL
 def test_fidelity_direct_reaches_optimum():
-    stat = fidelity_direct(settings(20.0), 40, 10**4, RANDOM_EIGENSTATE, seed=31)
-    assert abs(stat.mean - 2.0 / 3.0) <= 0.01
+    mean, _, _ = _point(SEQUENTIAL_FIDELITY, 20.0, 40, 10**4, seed=31)
+    assert abs(mean - 2.0 / 3.0) <= 0.01
 
 
 @CALIBRATION_XFAIL
 def test_fidelity_direct_matches_reference_curve():
-    stat = fidelity_direct(settings(20.0), 2, 10**4, RANDOM_EIGENSTATE, seed=32)
-    assert abs(stat.mean - mean_fidelity_closed_form(2, settings(20.0))) <= 0.01
+    mean, _, _ = _point(SEQUENTIAL_FIDELITY, 20.0, 2, 10**4, seed=32)
+    assert abs(mean - mean_fidelity_closed_form(2, settings(20.0))) <= 0.01
 
 
 def test_fidelity_purity_zero_steps_exact():
-    stat = fidelity_purity(settings(20.0), 0, 300, seed=33)
-    assert stat.mean == 0.5
-    assert stat.std_error == 0.0
+    assert _point(HYPOTHETICAL_PURITY, 20.0, 0, 300, seed=33)[:2] == (0.5, 0.0)
 
 
 @CALIBRATION_XFAIL
 def test_fidelity_purity_reaches_optimum():
-    stat = fidelity_purity(settings(20.0), 40, 10**4, seed=34)
-    assert abs(stat.mean - 2.0 / 3.0) <= 0.005
+    mean, _, _ = _point(HYPOTHETICAL_PURITY, 20.0, 40, 10**4, seed=34)
+    assert abs(mean - 2.0 / 3.0) <= 0.005
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])
 def test_direct_and_purity_estimators_agree(n):
-    cfg = settings(20.0)
-    direct = fidelity_direct(cfg, n, 10**4, RANDOM_EIGENSTATE, seed=301)
-    viapurity = fidelity_purity(cfg, n, 10**4, seed=302)
-    combined = math.hypot(direct.std_error, viapurity.std_error)
-    assert abs(direct.mean - viapurity.mean) <= 3.0 * combined
+    direct, direct_se, _ = _point(SEQUENTIAL_FIDELITY, 20.0, n, 10**4, seed=301)
+    viapurity, viapurity_se, _ = _point(HYPOTHETICAL_PURITY, 20.0, n, 10**4, seed=302)
+    assert abs(direct - viapurity) <= 3.0 * math.hypot(direct_se, viapurity_se)
 
 
 def _fixed_state_samples(true_state, cfg, n, trials, seed):
@@ -478,11 +482,10 @@ def test_fidelity_hypothetical_fixed_uninformative_limit():
 
 
 def test_dominant_strategy_not_below_random():
-    cfg = settings(1.0)  # sharp enough to separate the strategies
-    dominant = fidelity_direct(cfg, 3, 3000, DOMINANT_EIGENSTATE, seed=36)
-    randomized = fidelity_direct(cfg, 3, 3000, RANDOM_EIGENSTATE, seed=36)
-    combined = math.hypot(dominant.std_error, randomized.std_error)
-    assert dominant.mean >= randomized.mean - 3.0 * combined
+    # delta = 1 is sharp enough to separate the strategies
+    dominant, dominant_se, _ = _point(SEQUENTIAL_FIDELITY, 1.0, 3, 3000, seed=36, strategy=DOMINANT_EIGENSTATE)
+    randomized, randomized_se, _ = _point(SEQUENTIAL_FIDELITY, 1.0, 3, 3000, seed=36)
+    assert dominant >= randomized - 3.0 * math.hypot(dominant_se, randomized_se)
 
 
 def test_purity_paths_shape_and_start():
