@@ -17,14 +17,11 @@ from .bloch import (
     FULLY_MIXED,
     DensityMatrix,
     MeasurementAxis,
-    SpectralDecomposition,
     fidelity,
     purity,
     random_pure_state,
-    spectral_decompose,
 )
 from .continuous import (
-    NoiseIncrement,
     TrajectoryState,
     bloch_sde_step,
     draw_noise,

@@ -104,19 +104,9 @@ class MeasurementAxis:
         object.__setattr__(self, "direction", n)
 
     def matrix(self) -> np.ndarray:
+        """Dense 2x2 complex observable n.sigma."""
         n = self.direction
         return n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues and rank-1 eigenprojectors of a qubit state."""
-
-    eigenvalue_plus: float
-    eigenvalue_minus: float
-    projector_plus: DensityMatrix
-    projector_minus: DensityMatrix
-    degenerate: bool = False
 
 
 def _purity(r):
@@ -134,41 +124,17 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     return 0.5 * (1.0 + _dot(a.bloch, b.bloch))
 
 
-def spectral_decompose(state: DensityMatrix) -> SpectralDecomposition:
-    """Eigenvalues (1 +- |r|)/2 with eigenprojectors along +-r/|r|.
-
-    A fully mixed input (|r| below the degeneracy tolerance) is flagged and
-    the projectors default to the +-z axis; callers that need a random
-    tie-break handle the flag themselves.
-    """
-    r = state.bloch
-    n = _norm(r)
-    if n < DEGENERACY_TOL:
-        return SpectralDecomposition(
-            0.5, 0.5, DensityMatrix((0.0, 0.0, 1.0)), DensityMatrix((0.0, 0.0, -1.0)), True
-        )
-    u = (r[0] / n, r[1] / n, r[2] / n)
-    return SpectralDecomposition(
-        0.5 * (1.0 + n),
-        0.5 * (1.0 - n),
-        DensityMatrix.clipped(u),
-        DensityMatrix.clipped((-u[0], -u[1], -u[2])),
-        False,
-    )
-
-
-def _random_unit(rng: np.random.Generator) -> Vec3:
-    # normalized 3-component Gaussian draw: branch-free and exactly isotropic
-    while True:
-        v = rng.standard_normal(3)
-        n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        if n > 0.0:
-            return (v[0] / n, v[1] / n, v[2] / n)
-
-
 def random_pure_state(rng: np.random.Generator) -> DensityMatrix:
-    """Pure state with Bloch direction uniform on the unit sphere."""
-    return DensityMatrix.clipped(_random_unit(rng))
+    """Pure state with Bloch direction uniform on the unit sphere.
+
+    Three standard normals divided by their length: branch-free and exactly
+    isotropic.  A draw of zero length is refused.
+    """
+    v = rng.standard_normal(3)
+    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if not (n > 0.0):
+        raise ValueError("drew a pure state of zero length")
+    return DensityMatrix.clipped((v[0] / n, v[1] / n, v[2] / n))
 
 
 def _clipped_batch(r: np.ndarray) -> np.ndarray:
@@ -190,6 +156,6 @@ def _clipped_batch(r: np.ndarray) -> np.ndarray:
 
 def _pure_batch(v: np.ndarray) -> np.ndarray:
     """`random_pure_state` of every column of accepted normals (3, B), with the same arithmetic:
-    `_random_unit`'s division by the length, then `clipped`'s rescale and checks."""
+    the division by the length, then `clipped`'s rescale and checks."""
     return _clipped_batch(v / np.sqrt(_dot(v, v)))
 

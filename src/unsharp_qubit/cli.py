@@ -12,9 +12,10 @@ Every command is a pure function of its flags plus --seed: rerunning with
 the same flags reproduces the output byte for byte at any worker count.
 The two table commands take --format, --out and --workers: CSV uses full
 round-trip float formatting; JSON wraps the same rows in an envelope
-carrying the resolved flag set.  --workers above 1 forks one child process
-per worker, never more than the CPU count nor the task count (POSIX only),
-and is refused at parsing where os.fork is missing.
+carrying the flags as given, --workers as asked even where fewer children
+ran.  --workers above 1 forks one child process per worker, never more than
+the CPU count nor the task count (POSIX only), and is refused at parsing
+where os.fork is missing.
 validate takes only --seed, --delta-list and --quick, and prints a text
 report on stdout.
 """

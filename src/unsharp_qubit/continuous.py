@@ -117,23 +117,11 @@ def mean_fidelity_closed_form(n, settings: MeasurementSettings):
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One isotropic Wiener increment; each component is Normal(0, dt)."""
-
-    d_w: Vec3
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_w", tuple(float(x) for x in self.d_w))
-
-
-def draw_noise(rng: np.random.Generator, dt: float) -> NoiseIncrement:
-    """Draw the three Wiener components for one step of size dt."""
+def draw_noise(rng: np.random.Generator, dt: float) -> Vec3:
+    """Draw the three Wiener components, each Normal(0, dt), for one step of size dt."""
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be a positive real, got {dt!r}")
-    scale = math.sqrt(dt)
-    v = rng.standard_normal(3)
-    return NoiseIncrement((scale * v[0], scale * v[1], scale * v[2]))
+    return tuple((math.sqrt(dt) * rng.standard_normal(3)).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,20 +133,8 @@ class TrajectoryState:
     record: Vec3 | None = None
 
 
-def _step_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step of the matrix-form equation on a 2x2 state, trace-renormalized.
-
-    The matrix-form reference behind `sme_step`; the simulations step the
-    Bloch form through `_step_bloch` and `_step_lengths` instead.  The
-    update keeps a unit trace in exact arithmetic, so the division only
-    repairs rounding.
-    """
-    rho = _euler_density(rho, d_w, dt)
-    return rho / np.trace(rho).real
-
-
 def _euler_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
-    """The Euler-Maruyama update of `_step_density` before its trace division."""
+    """The matrix-form Euler-Maruyama update of a 2x2 state, before `sme_step` divides by the trace."""
     d_w = np.asarray(d_w, dtype=float)
     expect = np.einsum("kij,ji->k", _PAULI, rho).real
     sig_rho = np.einsum("kij,jl->kil", _PAULI, rho)
@@ -174,27 +150,29 @@ def _check_step(dt: float):
         raise ValueError(f"dt must satisfy 0 < dt <= {DEFAULT_DT_MAX!r}, got {dt!r}")
 
 
-def sme_step(state: DensityMatrix, dt: float, noise: NoiseIncrement) -> DensityMatrix:
-    """One conditional-master-equation step in matrix form.
+def sme_step(state: DensityMatrix, dt: float, d_w) -> DensityMatrix:
+    """One conditional-master-equation step in matrix form under the Wiener increment d_w.
 
     Euler-Maruyama update of rho, then trace renormalization and, if the
-    Bloch vector left the unit ball, rescaling back onto the sphere.  This
-    is the reference the Bloch-form step is checked against pathwise.
+    Bloch vector left the unit ball, rescaling back onto the sphere.  The
+    update keeps a unit trace in exact arithmetic, so the division only
+    repairs rounding.  This is the reference the Bloch-form step is checked
+    against pathwise.
     """
     _check_step(dt)
-    rho = _step_density(state.matrix(), noise.d_w, dt)
+    rho = _euler_density(state.matrix(), d_w, dt)
+    rho = rho / np.trace(rho).real
     return DensityMatrix.clipped(np.einsum("kij,ji->k", _PAULI, rho).real)
 
 
-def bloch_sde_step(r, dt: float, noise: NoiseIncrement) -> Vec3:
-    """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)).
+def bloch_sde_step(r, dt: float, d_w) -> Vec3:
+    """Closed-form Bloch reduction of the matrix step: dr = -4 r dt + 2 (dW - r (r.dW)), dW = d_w.
 
     Agrees pathwise with `sme_step` under shared noise.  This is the scalar
     step `simulate_trajectory` runs; the ensemble kernel `_step_lengths`
     steps its length map.
     """
     _check_step(dt)
-    d_w = noise.d_w
     return _step_bloch(r[0], r[1], r[2], d_w[0], d_w[1], d_w[2], dt)
 
 
@@ -266,12 +244,10 @@ def simulate_trajectory(
     dt: float,
     rng: np.random.Generator,
     emit_record: bool = False,
-    output_stride: int = 1,
 ) -> list[TrajectoryState]:
-    """Integrate one conditional trajectory, emitting every `output_stride` steps.
+    """Integrate one conditional trajectory, emitting the initial state and every step.
 
-    The initial state and the final step are always emitted.  When
-    emit_record is set each snapshot carries the accumulated record
+    When emit_record is set each snapshot carries the accumulated record
     integral of <sigma> dt + dW/2 up to its time.  The state steps as three
     Python floats through the scalar step `_step_bloch`, three normals of
     rng per step as `draw_noise` draws them.  An ensemble steps the same
@@ -283,15 +259,13 @@ def simulate_trajectory(
     snapshot times k dt; the record (rec + r dt) + 0.5 dW through one
     `np.add.accumulate` over the interleaved terms, which adds them in step
     order; and `DensityMatrix.clipped`'s rescale and refusals of the
-    emitted states through `_clipped_batch`.  The object pass builds the
+    states through `_clipped_batch`.  The object pass builds the
     snapshots without re-checking them, as `clipped` builds its state.
     Every snapshot equals the step-by-step scalar chain bit for bit.
     """
     _check_step(dt)
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise ValueError(f"t_max must be a positive real, got {t_max!r}")
-    if output_stride < 1:
-        raise ValueError(f"output stride must be at least 1, got {output_stride!r}")
     steps = max(1, int(round(t_max / dt)))
     r = initial.bloch
     out = [TrajectoryState(initial, 0.0, (0.0, 0.0, 0.0) if emit_record else None)]
@@ -313,12 +287,8 @@ def simulate_trajectory(
         # array passes; states is (3, m + 1): the chunk's start, then the state after each step
         states = np.fromiter(itertools.chain.from_iterable(path), float, 3 * (m + 1))
         states = states.reshape(m + 1, 3).T
-        offsets = list(range(-(k + 1) % output_stride, m, output_stride))  # emitted steps k + 1 + j
-        if k + m == steps and offsets[-1:] != [m - 1]:
-            offsets.append(m - 1)
-        emit = np.array(offsets, dtype=int)
-        blochs = zip(*_clipped_batch(states[:, emit + 1]).tolist())
-        times = ((k + 1 + emit) * dt).tolist()
+        blochs = zip(*_clipped_batch(states[:, 1:]).tolist())
+        times = (np.arange(k + 1, k + m + 1) * dt).tolist()
         if emit_record:
             terms = np.empty((2 * m + 1, 3))
             terms[0] = record
@@ -326,7 +296,7 @@ def simulate_trajectory(
             terms[2::2] = 0.5 * d_w
             np.add.accumulate(terms, axis=0, out=terms)
             record = terms[-1]
-            records = zip(*terms[2::2][emit].T.tolist())
+            records = zip(*terms[2::2].T.tolist())
         # object pass
         for bloch, t, rec in zip(blochs, times, records):
             state = new(DensityMatrix)

@@ -22,6 +22,7 @@ Samples are aggregated in trial order after collection.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import warnings
@@ -73,6 +74,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        # operator.index refuses a float (TypeError) and takes Python or numpy integers
+        object.__setattr__(self, "trials", operator.index(self.trials))
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "n_grid", tuple(operator.index(n) for n in self.n_grid))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if self.strategy not in STRATEGIES:
@@ -83,13 +88,13 @@ class ExperimentSpec:
         grid = self.n_grid
         if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"{self.kind} needs a nonempty strictly ascending n grid, got {grid!r}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
         self.settings()  # refuses a bad delta
         _check_step(self.dt)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
     def settings(self) -> MeasurementSettings:
+        """The measurement settings of precision delta."""
         return MeasurementSettings(self.delta)
 
 
@@ -310,8 +315,12 @@ def run_ensemble(*specs: ExperimentSpec, workers: int = 1) -> tuple[EnsembleStat
 
     More than one worker forks child processes, at most one per CPU, so it
     needs `os.fork` (POSIX); the statistics are the same bits at any worker
-    count.
+    count.  A worker count that is not an integer (TypeError) or is below 1
+    is refused.
     """
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"workers={workers} needs os.fork, which this platform lacks; use workers=1")
     # more children than CPUs would only contend for them

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    DensityMatrix,
-    _dot,
-    random_pure_state,
-    spectral_decompose,
-)
+from .bloch import DEGENERACY_TOL, DensityMatrix, _dot, _norm, random_pure_state
 
 RANDOM_EIGENSTATE = "random-eigenstate"
 DOMINANT_EIGENSTATE = "dominant-eigenstate"
@@ -129,16 +124,18 @@ def purify_estimate(
     random-eigenstate picks each eigenprojector with probability equal to
     its eigenvalue (the strategy whose expected fidelity reduces exactly to
     the mixed estimate's by bilinearity); dominant-eigenstate always takes
-    the larger one.  A degenerate input yields a uniformly random pure
-    state under both strategies.
+    the larger one.  An input whose Bloch length is below `DEGENERACY_TOL`
+    has its two eigenvalues treated as equal and yields a uniformly random
+    pure state under both strategies.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    decomp = spectral_decompose(mixed)
-    if decomp.degenerate:
+    r = mixed.bloch
+    n = _norm(r)
+    if n < DEGENERACY_TOL:
         return random_pure_state(rng)
-    if strategy == DOMINANT_EIGENSTATE:
-        return decomp.projector_plus
-    if rng.random() < decomp.eigenvalue_plus:
-        return decomp.projector_plus
-    return decomp.projector_minus
+    # the eigenvalues are (1 +- |r|)/2, with eigenstates along +-r/|r|
+    u = (r[0] / n, r[1] / n, r[2] / n)
+    if strategy == DOMINANT_EIGENSTATE or rng.random() < 0.5 * (1.0 + n):
+        return DensityMatrix.clipped(u)
+    return DensityMatrix.clipped((-u[0], -u[1], -u[2]))

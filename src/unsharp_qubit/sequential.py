@@ -45,7 +45,6 @@ from .bloch import (
 )
 from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams
 from .povm import (
-    DOMINANT_EIGENSTATE,
     RANDOM_EIGENSTATE,
     STRATEGIES,
     MeasurementSettings,
@@ -86,7 +85,7 @@ def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     """
     for axes, uniforms, noise in _group_blocks(streams, n, _BLOCK_STEPS, _STEP_KINDS):
         v = axes.transpose(1, 0, 2)
-        length = np.sqrt(_dot(v, v))  # `_random_unit` arithmetic
+        length = np.sqrt(_dot(v, v))  # `random_pure_state` arithmetic
         if not (length > 0.0).all():
             raise ValueError("drew a measurement axis of zero length")
         axes /= length[:, None]
@@ -190,23 +189,17 @@ def replay_hypothetical(
     return SequenceResult(tuple(outcomes), _state(forward), _state(estimate))
 
 
-def spectral_match(result: SequenceResult, hypothetical) -> float:
+def spectral_match(result: SequenceResult, hypothetical: SequenceResult) -> float:
     """Largest eigenvalue gap between the sequence estimate and the replayed
     mixed-start state for the same outcomes.
 
-    Accepts either the replayed SequenceResult (outcome records are then
-    checked and a mismatch raises) or a bare DensityMatrix.
+    hypothetical is `replay_hypothetical` of result's outcome record; a
+    mismatched record raises.
     """
-    if isinstance(hypothetical, SequenceResult):
-        if hypothetical.outcomes != result.outcomes:
-            raise ValueError("cannot compare runs with mismatched outcome records")
-        state = hypothetical.aposteriori
-    elif isinstance(hypothetical, DensityMatrix):
-        state = hypothetical
-    else:
-        raise TypeError(f"expected SequenceResult or DensityMatrix, got {type(hypothetical)!r}")
+    if hypothetical.outcomes != result.outcomes:
+        raise ValueError("cannot compare runs with mismatched outcome records")
     len_est = _norm(result.estimate.bloch)
-    len_hyp = _norm(state.bloch)
+    len_hyp = _norm(hypothetical.aposteriori.bloch)
     # eigenvalues are (1 +- |r|)/2, so sorted pairs differ by ||r| - |r'||/2
     return 0.5 * abs(len_est - len_hyp)
 
@@ -219,15 +212,14 @@ def _expected_fidelities(estimate: np.ndarray, truth: np.ndarray, strategy: str)
     (0.5 for a degenerate estimate, averaging the uniform tie-break).
     Recording the conditional mean instead of one purification draw leaves
     every expectation unchanged and only removes Monte Carlo variance.
+    Unchecked: the caller validates the strategy.
     """
     if strategy == RANDOM_EIGENSTATE:
         return 0.5 * (1.0 + _dot(estimate, truth))
-    if strategy == DOMINANT_EIGENSTATE:
-        length = np.sqrt(_dot(estimate, estimate))
-        degenerate = length < DEGENERACY_TOL
-        leading = estimate / np.where(degenerate, 1.0, length)
-        return np.where(degenerate, 0.5, 0.5 * (1.0 + _dot(leading, truth)))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    length = np.sqrt(_dot(estimate, estimate))
+    degenerate = length < DEGENERACY_TOL
+    leading = estimate / np.where(degenerate, 1.0, length)
+    return np.where(degenerate, 0.5, 0.5 * (1.0 + _dot(leading, truth)))
 
 
 def direct_fidelity_samples(

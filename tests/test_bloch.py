@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from unsharp_qubit import (
+    DOMINANT_EIGENSTATE,
     FULLY_MIXED,
+    RANDOM_EIGENSTATE,
+    STRATEGIES,
     DensityMatrix,
     MeasurementAxis,
     derive_stream,
     fidelity,
+    purify_estimate,
     purity,
     random_pure_state,
-    spectral_decompose,
 )
 from unsharp_qubit import sequential
-from unsharp_qubit.bloch import _clipped_batch, _dot, _pure_batch
+from unsharp_qubit.bloch import DEGENERACY_TOL, _clipped_batch, _dot, _pure_batch
 
 SPHERE_DRAWS = 10**5
 # three-sigma bound on one Cartesian mean: component variance is 1/3
@@ -56,41 +59,58 @@ def test_clipped_rescales_onto_sphere():
     assert state.bloch[2] == 1.0
 
 
+class _Uniform:
+    """Stand-in random stream whose uniforms are all `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+# the dominant strategy draws nothing, so a stream with no methods serves it
+NO_STREAM = object()
+
+
 def test_spectral_diagonal_case():
-    decomp = spectral_decompose(DensityMatrix((0.0, 0.0, 0.6)))
-    assert decomp.eigenvalue_plus == pytest.approx(0.8, abs=1e-15)
-    assert decomp.eigenvalue_minus == pytest.approx(0.2, abs=1e-15)
-    assert decomp.projector_plus.bloch == pytest.approx((0.0, 0.0, 1.0))
-    assert decomp.projector_minus.bloch == pytest.approx((0.0, 0.0, -1.0))
-    assert not decomp.degenerate
+    # eigenvalues (1 +- 0.6)/2 = 0.8, 0.2: the random strategy keeps +z for a uniform below 0.8
+    state = DensityMatrix((0.0, 0.0, 0.6))
+    below = _Uniform(math.nextafter(0.8, 0.0))
+    assert purify_estimate(state, RANDOM_EIGENSTATE, below).bloch == (0.0, 0.0, 1.0)
+    assert purify_estimate(state, RANDOM_EIGENSTATE, _Uniform(0.8)).bloch == (0.0, 0.0, -1.0)
+    assert purify_estimate(state, DOMINANT_EIGENSTATE, NO_STREAM).bloch == (0.0, 0.0, 1.0)
 
 
 def test_spectral_axis_relabeling():
-    decomp = spectral_decompose(DensityMatrix((0.6, 0.0, 0.0)))
-    assert decomp.eigenvalue_plus == pytest.approx(0.8, abs=1e-15)
-    assert decomp.projector_plus.bloch == pytest.approx((1.0, 0.0, 0.0))
+    state = DensityMatrix((0.6, 0.0, 0.0))
+    assert purify_estimate(state, DOMINANT_EIGENSTATE, NO_STREAM).bloch == pytest.approx((1.0, 0.0, 0.0))
+    assert purify_estimate(state, RANDOM_EIGENSTATE, _Uniform(0.8)).bloch == pytest.approx((-1.0, 0.0, 0.0))
 
 
 def test_spectral_degenerate_flag():
-    decomp = spectral_decompose(FULLY_MIXED)
-    assert decomp.degenerate
-    assert decomp.eigenvalue_plus == decomp.eigenvalue_minus == 0.5
+    # below DEGENERACY_TOL both strategies take random_pure_state's draw, and no uniform
+    for bloch in ((0.0, 0.0, 0.0), (0.0, 0.5 * DEGENERACY_TOL, 0.0)):
+        for strategy in STRATEGIES:
+            rng = derive_stream(14, 0)
+            reference = derive_stream(14, 0)
+            assert purify_estimate(DensityMatrix(bloch), strategy, rng) == random_pure_state(reference)
+            assert rng.random() == reference.random()
 
 
 def test_spectral_reconstruction_and_orthogonality():
+    # the dominant eigenstate, and the minor one that a uniform just below 1 picks
     rng = derive_stream(12, 0)
+    last = _Uniform(math.nextafter(1.0, 0.0))
     for _ in range(100):
         state = DensityMatrix(tuple(0.55 * rng.uniform(-1, 1, 3)))
-        decomp = spectral_decompose(state)
-        assert decomp.eigenvalue_plus >= decomp.eigenvalue_minus
-        assert decomp.eigenvalue_plus + decomp.eigenvalue_minus == pytest.approx(1.0, abs=1e-14)
-        rebuilt = [
-            decomp.eigenvalue_plus * decomp.projector_plus.bloch[i]
-            + decomp.eigenvalue_minus * decomp.projector_minus.bloch[i]
-            for i in range(3)
-        ]
+        plus = purify_estimate(state, DOMINANT_EIGENSTATE, NO_STREAM)
+        minus = purify_estimate(state, RANDOM_EIGENSTATE, last)
+        length = math.sqrt(_dot(state.bloch, state.bloch))
+        rebuilt = [0.5 * (1.0 + length) * p + 0.5 * (1.0 - length) * m for p, m in zip(plus.bloch, minus.bloch)]
         assert rebuilt == pytest.approx(state.bloch, abs=1e-12)
-        assert fidelity(decomp.projector_plus, decomp.projector_minus) == pytest.approx(0.0, abs=1e-10)
+        assert purity(plus) == pytest.approx(1.0, abs=5e-16)
+        assert fidelity(plus, minus) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_random_pure_state_is_pure():
@@ -98,6 +118,18 @@ def test_random_pure_state_is_pure():
     for _ in range(200):
         # purity 1 by construction, up to one final rounding
         assert purity(random_pure_state(rng)) == pytest.approx(1.0, abs=5e-16)
+
+
+class _ZeroNormals:
+    """Stand-in random stream whose normals are all zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_random_pure_state_refuses_a_zero_draw():
+    with pytest.raises(ValueError, match="zero length"):
+        random_pure_state(_ZeroNormals())
 
 
 def test_random_pure_state_isotropic():

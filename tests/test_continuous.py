@@ -14,7 +14,6 @@ from unsharp_qubit import (
     FULLY_MIXED,
     DensityMatrix,
     MeasurementSettings,
-    NoiseIncrement,
     TrajectoryState,
     bloch_sde_step,
     derive_stream,
@@ -123,7 +122,7 @@ def test_drift_purity_solves_drift_ode():
 
 def test_draw_noise_scaling():
     rng = derive_stream(40, 0)
-    draws = np.array([draw_noise(rng, 1e-3).d_w for _ in range(4000)])
+    draws = np.array([draw_noise(rng, 1e-3) for _ in range(4000)])
     assert abs(draws.var(ddof=1) / 1e-3 - 1.0) < 0.1
     for bad in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -131,20 +130,20 @@ def test_draw_noise_scaling():
 
 
 def test_sme_step_fixed_point_at_mixed_state():
-    still = NoiseIncrement((0.0, 0.0, 0.0))
+    still = (0.0, 0.0, 0.0)
     out = sme_step(FULLY_MIXED, 1e-4, still)
     assert out.bloch == (0.0, 0.0, 0.0)
 
 
 def test_sme_step_deterministic_drift():
-    still = NoiseIncrement((0.0, 0.0, 0.0))
+    still = (0.0, 0.0, 0.0)
     out = sme_step(DensityMatrix((0.0, 0.0, 0.5)), 1e-4, still)
     assert out.bloch[2] == pytest.approx(0.5 * (1.0 - 4e-4), abs=1e-10)
     assert out.bloch[:2] == (0.0, 0.0)
 
 
 def test_sme_step_validates_dt():
-    still = NoiseIncrement((0.0, 0.0, 0.0))
+    still = (0.0, 0.0, 0.0)
     for bad in (0.0, -1e-4, 2e-3):
         with pytest.raises(ValueError):
             sme_step(FULLY_MIXED, bad, still)
@@ -162,13 +161,13 @@ def test_sme_step_sphere_nearly_invariant():
 
 
 def test_bloch_step_at_origin_is_pure_noise():
-    noise = NoiseIncrement((0.01, -0.02, 0.005))
+    noise = (0.01, -0.02, 0.005)
     out = bloch_sde_step((0.0, 0.0, 0.0), 1e-4, noise)
-    assert out == tuple(2.0 * w for w in noise.d_w)
+    assert out == tuple(2.0 * w for w in noise)
 
 
 def test_bloch_step_radial_noise_suppressed_on_sphere():
-    out = bloch_sde_step((0.0, 0.0, 1.0), 1e-4, NoiseIncrement((0.0, 0.0, 0.03)))
+    out = bloch_sde_step((0.0, 0.0, 1.0), 1e-4, (0.0, 0.0, 0.03))
     assert out == (0.0, 0.0, 1.0 - 4.0 * 1e-4)
 
 
@@ -304,7 +303,7 @@ def test_length_kernel_equals_the_vector_and_matrix_steps(rho, direction, dt, no
     continuous._step_lengths(lengths, np.array([[2.0 * a]]), np.array([[4.0 * b2]]), dt)
     r = [rho * x for x in e]
     vector = continuous._step_bloch(*r, *d_w, dt)
-    matrix = sme_step(DensityMatrix.clipped(r), dt, NoiseIncrement(d_w)).bloch
+    matrix = sme_step(DensityMatrix.clipped(r), dt, tuple(d_w)).bloch
     # 4 ulp of 1, the scale of a Bloch length: where s cancels and the length
     # is tiny, the two roundings differ by more ulps of the result
     assert abs(lengths[0] - math.sqrt(sum(x * x for x in vector))) <= 4.0 * math.ulp(1.0)
@@ -347,9 +346,15 @@ def test_simulate_trajectory_deterministic():
     assert first == second
 
 
+def _every(path, stride):
+    """Every stride-th snapshot of a path from its start, and its last."""
+    return path[::stride] + path[-1:] if (len(path) - 1) % stride else path[::stride]
+
+
 def test_simulate_trajectory_stride_and_times():
-    out = simulate_trajectory(FULLY_MIXED, 0.01, 1e-3, derive_stream(44, 1), output_stride=4)
-    assert [pytest.approx(s.time) for s in out] == [0.0, 0.004, 0.008, 0.01]
+    out = simulate_trajectory(FULLY_MIXED, 0.01, 1e-3, derive_stream(44, 1))
+    assert [s.time for s in out] == [k * 1e-3 for k in range(11)]
+    assert [pytest.approx(s.time) for s in _every(out, 4)] == [0.0, 0.004, 0.008, 0.01]
     assert out[0].record is None
 
 
@@ -380,28 +385,30 @@ def test_trajectory_equals_bloch_sde_step_chain_and_projects_pure_only(start, pr
     projected = 0
     for k in range(steps):
         record = record + np.array(r) * dt + 0.5 * d_w[k]
-        r = bloch_sde_step(r, dt, NoiseIncrement(d_w[k]))
+        r = bloch_sde_step(r, dt, tuple(d_w[k].tolist()))
         projected += int(abs(np.linalg.norm(r) - 1.0) < 1e-12)
         assert run[k + 1].state == DensityMatrix.clipped(r)
         assert run[k + 1].record == tuple(record.tolist())
     assert (projected > 0) == projects
 
 
-# a pure start, so steps project; 34 noise chunks of 1024 rows and a shorter last one of 185
+# a pure start, so steps project; 34 noise chunks of 1024 rows and a shorter last one of 185;
+# the strides slice the full path
 @pytest.mark.parametrize("emit_record", [True, False], ids=["record", "no-record"])
 @pytest.mark.parametrize("stride", [1, 7, 10**30], ids=["stride-1", "stride-7", "stride-1e30"])
 def test_trajectory_equals_scalar_chain_across_blocks_and_chunks(emit_record, stride):
     dt, steps, start = 1e-4, 34 * 1024 + 185, (0.0, 0.6, 0.8)
-    run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(67, 0), emit_record, stride)
+    run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(67, 0), emit_record)
+    assert len(run) == steps + 1
     d_w = derive_stream(67, 0).standard_normal((steps, 3)) * math.sqrt(dt)
     r, rec = start, (0.0, 0.0, 0.0)
     expected = [TrajectoryState(DensityMatrix(start), 0.0, rec if emit_record else None)]
     for k, w in enumerate(d_w.tolist(), start=1):
         rec = tuple((rec[i] + r[i] * dt) + 0.5 * w[i] for i in range(3))
-        r = bloch_sde_step(r, dt, NoiseIncrement(w))
+        r = bloch_sde_step(r, dt, tuple(w))
         if k % stride == 0 or k == steps:
             expected.append(TrajectoryState(DensityMatrix.clipped(r), k * dt, rec if emit_record else None))
-    assert run == expected
+    assert _every(run, stride) == expected
     assert all(type(s.time) is float and type(s.state.bloch[0]) is float for s in run)
 
 
@@ -433,8 +440,8 @@ def test_trajectory_refuses_non_finite_states():
 
 
 def test_snapshot_classes_round_trip():
-    run = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), emit_record=True, output_stride=50)
-    bare = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), output_stride=50)
+    run = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), emit_record=True)
+    bare = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0))
     for value in (run[0], run[-1], bare[-1], run[-1].state):
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
             assert twin == value and twin is not value
@@ -450,8 +457,8 @@ def test_snapshot_classes_round_trip():
 
 @EULER_FLOOR_XFAIL
 def test_pure_state_stays_pure_to_integration_accuracy():
-    run = simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 1.0, 1e-4, derive_stream(46, 0), output_stride=100)
-    assert all(purity(s.state) >= 1.0 - 1e-6 for s in run)
+    run = simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 1.0, 1e-4, derive_stream(46, 0))
+    assert all(purity(s.state) >= 1.0 - 1e-6 for s in run[::100])
 
 
 @EULER_FLOOR_XFAIL
@@ -462,8 +469,8 @@ def test_almost_all_trajectories_purify():
 
 def test_pure_state_stays_near_sphere():
     # attainable version of the near-sphere claim at this step size
-    run = simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 1.0, 1e-4, derive_stream(46, 1), output_stride=100)
-    assert all(purity(s.state) >= 0.9 for s in run)
+    run = simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 1.0, 1e-4, derive_stream(46, 1))
+    assert all(purity(s.state) >= 0.9 for s in run[::100])
 
 
 def test_long_time_purification():
@@ -480,7 +487,7 @@ def test_purity_increment_follows_ito_identity():
     for _ in range(10**4):
         noise = draw_noise(rng, dt)
         u = sum(x * x for x in r)
-        radial = sum(r[i] * noise.d_w[i] for i in range(3))
+        radial = sum(r[i] * noise[i] for i in range(3))
         design.append((4.0 * (1.0 - u) * (3.0 - u) * dt, 4.0 * (1.0 - u) * radial))
         stepped = bloch_sde_step(r, dt, noise)
         response.append(sum(x * x for x in stepped) - u)
@@ -511,13 +518,13 @@ def test_simulate_purity_ensemble_validation():
 
 @pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (0.6, 0.0, 0.8)])
 def test_matrix_step_trace_repair_is_rounding_only(start):
-    # before `_step_density` divides by the trace, the Euler update has kept it at 1 to rounding
+    # before `sme_step` divides by the trace, the Euler update has kept it at 1 to rounding
     rng, dt = derive_stream(11, 0), 1e-4
     state = DensityMatrix(start)
     worst = 0.0
     for _ in range(3000):
         noise = draw_noise(rng, dt)
-        trace = np.trace(continuous._euler_density(state.matrix(), noise.d_w, dt)).real
+        trace = np.trace(continuous._euler_density(state.matrix(), noise, dt)).real
         worst = max(worst, abs(trace - 1.0))
         state = sme_step(state, dt, noise)
     assert worst <= 4.0 * np.finfo(float).eps

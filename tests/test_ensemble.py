@@ -83,10 +83,20 @@ def test_spec_refuses_bad_delta_dt_and_seed_when_built():
         ("delta", -1.0, "precision"), ("delta", math.nan, "precision"),
         ("dt", 0.5, "dt must"), ("dt", 0.0, "dt must"), ("seed", -3, "seed must be nonnegative"),
     ]
+    # not integers: n = 2.5 once ran as n = 2, seed 1.5 as seed 1, and 250.5 trials failed inside a task
+    not_integers = [("trials", 250.5), ("seed", 1.5), ("n_grid", (2.5,)), ("n_grid", (0, 1.0))]
     for kind in (ens.SEQUENTIAL_FIDELITY, ens.CONTINUUM_COMPARE):
+        fields = dict(kind=kind, delta=20.0, trials=10, seed=0, n_grid=(0, 1))
         for field, value, message in bad:
             with pytest.raises(ValueError, match=message):
-                ExperimentSpec(**{**dict(kind=kind, delta=20.0, trials=10, seed=0, n_grid=(0, 1)), field: value})
+                ExperimentSpec(**{**fields, field: value})
+        for field, value in not_integers:
+            with pytest.raises(TypeError, match="integer"):
+                ExperimentSpec(**{**fields, field: value})
+    # numpy integers are integers, and are kept as Python ints
+    spec = ExperimentSpec(ens.SEQUENTIAL_FIDELITY, 20.0, np.int64(10), np.uint64(2**64 - 1), (np.int32(0), np.int64(1)))
+    assert (spec.trials, spec.seed, spec.n_grid) == (10, 2**64 - 1, (0, 1))
+    assert all(type(v) is int for v in (spec.trials, spec.seed, *spec.n_grid))
 
 
 def test_sequential_fidelity_zero_point():
@@ -281,6 +291,17 @@ def test_workers_need_fork(monkeypatch):
         run_ensemble(spec, workers=2)
     (stats,) = run_ensemble(spec, workers=1)
     assert stats.means == (0.5,)
+
+
+def test_run_ensemble_refuses_fewer_than_one_worker():
+    # the CLI refuses 0 and -3 at parsing; the library ran them in process
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=4, seed=62, n_grid=(0,))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_ensemble(spec, workers=workers)
+    # a float count once ran as 2 workers on 2 CPUs and failed in the dispatch on more
+    with pytest.raises(TypeError, match="integer"):
+        run_ensemble(spec, workers=2.5)
 
 
 def test_specs_of_one_call_equal_separate_calls():
