@@ -40,6 +40,11 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_dot` of two (3, ...) arrays in two numpy calls: the sum over the leading axis adds the rows in its order."""
+    return (a * b).sum(0)
+
+
 def _norm(a) -> float:
     return math.sqrt(_dot(a, a))
 

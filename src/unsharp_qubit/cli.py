@@ -26,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -84,11 +83,12 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive real, got {text!r}")
-    return value
+def _precision(text: str) -> float:
+    """A measurement precision, refused here as `MeasurementSettings` would refuse it."""
+    try:
+        return MeasurementSettings(float(text)).precision
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad precision {text!r}: {exc}") from exc
 
 
 def _step_size(text: str) -> float:
@@ -108,14 +108,8 @@ def _int_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-    if not values or not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise argparse.ArgumentTypeError(f"list entries must be finite and positive, got {text!r}")
-    return values
+def _precision_list(text: str) -> tuple[float, ...]:
+    return tuple(_precision(part) for part in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("fidelity-curve", parents=[table], help="fidelity vs sequence length")
-    curve.add_argument("--delta", type=_positive_float, default=20.0, help="measurement precision")
+    curve.add_argument("--delta", type=_precision, default=20.0, help="measurement precision")
     curve.add_argument("--n-grid", type=_int_grid, default=(0, 2, 5, 10, 20, 40))
     curve.add_argument("--trials", type=_positive_int, default=10_000)
     curve.add_argument(
@@ -149,13 +143,13 @@ def _build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "continuum-compare", parents=[table], help="sequence vs continuous-equation purity"
     )
-    compare.add_argument("--delta", type=_positive_float, default=20.0)
+    compare.add_argument("--delta", type=_precision, default=20.0)
     compare.add_argument("--n-max", type=_positive_int, default=40)
     compare.add_argument("--dt", type=_step_size, default=1e-4)
     compare.add_argument("--trajectories", type=_positive_int, default=1000)
 
     validate = sub.add_parser("validate", parents=[seeded], help="fast invariant battery")
-    validate.add_argument("--delta-list", type=_float_list, default=(0.1, 1.0, 10.0))
+    validate.add_argument("--delta-list", type=_precision_list, default=(0.1, 1.0, 10.0))
     validate.add_argument("--quick", action="store_true", help="smaller Monte Carlo sizes")
     return parser
 

@@ -12,10 +12,15 @@ block of m steps, each group of width w makes one generator call per kind of
 variate, in a fixed order, and fills its columns of that kind's step-major
 (m, ..., B) buffer.  Column b of a group is trial b of that group.
 
-- discrete, blocks of `sequential._BLOCK_STEPS`: the axes
+- discrete runs that keep their axes (`run_sequence`, the direct
+  estimator), blocks of `sequential._BLOCK_STEPS`: the axes
   standard_normal((m, 3, w)), the branch uniforms random((m, w)), the outcome
   noise standard_normal((m, w)); where the estimator needs pure starts, each
   group first draws their normals (3, w);
+- discrete mixed-start length chains (the purity estimator, the compare's
+  discrete half), blocks of `sequential._BLOCK_STEPS`: the uniforms of the
+  axis cosines random((m, w)), the branch uniforms random((m, w)), the
+  outcome noise standard_normal((m, w));
 - SDE ensemble, blocks of `continuous._BLOCK_STEPS`: standard_normal((m, w)),
   then standard_exponential((m, w)).
 """

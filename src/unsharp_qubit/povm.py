@@ -13,21 +13,21 @@ with one fixed trapezoid rule, the same for every axis.  Large precision
 means a weak (barely invasive) measurement, small precision approaches the
 projective limit.
 
-Weights are kept in log form throughout: for |s| much larger than the
-precision both weights underflow in linear space while their ratio, which
-is all the state update needs, stays perfectly conditioned.  The update
-`posterior_batch` takes a component-major (3, B) Bloch batch, the layout of
-every Bloch-vector batch in the package.
+The update `posterior_batch` needs only the ratio g(s - 1)/g(s + 1) =
+e^{2x} with x = s/precision^2, which it takes through tanh x and sech x in
+a closed form that no outcome can overflow.  It acts on a component-major
+(3, B) Bloch batch, the layout of every Bloch-vector batch in the package.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DEGENERACY_TOL, DensityMatrix, _dot, _norm, random_pure_state
+from .bloch import DEGENERACY_TOL, DensityMatrix, _dots, _norm, random_pure_state
 
 RANDOM_EIGENSTATE = "random-eigenstate"
 DOMINANT_EIGENSTATE = "dominant-eigenstate"
@@ -43,18 +43,10 @@ class MeasurementSettings:
         p = float(self.precision)
         if not math.isfinite(p) or p <= 0.0:
             raise ValueError(f"precision must be a positive real, got {self.precision!r}")
+        # every update divides by precision^2, so it must be a normal double
+        if not sys.float_info.min <= p * p < math.inf:
+            raise ValueError(f"precision^2 must be a normal double, got {self.precision!r} squared = {p * p!r}")
         object.__setattr__(self, "precision", p)
-
-
-def log_weights(outcomes: np.ndarray, precision: float) -> tuple[np.ndarray, np.ndarray]:
-    """log g(s - 1), log g(s + 1) of an array of outcomes.
-
-    An infinite outcome gives -inf in both, which `posterior_batch` refuses.
-    """
-    log_norm = -0.5 * math.log(2.0 * math.pi * precision * precision)
-    two_var = 2.0 * precision * precision
-    below, above = outcomes - 1.0, outcomes + 1.0
-    return log_norm - (below * below) / two_var, log_norm - (above * above) / two_var
 
 
 # completeness_defect's trapezoid rule: this many nodes over
@@ -82,37 +74,40 @@ def completeness_defect(settings: MeasurementSettings) -> float:
     return max(abs(total_plus - 1.0), abs(total_minus - 1.0))
 
 
-def _log_or_minus_inf(p: np.ndarray) -> np.ndarray:
-    """log p where p > 0 and -inf elsewhere; nonpositive entries never reach log."""
-    return np.log(p, out=np.full_like(p, -np.inf), where=p > 0.0)
-
-
-def posterior_batch(
-    r: np.ndarray, axes: np.ndarray, log_plus: np.ndarray, log_minus: np.ndarray
-) -> np.ndarray:
+def posterior_batch(r: np.ndarray, axes: np.ndarray, along: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Conditional states sqrt(effect) rho sqrt(effect) / tr[effect rho], one per column.
 
-    Column b of the (3, B) Bloch batch r meets the effect along unit axis
-    axes[:, b] with log weights log_plus[b], log_minus[b].  In the effect's
-    eigenbasis the branch populations are reweighted by the Gaussian
-    weights while coherences pick up sqrt(g_plus g_minus); all ratios are
-    formed in log space so extreme outcomes stay well conditioned.  An
-    empty branch counts as -inf, a column of zero or undefined total
-    weight raises ValueError before any log-sum is formed, and every column
-    is divided by max(|r|, 1), which puts one that rounded outside the ball
-    back on the sphere and leaves the others unchanged.
+    Column b of the (3, B) Bloch batch r, with along[b] = axes[:, b].r[:, b],
+    meets the effect along unit axis axes[:, b] at an outcome s with
+    x[b] = s / precision^2, half the log of g(s - 1)/g(s + 1).  With
+    t = tanh x and sech x = 2 e^{-|x|}/(1 + e^{-2|x|}), which cannot
+    overflow, the component along the axis becomes (t + along)/(1 + t along)
+    and the one across it is scaled by sech x / (1 + t along).  A column
+    with 1 + t along <= 0 (a sure branch meeting a saturated outcome) or an
+    undefined x raises ValueError.  Every column is divided by max(|r|, 1),
+    which puts one that rounded outside the ball back on the sphere and
+    leaves the others unchanged.  Unchecked: along is axes.r, and x is
+    finite (a sampled outcome is; a replay refuses an infinite one).
     """
-    along = _dot(axes, r)
-    branch_plus = log_plus + _log_or_minus_inf(0.5 * (1.0 + along))
-    branch_minus = log_minus + _log_or_minus_inf(0.5 * (1.0 - along))
-    # the maximum propagates NaN: refuses two empty branches, an infinite or an undefined weight
-    if not np.isfinite(np.maximum(branch_plus, branch_minus)).all():
-        raise ValueError("degenerate update: both spectral branches have zero weight")
-    log_norm = np.logaddexp(branch_plus, branch_minus)
-    new_along = np.exp(branch_plus - log_norm) - np.exp(branch_minus - log_norm)
-    damp = np.exp(0.5 * (log_plus + log_minus) - log_norm)
-    out = new_along * axes + damp * (r - along * axes)
-    out /= np.maximum(np.sqrt(_dot(out, out)), 1.0)
+    t = np.tanh(x)
+    e = np.exp(-np.abs(x))
+    norm = t * along
+    norm += 1.0
+    if not norm.min() > 0.0:
+        raise ValueError("degenerate update: a sure branch meets a saturated outcome, or x is undefined")
+    # (t + along)/norm along the axis and 2 e/((1 + e^2) norm) across it, formed in place
+    damp = e * e
+    damp += 1.0
+    damp *= norm
+    np.divide(e + e, damp, out=damp)
+    t += along
+    t /= norm
+    out = r - along * axes
+    out *= damp
+    out += t * axes
+    length = np.sqrt(_dots(out, out))
+    if length.max() > 1.0:  # dividing the others by 1 would change no bit
+        out /= np.maximum(length, 1.0)
     return out
 
 

@@ -8,9 +8,9 @@ one generalized measurement whose element is E = A^dag A with
 
 so the record-only estimate of the unknown state is A^dag A / tr[A^dag A]:
 the fully mixed state updated by the record in reverse order, last
-measurement first.  The update renormalizes in log space at every step, so
-no scale accumulates, although tr E decays roughly like
-(2 pi precision^2)^-n and would underflow doubles near n = 700.
+measurement first.  Every step goes through the one closed-form update
+`povm.posterior_batch`, whose result is a normalized state, so no scale
+accumulates however long the record.
 
 Replaying the same record forwards from the fully mixed state yields the
 state A A^dag / tr[A A^dag]: a different operator, but one sharing the
@@ -18,12 +18,18 @@ spectrum of the estimate (singular values of A), hence its purity.  That
 identity is what the purity-based mean-fidelity estimator rests on, and
 `spectral_match` checks it numerically for every run.
 
-Every experiment advances a batch of B trials in lockstep on a
-component-major (3, B) Bloch batch through `povm.posterior_batch`.  A batch
-is whole trial groups (`montecarlo._GROUP` trials each, on one stream per
-group), drawn in the block layout the `montecarlo` docstring describes, in
-blocks of at most `_BLOCK_STEPS` steps.  `run_sequence` is one group of width
-1 on the caller's stream.  The per-trial samples of the two estimators
+The runs that keep their axes (`run_sequence`, `direct_fidelity_samples`,
+whose reverse replay needs them) advance a batch of B trials in lockstep
+on a component-major (3, B) Bloch batch.  The mixed-start runs that read
+only the purity (`purity_fidelity_samples`, `hypothetical_purity_paths`)
+step a (B,) array of Bloch lengths instead: from the mixed state the run
+is isotropic, so the length alone is a Markov chain, and a step needs only
+the cosine of its axis to the Bloch vector, uniform on [-1, 1].  Their
+paths are therefore not `run_sequence`'s bit for bit.  A batch is whole
+trial groups (`montecarlo._GROUP` trials each, on one stream per group),
+drawn in the block layout the `montecarlo` docstring describes, in blocks
+of at most `_BLOCK_STEPS` steps.  `run_sequence` is one group of width 1
+on the caller's stream.  The per-trial samples of the two estimators
 (`direct_fidelity_samples`, `purity_fidelity_samples`) are summarized by
 `ensemble.run_ensemble`, the one place their statistics are formed.
 """
@@ -39,18 +45,12 @@ from .bloch import (
     DensityMatrix,
     MeasurementAxis,
     _dot,
+    _dots,
     _norm,
     _pure_batch,
-    _purity,
 )
 from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams
-from .povm import (
-    RANDOM_EIGENSTATE,
-    STRATEGIES,
-    MeasurementSettings,
-    log_weights,
-    posterior_batch,
-)
+from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, posterior_batch
 
 # Steps of measurement randomness a group draws per generator call: a constant
 # of the layout, never the batch width.
@@ -58,6 +58,10 @@ _BLOCK_STEPS = DRAW_BLOCK // _GROUP
 
 # A step's variates, in draw order: the axis normals, the branch uniform, the outcome noise.
 _STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()))
+
+# A mixed-start length step's variates, in draw order: the uniform of the
+# axis cosine, the branch uniform, the outcome noise.
+_LENGTH_KINDS = (("random", ()), ("random", ()), ("standard_normal", ()))
 
 
 def _width(streams) -> int:
@@ -75,52 +79,117 @@ def _pure_starts(streams) -> np.ndarray:
     return _pure_batch(starts)
 
 
+def _scale_block(branches: np.ndarray, noise: np.ndarray, precision: float) -> None:
+    """Turn a block's branch uniforms u into 2u - 1 and its outcome normals z into precision z, in place."""
+    branches *= 2.0
+    branches -= 1.0
+    noise *= precision
+
+
+def _outcomes(along: np.ndarray, branches: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Outcomes drawn from states with Bloch component `along` on the axis: +1 where the
+    scaled branch uniform 2u - 1 <= along, which has probability (1 + along)/2, and -1
+    elsewhere, plus the scaled noise precision z."""
+    return np.copysign(1.0, along - branches) + noise
+
+
 def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     """Advance the (3, B) batch r by n measurements on the groups' streams,
     yielding (r, axes, outcomes) after every step.  Each outcome is drawn
-    from its column's current state: +1 if the step's uniform is below
-    p_plus = (1 + axis.r)/2 and -1 otherwise, plus precision times the
-    step's normal.  The axes are views of a reused buffer; a zero-length
-    axis is refused.
+    from its column's current state by `_outcomes`, with along = axis.r.
+    The axes are views of a reused buffer; a zero-length axis is refused.
     """
-    for axes, uniforms, noise in _group_blocks(streams, n, _BLOCK_STEPS, _STEP_KINDS):
+    var = precision * precision
+    for axes, branches, noise in _group_blocks(streams, n, _BLOCK_STEPS, _STEP_KINDS):
         v = axes.transpose(1, 0, 2)
         length = np.sqrt(_dot(v, v))  # `random_pure_state` arithmetic
         if not (length > 0.0).all():
             raise ValueError("drew a measurement axis of zero length")
         axes /= length[:, None]
-        for a, u, z in zip(axes, uniforms, noise):
-            p_plus = np.clip(0.5 * (1.0 + _dot(a, r)), 0.0, 1.0)
-            outcomes = np.where(u < p_plus, 1.0, -1.0) + precision * z
-            r = posterior_batch(r, a, *log_weights(outcomes, precision))
+        _scale_block(branches, noise, precision)
+        for a, u, z in zip(axes, branches, noise):
+            along = _dots(a, r)
+            outcomes = _outcomes(along, u, z)
+            r = posterior_batch(r, a, along, outcomes / var)
             yield r, a, outcomes
 
 
-def _mixed_start_final(streams, n: int, precision: float) -> np.ndarray:
-    r = np.zeros((3, _width(streams)))
-    for r, _, _ in _sampled_steps(r, streams, n, precision):
-        pass
-    return r
+def _length_posterior(rho: np.ndarray, along: np.ndarray, sines: np.ndarray, x: np.ndarray) -> None:
+    """`posterior_batch`'s map of Bloch lengths, in place on the (B,) array rho.
+
+    The Bloch vector has component along = rho c on the axis and length
+    rho sqrt(1 - c^2) across it, with sines = 4 (1 - c^2).  The update takes
+    the first to (t + along)/(1 + t along) and scales the second by
+    sech x / (1 + t along), so with q = e^{-2|x|} and
+    sech^2 x = 4 q/(1 + q)^2 the new length is
+    min(sqrt((t + along)^2 + rho^2 sines q/(1 + q)^2)/(1 + t along), 1), the
+    min being the rescale onto the sphere.  1 + t along <= 0 is refused.
+    """
+    t = np.tanh(x)
+    norm = 1.0 + t * along
+    if not norm.min() > 0.0:
+        raise ValueError("degenerate update: a sure branch meets a saturated outcome")
+    q = np.exp(-2.0 * np.abs(x))
+    t += along
+    t *= t
+    rho *= rho
+    rho *= sines
+    rho *= q
+    q += 1.0
+    q *= q
+    rho /= q
+    rho += t
+    np.sqrt(rho, out=rho)
+    rho /= norm
+    np.minimum(rho, 1.0, out=rho)
 
 
-def _replay(r: np.ndarray, axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
-    """Update the (3, B) batch r by a recorded record, axes (n, 3, B) and outcomes (n, B), step 0 first."""
-    for a, s in zip(axes, outcomes):
-        r = posterior_batch(r, a, *log_weights(s, precision))
+def _mixed_start_lengths(streams, n: int, precision: float):
+    """Yield the (B,) Bloch lengths of the groups' mixed-start runs after each of n steps.
+
+    A step turns its first uniform u into the cosine c = 2u - 1 of its axis
+    to the Bloch vector, draws the outcome by `_outcomes` with
+    along = rho c, and updates the lengths by `_length_posterior`.  One
+    array is updated in place and yielded after every step.
+    """
+    var = precision * precision
+    rho = np.zeros(_width(streams))
+    for cosines, branches, noise in _group_blocks(streams, n, _BLOCK_STEPS, _LENGTH_KINDS):
+        cosines *= 2.0
+        cosines -= 1.0
+        sines = 4.0 * (1.0 - cosines) * (1.0 + cosines)
+        _scale_block(branches, noise, precision)
+        for c, sine, u, z in zip(cosines, sines, branches, noise):
+            along = rho * c
+            _length_posterior(rho, along, sine, _outcomes(along, u, z) / var)
+            yield rho
+
+
+def _replay(r: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Update the (3, B) batch r by a recorded record, axes (n, 3, B) and x = outcomes / precision^2 (n, B), step 0 first.
+
+    A record with an infinite or undefined x is refused.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("degenerate update: an infinite or undefined outcome")
+    for a, xs in zip(axes, x):
+        r = posterior_batch(r, a, _dots(a, r), xs)
     return r
 
 
 def _estimate_batch(axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
     """Record-only estimates A^dag A / tr: the reverse replay from the mixed state."""
-    return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1], precision)
+    return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1] / (precision * precision))
 
 
 def _recorded_run(start: np.ndarray, streams, n: int, precision: float):
     """Forward run from the (3, B) `start`; returns (final batch, axes (n, 3, B), outcomes (n, B))."""
-    axes = np.empty((n, 3, start.shape[1]))
-    outcomes = np.empty((n, start.shape[1]))
+    width = start.shape[1]
+    axes, outcomes = np.empty((0, 3, width)), np.empty((0, width))
     r = start
     for i, (r, a, s) in enumerate(_sampled_steps(start, streams, n, precision)):
+        if i == 0:  # allocated once the first block is drawn, so their peaks do not add up
+            axes, outcomes = np.empty((n, 3, width)), np.empty((n, width))
         axes[i], outcomes[i] = a, s
     return r, axes, outcomes
 
@@ -184,7 +253,7 @@ def replay_hypothetical(
     """
     axes = np.array([axis.direction for axis, _ in outcomes]).reshape(-1, 3, 1)
     values = np.array([s for _, s in outcomes], dtype=float).reshape(-1, 1)
-    forward = _replay(np.zeros((3, 1)), axes, values, settings.precision)
+    forward = _replay(np.zeros((3, 1)), axes, values / (settings.precision * settings.precision))
     estimate = _estimate_batch(axes, values, settings.precision)
     return SequenceResult(tuple(outcomes), _state(forward), _state(estimate))
 
@@ -263,7 +332,10 @@ def purity_fidelity_samples(
     """
 
     def group(streams):
-        return (1.0 + _purity(_mixed_start_final(streams, n, settings.precision))) / 3.0
+        rho = np.zeros(_width(streams))
+        for rho in _mixed_start_lengths(streams, n, settings.precision):
+            pass
+        return (1.0 + 0.5 * (1.0 + rho * rho)) / 3.0
 
     return _by_trial_groups(group, n, trials, seed, base_index)
 
@@ -283,11 +355,9 @@ def hypothetical_purity_paths(
     """
 
     def group(streams):
-        paths = np.empty((_width(streams), n + 1))
-        paths[:, 0] = 0.5
-        steps = _sampled_steps(np.zeros((3, _width(streams))), streams, n, settings.precision)
-        for step, (r, _, _) in enumerate(steps, 1):
-            paths[:, step] = _purity(r)
-        return paths
+        lengths = np.zeros((n + 1, _width(streams)))
+        for step, rho in enumerate(_mixed_start_lengths(streams, n, settings.precision), 1):
+            lengths[step] = rho
+        return (0.5 * (1.0 + lengths * lengths)).T
 
     return _by_trial_groups(group, n, trials, seed, base_index)

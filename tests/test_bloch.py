@@ -17,7 +17,7 @@ from unsharp_qubit import (
     random_pure_state,
 )
 from unsharp_qubit import sequential
-from unsharp_qubit.bloch import DEGENERACY_TOL, _clipped_batch, _dot, _pure_batch
+from unsharp_qubit.bloch import DEGENERACY_TOL, _clipped_batch, _dot, _dots, _pure_batch
 
 SPHERE_DRAWS = 10**5
 # three-sigma bound on one Cartesian mean: component variance is 1/3
@@ -207,3 +207,15 @@ def test_axis_validation():
         with pytest.raises(ValueError):
             MeasurementAxis(bad)
     assert MeasurementAxis([0.6, 0, 0.8]).direction == (0.6, 0.0, 0.8)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 64, 1000])
+def test_dots_add_the_rows_in_dot_order(width):
+    # the sum over the leading axis of a (3, B) batch, or of a (3, m, B) view
+    # of a step-major block, gives `_dot`'s bits, signed zeros aside
+    rng = derive_stream(19, width)
+    a, b = rng.standard_normal((3, width)), rng.standard_normal((3, width))
+    a[:, ::5] *= 1e-300  # products that underflow
+    assert _dots(a, b).tolist() == _dot(a, b).tolist()
+    block = rng.standard_normal((5, 3, width)).transpose(1, 0, 2)
+    assert _dots(block, block).tolist() == _dot(block, block).tolist()

@@ -218,6 +218,24 @@ def test_usage_error_exit_code():
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity-curve", "--trials", "10", "--delta", "1e-200"],  # precision^2 underflows to 0
+        ["fidelity-curve", "--trials", "10", "--delta", "1e-160"],  # precision^2 is subnormal
+        ["fidelity-curve", "--n-grid", "0,2", "--delta", "1e200"],  # precision^2 overflows
+        ["continuum-compare", "--n-max", "2", "--delta", "1e-200"],
+        ["validate", "--quick", "--delta-list", "1,1e-200"],
+    ],
+)
+def test_extreme_delta_is_refused_at_parsing(capsys, argv):
+    # refused with a usage error before any trial runs, not by a failing trial or check
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "precision^2 must be a normal double" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -17,12 +17,12 @@ G = montecarlo._GROUP
 CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,3,7", "--estimator", "both", "--seed", "11")
 COMPARE_FLAGS = ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--seed", "12")
 TABLE_DIGESTS = {
-    (CURVE_FLAGS, "--trials", 30): "73072ac61c05172c8f04540a5a5aed60bded766dd106ff6e78996f2ac63fdfb0",
-    (CURVE_FLAGS, "--trials", 101): "42f1f7ff6662e2873b8f568c98d20be5ba16c4161ff61b02e0045bd5bb6211ef",
-    (CURVE_FLAGS, "--trials", 201): "a7daf9e2b6f00da1a5885a334b807d48464898279bc4bc3bf044f68ed5e2c429",
-    (COMPARE_FLAGS, "--trajectories", 30): "bc392cd8dd6b285dcc1b1354b121fd1eb00961b421319c40c6403f0d3f8b5ef3",
-    (COMPARE_FLAGS, "--trajectories", 101): "1fb219784625869f0fa4c6e30bce1d300f84adc78096fdb5b3906b4227c8fda8",
-    (COMPARE_FLAGS, "--trajectories", 201): "25983ec4e56eb891a3bd16b9a90f7563f5cb43719ef263a248bfc1b57c8d226e",
+    (CURVE_FLAGS, "--trials", 30): "44ab199a86dd8b0174278a85487c65df670eb61494054ce73a72e0875d2991ba",
+    (CURVE_FLAGS, "--trials", 101): "ba040ed337f70bc0f714d1df3bffff32f320a4ee10a2570f757f8eb7b854a3d0",
+    (CURVE_FLAGS, "--trials", 201): "80499da57e5d02c3b3ec3e917ade2184a9f5f406c40c902c74e338d95e0603c3",
+    (COMPARE_FLAGS, "--trajectories", 30): "12d883c85c1dbe3e1925870819348633ed9db0809e525e4a39071e9f727604f0",
+    (COMPARE_FLAGS, "--trajectories", 101): "b9d4bc8d4517f114b365fc6d12b797d211085690a66ead32dad4093bfd746e35",
+    (COMPARE_FLAGS, "--trajectories", 201): "4667cb4b8b826ccd73c8283c2501592089d906e2d407a2d6ee7d4be562028ddc",
 }
 # every third snapshot and the last of one trajectory, 2500 steps across several noise chunks
 TRAJECTORY_DIGEST = "54229908dd98556c73003d03630c41d2618fc3633f81ac4f5472ce7b389eecdb"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 import unsharp_qubit.sequential as sequential
-from unsharp_qubit.bloch import _dot, _purity
-from unsharp_qubit.povm import log_weights, posterior_batch
+from unsharp_qubit.bloch import _dot, _dots, _purity
+from unsharp_qubit.povm import posterior_batch
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     FULLY_MIXED,
@@ -39,7 +39,7 @@ def _columns(vector, size):
 
 
 def _posterior(r, axes, width, outcomes):
-    return posterior_batch(r, axes, *log_weights(np.asarray(outcomes, dtype=float), width))
+    return posterior_batch(r, axes, _dots(axes, r), np.asarray(outcomes, dtype=float) / (width * width))
 
 
 def test_settings_refuse_nonpositive_precision():
@@ -49,34 +49,62 @@ def test_settings_refuse_nonpositive_precision():
         MeasurementSettings(-2.0)
 
 
+@pytest.mark.parametrize("precision", [1e-200, 1e-160, 1e155, 1e200])
+def test_settings_refuse_a_precision_whose_square_is_not_normal(precision):
+    # every update divides by precision^2: zero (1e-200), subnormal (1e-160) or infinite (1e155, 1e200)
+    with pytest.raises(ValueError, match="precision\\^2 must be a normal double"):
+        MeasurementSettings(precision)
+
+
+def test_settings_keep_a_precision_whose_square_is_normal():
+    for precision in (1e-150, 1e150):
+        assert MeasurementSettings(precision).precision == precision
+
+
+# The update reads the weights only through their ratio g(s - 1)/g(s + 1) =
+# e^{2x}, x = s / precision^2: from the mixed state it gives the Bloch
+# component (g+ - g-)/(g+ + g-) = tanh x along the axis.
+
+
 def test_effect_weights_symmetric_outcome():
-    log_plus, log_minus = log_weights(np.array([0.0]), 1.0)
-    assert log_plus[0] == log_minus[0]
-    assert math.exp(log_plus[0]) == pytest.approx(G1, rel=1e-12)
+    # g(-1) = g(1) = G1 at s = 0: equal weights, so the mixed state stays mixed
+    assert _posterior(np.zeros((3, 1)), _columns(Z, 1), 1.0, [0.0])[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert (G1 - G1) / (G1 + G1) == 0.0
 
 
 def test_effect_weights_shifted_outcome():
-    log_plus, log_minus = log_weights(np.array([1.0]), 1.0)
-    assert math.exp(log_plus[0]) == pytest.approx(G0, rel=1e-12)
-    assert math.exp(log_minus[0]) == pytest.approx(G2, rel=1e-12)
+    # g(0) = G0 and g(2) = G2 at s = 1: the ratio G0 / G2 = e^2
+    assert math.log(G0 / G2) == pytest.approx(2.0, rel=1e-12)
+    updated = _posterior(np.zeros((3, 1)), _columns(Z, 1), 1.0, [1.0])
+    assert updated[:, 0].tolist() == pytest.approx([0.0, 0.0, (G0 - G2) / (G0 + G2)], rel=1e-12)
 
 
 def test_effect_rejects_bad_outcome():
-    # an infinite outcome weighs -inf in both branches, and the update refuses it
-    for bad in (math.inf, -math.inf):
-        log_plus, log_minus = log_weights(np.array([bad]), 1.0)
-        assert log_plus[0] == log_minus[0] == -math.inf
-        with pytest.raises(ValueError):
-            posterior_batch(np.zeros((3, 1)), _columns(Z, 1), log_plus, log_minus)
+    # an infinite or undefined outcome in a record is refused, and so is an undefined x in the update
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="infinite or undefined outcome"):
+            sequential._replay(np.zeros((3, 2)), _columns(Z, 2)[None], np.array([[0.5, bad]]))
+    with pytest.raises(ValueError, match="x is undefined"):
+        posterior_batch(np.zeros((3, 1)), _columns(Z, 1), np.zeros(1), np.array([math.nan]))
 
 
 def test_log_weights_survive_extreme_outcomes():
-    log_plus, log_minus = log_weights(np.array([3.0]), 0.05)
-    assert math.exp(log_minus[0]) == 0.0  # linear form underflows
-    assert math.isfinite(log_minus[0])
-    # the update only needs their difference, which stays finite
-    out = posterior_batch(np.array([[0.3], [-0.2], [0.5]]), _columns(Z, 1), log_plus, log_minus)
+    # at s = 3 and precision 0.05 the weight g(s + 1) underflows while
+    # x = 1200 stays finite, and the update takes the state onto the axis
+    assert math.exp(-(4.0**2) / (2.0 * 0.05**2)) == 0.0
+    out = _posterior(np.array([[0.3], [-0.2], [0.5]]), _columns(Z, 1), 0.05, [3.0])
     assert out[:, 0].tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("x", [711.0, -711.0, 800.0, 1e5, -1e300])
+def test_update_takes_any_finite_x_without_overflow(x):
+    # cosh overflows past |x| = 710; the update's sech = 2 e^{-|x|}/(1 + e^{-2|x|})
+    # cannot, and pytest turns any warning into an error
+    r = np.array([[0.3], [-0.2], [0.5]])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        out = posterior_batch(r, _columns(Z, 1), np.array([0.5]), np.array([x]))
+    # across the axis only sech x / (1 + t along) <= 2 e^{-711} / 1.5 of the state is left
+    assert out[2, 0] == math.copysign(1.0, x) and np.all(np.abs(out[:2, 0]) <= 1e-308)
 
 
 @pytest.mark.parametrize("width", [1.0, 10.0, 0.1])
@@ -87,11 +115,15 @@ def test_completeness_defect(width):
 
 def test_outcome_density_normalized():
     # tr[effect(s) rho] = p_plus g(s - 1) + p_minus g(s + 1) for the state
-    # (0.3, -0.2, 0.5) along z, from the log weights
+    # (0.3, -0.2, 0.5) along z, which is (g(s - 1) + g(s + 1))(1 + t along)/2
+    # with t = tanh(s / width^2), the form the discrete oracle integrates
     width, along = 1.5, 0.5
     grid = np.linspace(-1 - 12 * width, 1 + 12 * width, 8001)
-    log_plus, log_minus = log_weights(grid, width)
-    dens = 0.5 * (1.0 + along) * np.exp(log_plus) + 0.5 * (1.0 - along) * np.exp(log_minus)
+    gauss = lambda x: np.exp(-x * x / (2.0 * width * width)) / math.sqrt(2.0 * math.pi * width * width)  # noqa: E731
+    g_plus, g_minus = gauss(grid - 1.0), gauss(grid + 1.0)
+    dens = 0.5 * (1.0 + along) * g_plus + 0.5 * (1.0 - along) * g_minus
+    tanh_form = 0.5 * (g_plus + g_minus) * (1.0 + np.tanh(grid / (width * width)) * along)
+    np.testing.assert_allclose(tanh_form, dens, rtol=1e-12, atol=0.0)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -178,9 +210,12 @@ def test_posterior_preserves_purity():
 
 
 def test_posterior_degenerate_update_error():
-    # the state's only branch meets an effect of zero weight on it
-    with pytest.raises(ValueError):
-        posterior_batch(_columns(Z, 1), _columns(Z, 1), np.array([-math.inf]), np.array([0.0]))
+    # the state's only branch meets an outcome so far on the other side that
+    # tanh x rounds to -1: 1 + t along = 0, for the vector update and the length chain
+    with pytest.raises(ValueError, match="sure branch meets a saturated outcome"):
+        posterior_batch(_columns(Z, 1), _columns(Z, 1), np.ones(1), np.array([-40.0]))
+    with pytest.raises(ValueError, match="sure branch meets a saturated outcome"):
+        sequential._length_posterior(np.ones(1), -np.ones(1), np.zeros(1), np.array([40.0]))
 
 
 class _ZeroStream:
@@ -195,25 +230,25 @@ class _ZeroStream:
 
 def test_posterior_rows_keep_the_scalar_checks():
     axes = _columns(Z, 3)
-    log_plus, log_minus = log_weights(np.array([0.5, 0.5, 0.0]), 1.0)
-    # column 0 has an empty branch, which must never reach log; column 1
-    # starts outside the ball and is rescaled onto it; column 2 is an ordinary state
+    x = np.array([0.5, 0.5, 0.0])
+    # column 0 has an empty branch and stays on the axis; column 1 starts
+    # outside the ball and is rescaled onto it; column 2 is an ordinary state
     r = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8 + 1e-9], [0.1, 0.2, 0.3]]).T
+    along = _dots(axes, r)
     # no floating-point warning either on the way to a refusal
     with np.errstate(all="raise"):
-        out = posterior_batch(r, axes, log_plus, log_minus)
+        out = posterior_batch(r, axes, along, x)
         assert out[:, 0].tolist() == [0.0, 0.0, 1.0]
         assert math.sqrt(_dot(out[:, 1], out[:, 1])) <= 1.0
-        alone = posterior_batch(r[:, 2:], axes[:, 2:], log_plus[2:], log_minus[2:])
+        alone = posterior_batch(r[:, 2:], axes[:, 2:], along[2:], x[2:])
         assert out[:, 2].tolist() == alone[:, 0].tolist()
-        # a column of zero or undefined total weight is refused, whatever its neighbours
-        for bad in (-math.inf, math.nan):
+        # a column of zero total weight or undefined x is refused, whatever its neighbours
+        for bad in (np.array([-40.0, 0.5, 0.0]), np.array([0.5, math.nan, 0.0])):
             with pytest.raises(ValueError):
-                posterior_batch(
-                    r, axes, np.array([log_plus[0], bad, log_plus[2]]), np.array([log_minus[0], bad, log_minus[2]])
-                )
+                posterior_batch(r, axes, along, bad)
+        # and so is a record holding an infinite outcome
         with pytest.raises(ValueError):
-            posterior_batch(r, axes, *log_weights(np.array([0.5, math.nan, 0.0]), 1.0))
+            sequential._replay(r, axes[None], np.array([[0.5, math.inf, 0.0]]))
 
 
 @hypothesis_settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -233,10 +268,11 @@ def test_posterior_batch_equals_each_column_alone(size, width, seed):
     draws = [(rng.standard_normal(3), rng.normal(0.0, 1.0 + width)) for _ in range(size)]
     axes = np.array([axis for axis, _ in draws]).T
     axes /= np.sqrt(_dot(axes, axes))
-    log_plus, log_minus = log_weights(np.array([outcome for _, outcome in draws]), width)
-    out = posterior_batch(columns, axes, log_plus, log_minus)
+    x = np.array([outcome for _, outcome in draws]) / (width * width)
+    along = _dots(axes, columns)
+    out = posterior_batch(columns, axes, along, x)
     alone = [
-        posterior_batch(columns[:, b : b + 1], axes[:, b : b + 1], log_plus[b : b + 1], log_minus[b : b + 1])
+        posterior_batch(columns[:, b : b + 1], axes[:, b : b + 1], along[b : b + 1], x[b : b + 1])
         for b in range(size)
     ]
     assert out.T.tolist() == [column[:, 0].tolist() for column in alone]

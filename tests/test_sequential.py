@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
+from oracles import MEAN_FIDELITY_BUDGET, length_update, mean_fidelity_from_mixed
 from scipy import stats as sps
 
 import unsharp_qubit.montecarlo as montecarlo
@@ -27,9 +28,9 @@ from unsharp_qubit import (
     spectral_match,
     summarize,
 )
-from unsharp_qubit.bloch import _dot
+from unsharp_qubit.bloch import _dot, _dots
 from unsharp_qubit.ensemble import HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY
-from unsharp_qubit.povm import log_weights, posterior_batch
+from unsharp_qubit.povm import posterior_batch
 
 Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
 X_AXIS = MeasurementAxis((1.0, 0.0, 0.0))
@@ -76,6 +77,41 @@ def _trial_stream(seed, base_index, trials, k):
     """Trial k of a part of `trials` trials, as a one-trial stream: its column of its group."""
     lo = k - k % G
     return _ColumnStream(derive_stream(seed, base_index + lo), min(G, trials - lo), k % G)
+
+
+def _scalar_lengths(seed, base_index, trials, n, width, columns=None):
+    """Bloch lengths after every step of mixed-start runs, stepped on Python floats, one list per trial.
+
+    Trial k reads column k % G of its group's draws: per block of at most
+    `sequential._BLOCK_STEPS` steps, random((m, w)) for the cosines, then
+    random((m, w)) for the branches, then standard_normal((m, w)) for the
+    noise.  Each step repeats `_mixed_start_lengths`' operations in order,
+    the update through the oracle's `length_update` on numpy float64
+    scalars (tanh and exp are numpy's).  columns, if given, is the set of
+    trials to step.
+    """
+    var = width * width
+    out = {}
+    for lo in range(0, trials, G):
+        w = min(G, trials - lo)
+        rng = derive_stream(seed, base_index + lo)
+        rows = []  # (cosine uniforms, branch uniforms, normals) of every step
+        for done in range(0, n, sequential._BLOCK_STEPS):
+            m = min(sequential._BLOCK_STEPS, n - done)
+            rows.extend(zip(rng.random((m, w)), rng.random((m, w)), rng.standard_normal((m, w))))
+        for b in range(w):
+            if columns is not None and lo + b not in columns:
+                continue
+            rho, path = 0.0, [0.0]
+            for cos_u, branch_u, z in rows:
+                c = float(cos_u[b]) * 2.0 - 1.0
+                sines = 4.0 * (1.0 - c) * (1.0 + c)
+                along = rho * c
+                s = math.copysign(1.0, along - (float(branch_u[b]) * 2.0 - 1.0)) + float(z[b]) * width
+                rho = float(length_update(rho, along, sines, s / var)[0])
+                path.append(rho)
+            out[lo + b] = path
+    return [out[k] for k in sorted(out)]
 
 
 def _dense_effect_sqrt(axis, width, outcome):
@@ -142,7 +178,7 @@ def test_two_axis_chain_matches_dense_oracle():
 def test_single_effect_chain_matches_single_estimate():
     # one measurement: the estimate is the mixed state's posterior, tanh(s / width^2) n
     est = replay_hypothetical(((Z_AXIS, 1.0),), settings(1.0)).estimate
-    mixed = posterior_batch(np.zeros((3, 1)), np.array(Z_AXIS.direction)[:, None], *log_weights(np.array([1.0]), 1.0))
+    mixed = posterior_batch(np.zeros((3, 1)), np.array(Z_AXIS.direction)[:, None], np.zeros(1), np.array([1.0]))
     assert list(est.bloch) == mixed[:, 0].tolist()
     assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
     assert replay_hypothetical(((Z_AXIS, 1.0),), settings(0.01)).estimate.bloch == (0.0, 0.0, 1.0)
@@ -230,7 +266,7 @@ def test_batched_direct_samples_equal_scalar_runs():
 def test_draw_block_bounds_memory_not_results(monkeypatch):
     # DRAW_BLOCK bounds the groups of a batch (one group per batch here),
     # which must not change a row; with groups drawing blocks shorter than
-    # the sequence, every row is the run on its column of its group's draws
+    # the sequence, every row is the length chain on its column of its group's draws
     cfg = settings(5.0)
     trials = G + 20
     whole = hypothetical_purity_paths(12, cfg, trials, seed=65)
@@ -238,9 +274,7 @@ def test_draw_block_bounds_memory_not_results(monkeypatch):
     np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, trials, seed=65), whole)
     monkeypatch.setattr(sequential, "_BLOCK_STEPS", 5)
     blocked = hypothetical_purity_paths(12, cfg, trials, seed=65)
-    finals = [
-        purity(run_sequence(FULLY_MIXED, 12, cfg, _trial_stream(65, 0, trials, k)).aposteriori) for k in range(trials)
-    ]
+    finals = [0.5 * (1.0 + path[-1] * path[-1]) for path in _scalar_lengths(65, 0, trials, 12, 5.0)]
     assert blocked[:, -1].tolist() == finals
     assert np.all(blocked[:, 0] == 0.5) and np.all((blocked >= 0.5) & (blocked <= 1.0))
 
@@ -333,15 +367,61 @@ def test_hypothetical_single_step_equals_single_estimate():
 
 
 def _purities_after_50_steps():
-    # trial k is run_sequence(FULLY_MIXED, 50, ...) on its column of its group's draws, batched
+    # trial k is the length chain on its column of its group's draws, batched
     return hypothetical_purity_paths(50, settings(10.0), 10**3, seed=22)[:, 50]
 
 
 def test_purity_paths_equal_hypothetical_runs():
     batched = _purities_after_50_steps()
-    cfg = settings(10.0)
-    for k in [*range(50), *range(10**3 - 50, 10**3)]:
-        assert batched[k] == purity(run_sequence(FULLY_MIXED, 50, cfg, _trial_stream(22, 0, 10**3, k)).aposteriori)
+    picked = [*range(50), *range(10**3 - 50, 10**3)]
+    chains = _scalar_lengths(22, 0, 10**3, 50, 10.0, columns=set(picked))
+    assert [batched[k] for k in picked] == [0.5 * (1.0 + path[-1] * path[-1]) for path in chains]
+
+
+def test_discrete_oracle_converges():
+    # the oracle's own error budget: doubling every grid of it, and widening
+    # the outcome range, moves no mean fidelity by more than MEAN_FIDELITY_BUDGET
+    coarse = mean_fidelity_from_mixed(20.0, 40)
+    fine = mean_fidelity_from_mixed(20.0, 40, points=2000, cosines=64, outcomes=801, span=12.0)
+    assert np.abs(coarse - fine).max() <= MEAN_FIDELITY_BUDGET
+    assert coarse[0] == 0.5 and np.all(np.diff(coarse) > 0.0) and coarse[-1] < 2.0 / 3.0
+
+
+@pytest.mark.parametrize("width", [0.3, 20.0])
+def test_length_chain_equals_scalar_steps_bitwise(monkeypatch, width):
+    # 2G + 1 trials in one batch of three groups, over blocks of 7 steps:
+    # every path and every purity sample is its scalar chain, bit for bit;
+    # at width 0.3 outcomes saturate and the rescale onto the sphere acts
+    monkeypatch.setattr(sequential, "_BLOCK_STEPS", 7)
+    cfg, n, trials = settings(width), 23, 2 * G + 1
+    chains = _scalar_lengths(75, 10, trials, n, width)
+    paths = hypothetical_purity_paths(n, cfg, trials, seed=75, base_index=10)
+    assert paths.tolist() == [[0.5 * (1.0 + rho * rho) for rho in path] for path in chains]
+    samples = sequential.purity_fidelity_samples(cfg, n, trials, seed=75, base_index=10)
+    assert samples.tolist() == [(1.0 + 0.5 * (1.0 + path[-1] * path[-1])) / 3.0 for path in chains]
+    if width == 0.3:
+        assert sum(path[-1] == 1.0 for path in chains) > 0
+
+
+@hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rho=st.floats(min_value=0.0, max_value=1.0),
+    cosine=st.floats(min_value=-1.0, max_value=1.0),
+    x=st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-800.0, max_value=800.0)),
+)
+def test_length_chain_is_the_length_of_the_vector_update(rho, cosine, x):
+    # `_length_posterior` is `posterior_batch` seen through |r| alone, for a
+    # state at cosine c to the axis
+    sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
+    r = np.array([[rho * sine], [0.0], [rho * cosine]])
+    along = np.array([rho * cosine])
+    if not 1.0 + float(np.tanh(x)) * along[0] > 0.0:
+        return  # refused by both
+    z_axis = np.array([[0.0], [0.0], [1.0]])
+    vector = posterior_batch(r, z_axis, _dots(z_axis, r), np.array([x]))
+    lengths = np.array([rho])
+    sequential._length_posterior(lengths, along, np.array([4.0 * (1.0 - cosine) * (1.0 + cosine)]), np.array([x]))
+    assert abs(lengths[0] - math.sqrt(_dot(vector[:, 0], vector[:, 0]))) <= 4.0 * math.ulp(1.0)
 
 
 @CALIBRATION_XFAIL
@@ -449,7 +529,8 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
     truth = np.array(true_state.bloch)[:, None]
 
     def group(streams):
-        overlap = 0.5 * (1.0 + _dot(sequential._mixed_start_final(streams, n, cfg.precision), truth))
+        final, _, _ = sequential._recorded_run(np.zeros((3, sequential._width(streams))), streams, n, cfg.precision)
+        overlap = 0.5 * (1.0 + _dot(final, truth))
         return 2.0 * overlap * overlap
 
     return sequential._by_trial_groups(group, n, trials, seed, 0)
