@@ -57,7 +57,7 @@ from .povm import (
     MeasurementSettings,
     completeness_defect,
 )
-from .sequential import replay_hypothetical, run_sequence, spectral_match
+from .sequential import _grid_end, replay_hypothetical, run_sequence, spectral_match
 
 
 def _positive_int(text: str) -> int:
@@ -99,12 +99,12 @@ def _step_size(text: str) -> float:
 
 
 def _int_grid(text: str) -> tuple[int, ...]:
+    """An n grid, refused here as the samplers would refuse it."""
     try:
         grid = tuple(int(part) for part in text.split(","))
+        _grid_end(grid)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise argparse.ArgumentTypeError(f"grid must be strictly ascending and nonnegative, got {text!r}")
+        raise argparse.ArgumentTypeError(f"bad n grid {text!r}: {exc}") from exc
     return grid
 
 

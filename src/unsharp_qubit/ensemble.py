@@ -3,17 +3,16 @@
 Three kinds: the fidelity curve through the direct or the purity
 estimator, and the step-resolved sequence compared with the integrated
 continuous equation.  Every spec expands into tasks (spec, part, lo, hi):
-trials [lo, hi) of one part, where a part is a grid-point index, or the
-`paths` or `sde` half of a compare.  All tasks of one `run_ensemble` call
-go through one `_dispatch`: in process with one worker, and otherwise in
-one forked child per worker (at most one per CPU and one per task), each
-sending its share's samples back once through a pipe while the caller only
-collects (POSIX only: it needs `os.fork`).
+trials [lo, hi) of one part, the whole `curve` of a fidelity spec or the
+`paths` or `sde` half of a compare, read at every grid point.  All tasks
+of one `run_ensemble` call go through one `_dispatch`: in process with one
+worker, and otherwise in one forked child per worker (at most one per CPU
+and one per task), each sending its share's samples back once through a
+pipe while the caller only collects (POSIX only: it needs `os.fork`).
 
 Trials draw their randomness in groups of G = `montecarlo._GROUP`: group j
-of a part covers trials [jG, (j + 1)G) and draws from derive_stream(seed,
-base + jG), where base is p * trials for grid point p and 0 for both
-halves of a compare.  Tasks split a part only at group boundaries, so
+of every part covers trials [jG, (j + 1)G) and draws from
+derive_stream(seed, jG).  Tasks split a part only at group boundaries, so
 ensemble statistics are a pure function of the experiment spec: chunking,
 worker count, and scheduling cannot change a single bit of the output.
 Samples are aggregated in trial order after collection.
@@ -39,18 +38,15 @@ from .continuous import (
 )
 from .montecarlo import _GROUP, summarize
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings
-from .sequential import (
-    direct_fidelity_samples,
-    hypothetical_purity_paths,
-    purity_fidelity_samples,
-)
+from .sequential import _grid_end, direct_fidelity_samples, purity_samples
 
 SEQUENTIAL_FIDELITY = "sequential-fidelity"
 HYPOTHETICAL_PURITY = "hypothetical-purity"
 CONTINUUM_COMPARE = "continuum-compare"
 KINDS = (SEQUENTIAL_FIDELITY, HYPOTHETICAL_PURITY, CONTINUUM_COMPARE)
 
-# the two halves of a compare: the measurement sequence and the integrated equation
+# the one part of a fidelity curve; the two halves of a compare, sequence and equation
+_CURVE = "curve"
 _PATHS = "paths"
 _SDE = "sde"
 
@@ -85,9 +81,7 @@ class ExperimentSpec:
         if self.kind == HYPOTHETICAL_PURITY and self.strategy != RANDOM_EIGENSTATE:
             # F = (1 + P)/3 is the random-eigenstate fidelity; it says nothing of the other strategy
             raise ValueError(f"{self.kind} estimates the {RANDOM_EIGENSTATE} fidelity only, got {self.strategy!r}")
-        grid = self.n_grid
-        if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"{self.kind} needs a nonempty strictly ascending n grid, got {grid!r}")
+        _grid_end(self.n_grid)  # refuses a grid that is empty, not ascending or negative
         self.settings()  # refuses a bad delta
         _check_step(self.dt)
         if self.seed < 0:
@@ -118,9 +112,7 @@ class EnsembleStatistics:
 
 
 def _parts(spec: ExperimentSpec):
-    if spec.kind == CONTINUUM_COMPARE:
-        return (_PATHS, _SDE)
-    return range(len(spec.n_grid))
+    return (_PATHS, _SDE) if spec.kind == CONTINUUM_COMPARE else (_CURVE,)
 
 
 def _times(spec: ExperimentSpec) -> tuple[float, ...]:
@@ -129,25 +121,17 @@ def _times(spec: ExperimentSpec) -> tuple[float, ...]:
     return tuple(time_from_steps(n, settings) for n in spec.n_grid)
 
 
-def _base(spec: ExperimentSpec, part) -> int:
-    """The stream index of a part's trial 0: p * trials for grid point p, 0 for both halves of a compare."""
-    return 0 if spec.kind == CONTINUUM_COMPARE else part * spec.trials
-
-
 def _samples(spec: ExperimentSpec, part, lo: int, hi: int) -> np.ndarray:
-    """Samples of trials [lo, hi) of one part, lo a group boundary, in one call.
+    """Samples of trials [lo, hi) of one part at every grid point, shape (hi - lo, len(n_grid)).
 
-    Group j of the part draws from stream index base + jG (see `_base`).
+    lo is a group boundary, and group j of the part draws from stream index lo + jG.
     """
-    base = _base(spec, part) + lo
-    if part == _PATHS:
-        return hypothetical_purity_paths(spec.n_grid[-1], spec.settings(), hi - lo, seed=spec.seed, base_index=base)
     if part == _SDE:
-        return simulate_purity_ensemble(_times(spec), spec.dt, hi - lo, seed=spec.seed, base_index=base)
-    n = spec.n_grid[part]
-    if spec.kind == HYPOTHETICAL_PURITY:
-        return purity_fidelity_samples(spec.settings(), n, hi - lo, spec.seed, base)
-    return direct_fidelity_samples(spec.settings(), n, hi - lo, spec.strategy, spec.seed, base)
+        return simulate_purity_ensemble(_times(spec), spec.dt, hi - lo, seed=spec.seed, base_index=lo).T
+    if spec.kind == SEQUENTIAL_FIDELITY:
+        return direct_fidelity_samples(spec.settings(), spec.n_grid, hi - lo, spec.strategy, spec.seed, lo)
+    purities = purity_samples(spec.settings(), spec.n_grid, hi - lo, spec.seed, lo)
+    return purities if part == _PATHS else (1.0 + purities) / 3.0
 
 
 def _run_task(task) -> np.ndarray:
@@ -166,9 +150,8 @@ def _run_task(task) -> np.ndarray:
             try:
                 _samples(spec, part, glo, ghi)
             except Exception as exc:
-                stream = _base(spec, part) + glo
                 raise EnsembleError(
-                    f"{spec.kind} part {part} trials [{glo}, {ghi}) (stream {stream}) failed: {exc}"
+                    f"{spec.kind} part {part} trials [{glo}, {ghi}) (stream {glo}) failed: {exc}"
                 ) from exc
         raise EnsembleError(f"{spec.kind} part {part} trials [{lo}, {hi}) failed: {batch_exc}") from batch_exc
 
@@ -280,29 +263,23 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _summaries(columns: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    means, errors = [], []
-    for row in columns:
-        mean, err = summarize(row)
-        means.append(mean)
-        errors.append(err)
-    return tuple(means), tuple(errors)
+def _summaries(samples: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The means and the standard errors of the columns of a (trials, grid points) array."""
+    return tuple(zip(*(summarize(column) for column in samples.T)))
 
 
 def _statistics(spec: ExperimentSpec, results: list[np.ndarray]) -> EnsembleStatistics:
     """Aggregate one spec's task results, given part after part, each in trial order."""
     size = len(results) // len(_parts(spec))
-    per_part = [results[i:i + size] for i in range(0, len(results), size)]
+    per_part = [_summaries(np.concatenate(results[i:i + size])) for i in range(0, len(results), size)]
+    means, errors = per_part[0]
     if spec.kind != CONTINUUM_COMPARE:
-        means, errors = _summaries(np.asarray([np.concatenate(chunks) for chunks in per_part]))
         settings = spec.settings()
         reference = tuple(mean_fidelity_closed_form(n, settings) for n in spec.n_grid)
         return EnsembleStatistics(
             spec.kind, tuple(float(n) for n in spec.n_grid), means, errors, spec.trials, reference
         )
-    paths, sde = per_part
-    means, errors = _summaries(np.concatenate(paths, axis=0)[:, list(spec.n_grid)].T)
-    sde_means, sde_errors = _summaries(np.concatenate(sde, axis=1))
+    sde_means, sde_errors = per_part[1]
     t_grid = _times(spec)
     reference = tuple(drift_purity(t) for t in t_grid)
     return EnsembleStatistics(

@@ -6,6 +6,8 @@ of a part (a run of trials sharing one base index) covers trials
 stream `derive_stream(seed, base_index + jG)`.  G is a constant of the
 layout, so results are a function of (seed, base index, trial) alone: a part
 split at group boundaries, across batches or processes, gives the same bits.
+A trial runs once, to the last count of its grid, and is read at every
+count, so every point of a grid reads the same streams.
 
 A batch of groups draws its step randomness through `_group_blocks`: per
 block of m steps, each group of width w makes one generator call per kind of

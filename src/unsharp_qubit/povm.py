@@ -9,9 +9,10 @@ eigenvalues +-1 by a Gaussian of standard deviation `precision`:
 where P_plus/P_minus project on the +-1 eigenstates of n.sigma.  The
 effects integrate to the identity over s, so they form a valid positive
 operator-valued measure; `completeness_defect` checks that numerically
-with one fixed trapezoid rule, the same for every axis.  Large precision
-means a weak (barely invasive) measurement, small precision approaches the
-projective limit.
+with one trapezoid rule per Gaussian, scaled to its width, the same for
+every axis.
+Large precision means a weak (barely invasive) measurement, small
+precision approaches the projective limit.
 
 The update `posterior_batch` needs only the ratio g(s - 1)/g(s + 1) =
 e^{2x} with x = s/precision^2, which it takes through tanh x and sech x in
@@ -49,8 +50,8 @@ class MeasurementSettings:
         object.__setattr__(self, "precision", p)
 
 
-# completeness_defect's trapezoid rule: this many nodes over
-# [-(1 + padding precision), +(1 + padding precision)]
+# completeness_defect's trapezoid rule: this many nodes over each Gaussian's
+# centre +-1 plus and minus padding precisions
 _QUADRATURE_PADDING = 10.0
 _QUADRATURE_NODES = 10001
 
@@ -59,19 +60,22 @@ def completeness_defect(settings: MeasurementSettings) -> float:
     """Spectral-norm deviation of the quadrature of all effects from identity.
 
     The exact integral is the identity, so any defect is purely a quadrature
-    artifact of the fixed trapezoid rule above.
+    artifact of the fixed trapezoid rule above.  It runs in the scaled
+    variable u = (s -+ 1)/precision, so it resolves each Gaussian, and no
+    square overflows, at every precision `MeasurementSettings` accepts.
+    The precision cancels from the scaled rule up to rounding, so the
+    defect is the same at every precision: what varies with the settings
+    is only whether the arithmetic stays finite.
     """
     w = settings.precision
-    half = 1.0 + _QUADRATURE_PADDING * w
-    grid = np.linspace(-half, half, _QUADRATURE_NODES)
-    dens_plus = np.exp(-((grid - 1.0) ** 2) / (2.0 * w * w)) / math.sqrt(2.0 * math.pi * w * w)
-    dens_minus = np.exp(-((grid + 1.0) ** 2) / (2.0 * w * w)) / math.sqrt(2.0 * math.pi * w * w)
-    total_plus = float(np.trapezoid(dens_plus, grid))
-    total_minus = float(np.trapezoid(dens_minus, grid))
-    # integral(effect) = total_plus P_plus + total_minus P_minus for every
-    # axis, so the deviation from identity has eigenvalues
-    # (total_plus - 1, total_minus - 1) and no axis is needed
-    return max(abs(total_plus - 1.0), abs(total_minus - 1.0))
+    u = np.linspace(-_QUADRATURE_PADDING, _QUADRATURE_PADDING, _QUADRATURE_NODES)
+    step = 2.0 * _QUADRATURE_PADDING / (_QUADRATURE_NODES - 1)
+    # g(s -+ 1) at s = +-1 + w u, on nodes w step apart in s
+    density = np.exp(-0.5 * u * u) / (math.sqrt(2.0 * math.pi) * w)
+    total = float(np.trapezoid(density, dx=w * step))
+    # integral(effect) = total (P_plus + P_minus) for every axis, so the
+    # deviation from identity is total - 1 and no axis is needed
+    return abs(total - 1.0)
 
 
 def posterior_batch(r: np.ndarray, axes: np.ndarray, along: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -21,17 +21,18 @@ identity is what the purity-based mean-fidelity estimator rests on, and
 The runs that keep their axes (`run_sequence`, `direct_fidelity_samples`,
 whose reverse replay needs them) advance a batch of B trials in lockstep
 on a component-major (3, B) Bloch batch.  The mixed-start runs that read
-only the purity (`purity_fidelity_samples`, `hypothetical_purity_paths`)
-step a (B,) array of Bloch lengths instead: from the mixed state the run
-is isotropic, so the length alone is a Markov chain, and a step needs only
+only the purity (`purity_samples`, `hypothetical_purity_paths`) step a
+(B,) array of Bloch lengths instead: from the mixed state the run is
+isotropic, so the length alone is a Markov chain, and a step needs only
 the cosine of its axis to the Bloch vector, uniform on [-1, 1].  Their
 paths are therefore not `run_sequence`'s bit for bit.  A batch is whole
 trial groups (`montecarlo._GROUP` trials each, on one stream per group),
 drawn in the block layout the `montecarlo` docstring describes, in blocks
 of at most `_BLOCK_STEPS` steps.  `run_sequence` is one group of width 1
-on the caller's stream.  The per-trial samples of the two estimators
-(`direct_fidelity_samples`, `purity_fidelity_samples`) are summarized by
-`ensemble.run_ensemble`, the one place their statistics are formed.
+on the caller's stream.  The samplers of an n grid
+(`direct_fidelity_samples`, `purity_samples`) run each trial once, to the
+grid's last count, and read it at every count of the grid;
+`ensemble.run_ensemble` summarizes their samples.
 """
 
 from __future__ import annotations
@@ -177,9 +178,9 @@ def _replay(r: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _estimate_batch(axes: np.ndarray, outcomes: np.ndarray, precision: float) -> np.ndarray:
-    """Record-only estimates A^dag A / tr: the reverse replay from the mixed state."""
-    return _replay(np.zeros(axes.shape[1:]), axes[::-1], outcomes[::-1] / (precision * precision))
+def _estimate_batch(axes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Record-only estimates A^dag A / tr: the reverse replay of x = outcomes / precision^2 from the mixed state."""
+    return _replay(np.zeros(axes.shape[1:]), axes[::-1], x[::-1])
 
 
 def _recorded_run(start: np.ndarray, streams, n: int, precision: float):
@@ -194,17 +195,22 @@ def _recorded_run(start: np.ndarray, streams, n: int, precision: float):
     return r, axes, outcomes
 
 
+def _grid_end(n_grid) -> int:
+    """The last count of an n grid; a grid that is empty, not strictly ascending or negative is refused."""
+    if not n_grid or n_grid[0] < 0 or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError(f"an n grid must be nonempty, strictly ascending and nonnegative, got {n_grid!r}")
+    return n_grid[-1]
+
+
 def _by_trial_groups(fn, n: int, trials: int, seed: int, base_index: int) -> np.ndarray:
     """fn(streams) over consecutive batches of trial groups, concatenated.
 
     Group j covers trials [jG, (j + 1)G) and draws from derive_stream(seed,
-    base_index + jG); a batch is as many whole groups as fit in DRAW_BLOCK
-    trial-steps, and at least one.
+    base_index + jG); a batch is as many whole groups of runs of n steps as
+    fit in DRAW_BLOCK trial-steps, and at least one.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    if n < 0:
-        raise ValueError(f"measurement count must be nonnegative, got {n!r}")
     size = _GROUP * max(1, DRAW_BLOCK // (_GROUP * max(1, n)))
     return np.concatenate([
         fn(_group_streams(seed, base_index, lo, min(lo + size, trials))) for lo in range(0, trials, size)
@@ -239,7 +245,7 @@ def run_sequence(
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
     final, axes, outcomes = _recorded_run(np.array(true_state.bloch)[:, None], [(rng, 1)], n, settings.precision)
     record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
-    estimate = _estimate_batch(axes, outcomes, settings.precision)
+    estimate = _estimate_batch(axes, outcomes / (settings.precision * settings.precision))
     return SequenceResult(record, _state(final), _state(estimate))
 
 
@@ -253,9 +259,10 @@ def replay_hypothetical(
     """
     axes = np.array([axis.direction for axis, _ in outcomes]).reshape(-1, 3, 1)
     values = np.array([s for _, s in outcomes], dtype=float).reshape(-1, 1)
-    forward = _replay(np.zeros((3, 1)), axes, values / (settings.precision * settings.precision))
-    estimate = _estimate_batch(axes, values, settings.precision)
-    return SequenceResult(tuple(outcomes), _state(forward), _state(estimate))
+    with np.errstate(over="ignore"):  # a recorded outcome can overflow x; _replay refuses it
+        x = values / (settings.precision * settings.precision)
+    forward = _replay(np.zeros((3, 1)), axes, x)
+    return SequenceResult(tuple(outcomes), _state(forward), _state(_estimate_batch(axes, x)))
 
 
 def spectral_match(result: SequenceResult, hypothetical: SequenceResult) -> float:
@@ -293,51 +300,59 @@ def _expected_fidelities(estimate: np.ndarray, truth: np.ndarray, strategy: str)
 
 def direct_fidelity_samples(
     settings: MeasurementSettings,
-    n: int,
+    n_grid,
     trials: int,
     strategy: str = RANDOM_EIGENSTATE,
     seed: int = 0,
     base_index: int = 0,
 ) -> np.ndarray:
-    """Estimate fidelities over random pure inputs, one run per trial, shape (trials,).
+    """Estimate fidelities over random pure inputs at every count of n_grid, shape (trials, len(n_grid)).
 
     Every trial draws a uniform pure true state on its group's stream
-    derive_stream(seed, base_index + jG), runs the sequence, and records
-    the expected fidelity of the purified estimate under `strategy`.
-    `ensemble.run_ensemble` summarizes them per grid point.
+    derive_stream(seed, base_index + jG) and runs once, to n_grid[-1].
+    Column i holds the expected fidelity under `strategy` of the purified
+    estimate from the run's first n_grid[i] outcomes, their reverse replay.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    n_max = _grid_end(n_grid)
 
     def group(streams):
         truth = _pure_starts(streams)
-        _, axes, outcomes = _recorded_run(truth, streams, n, settings.precision)
-        return _expected_fidelities(_estimate_batch(axes, outcomes, settings.precision), truth, strategy)
+        _, axes, outcomes = _recorded_run(truth, streams, n_max, settings.precision)
+        x = outcomes / (settings.precision * settings.precision)
+        return np.stack([
+            _expected_fidelities(_estimate_batch(axes[:n], x[:n]), truth, strategy) for n in n_grid
+        ], axis=1)
 
-    return _by_trial_groups(group, n, trials, seed, base_index)
+    return _by_trial_groups(group, n_max, trials, seed, base_index)
 
 
-def purity_fidelity_samples(
+def purity_samples(
     settings: MeasurementSettings,
-    n: int,
+    n_grid,
     trials: int,
     seed: int = 0,
     base_index: int = 0,
 ) -> np.ndarray:
-    """Fidelities over random pure inputs from mixed-start purities alone, shape (trials,).
+    """Purities tr[rho^2] of mixed-start runs at every count of n_grid, shape (trials, len(n_grid)).
 
-    Per trial the sample is (1 + tr[rho^2])/3 for the final state of a
-    mixed-start run; the estimate state shares that purity, which is all
-    the average over random pure inputs depends on.
+    Every trial runs once, to n_grid[-1], on its group's stream
+    derive_stream(seed, base_index + jG), and only the grid's columns are
+    kept.  The estimate shares that purity P, so (1 + P)/3 is its
+    random-eigenstate fidelity averaged over random pure inputs.
     """
+    n_max = _grid_end(n_grid)
+    column = {n: i for i, n in enumerate(n_grid)}
 
     def group(streams):
-        rho = np.zeros(_width(streams))
-        for rho in _mixed_start_lengths(streams, n, settings.precision):
-            pass
-        return (1.0 + 0.5 * (1.0 + rho * rho)) / 3.0
+        lengths = np.zeros((len(column), _width(streams)))
+        for step, rho in enumerate(_mixed_start_lengths(streams, n_max, settings.precision), 1):
+            if step in column:
+                lengths[column[step]] = rho
+        return (0.5 * (1.0 + lengths * lengths)).T
 
-    return _by_trial_groups(group, n, trials, seed, base_index)
+    return _by_trial_groups(group, n_max, trials, seed, base_index)
 
 
 def hypothetical_purity_paths(
@@ -350,14 +365,8 @@ def hypothetical_purity_paths(
     """Purity after every step of mixed-start runs, shape (trials, n + 1).
 
     Column k holds tr[rho^2] after k measurements (column 0 is the mixed
-    0.5); used to compare the step-resolved sequence against the
-    continuous-measurement curves.
+    0.5): `purity_samples` at the grid range(n + 1).
     """
-
-    def group(streams):
-        lengths = np.zeros((n + 1, _width(streams)))
-        for step, rho in enumerate(_mixed_start_lengths(streams, n, settings.precision), 1):
-            lengths[step] = rho
-        return (0.5 * (1.0 + lengths * lengths)).T
-
-    return _by_trial_groups(group, n, trials, seed, base_index)
+    if n < 0:
+        raise ValueError(f"measurement count must be nonnegative, got {n!r}")
+    return purity_samples(settings, range(n + 1), trials, seed, base_index)

@@ -79,7 +79,8 @@ def _points(stats):
 
 @pytest.fixture(scope="module")
 def curves():
-    # grid point i of each curve draws from the streams from i * TRIALS on
+    # each trial runs once, to n = 40, and is read at every grid point, so a
+    # curve's points share its trials; both curves draw from the streams from 0 on
     specs = (
         ExperimentSpec(kind=SEQUENTIAL_FIDELITY, delta=DELTA, trials=TRIALS, seed=1001, n_grid=GRID),
         ExperimentSpec(kind=HYPOTHETICAL_PURITY, delta=DELTA, trials=TRIALS, seed=1002, n_grid=GRID),

@@ -170,6 +170,15 @@ def test_validate_delta_list(capsys):
     assert statuses["completeness-quadrature"] == "PASS"
 
 
+def test_validate_completeness_at_extreme_precisions(capsys):
+    # a fixed quadrature grid reported a defect of 1.45e-2 at 1e-4 and 1.0 at
+    # 1e-5, and NaN after overflow warnings at 1e153 and 1.3e154
+    argv = ["validate", "--quick", "--delta-list", "1e-4,1e-5,1e-100,1e153,1.3e154", "--seed", "16"]
+    assert main(argv) == 0
+    statuses = _check_statuses(capsys.readouterr().out)
+    assert statuses["completeness-quadrature"] == "PASS"
+
+
 def test_validate_detects_injected_noise_fault(monkeypatch, capsys):
     # twice the noise in the matrix reference step and in the ensemble's length chain
     euler, length_noise = continuous._euler_density, continuous._length_noise

@@ -174,28 +174,31 @@ def _in_children_only(stand_in):
 
 
 def test_pool_is_sized_by_its_tasks(monkeypatch, many_cpus):
-    # 6 grid points x 2 chunks (trials [0, G) and [G, G + 1)) = 12 tasks, however many workers are asked for
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=ens._GROUP + 1, seed=55,
+    # the curve is one part: 6 chunks of G trials (the last of 1) = 6 tasks however
+    # many more workers are asked for, and 3 chunks of 2G, 2G and G + 1 trials for 3
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=5 * ens._GROUP + 1, seed=55,
                           n_grid=(0, 2, 5, 10, 20, 40))
     expected = run_ensemble(spec, workers=1)
     forks = _InlineForks()
     monkeypatch.setattr(ens, "_run_forked", forks)
     assert run_ensemble(spec, workers=64) == expected
     assert run_ensemble(spec, workers=3) == expected
-    assert forks.sizes == [12, 3]
+    assert forks.sizes == [6, 3]
 
 
 def test_pool_gets_one_share_per_worker(monkeypatch, many_cpus):
     # worker w runs tasks w, w + workers, ...; the results come back in task order
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=3 * ens._GROUP, seed=60,
-                          n_grid=(0, 2, 5))
-    expected = run_ensemble(spec, workers=1)
+    specs = [
+        ExperimentSpec(kind=kind, delta=20.0, trials=3 * ens._GROUP, seed=60, n_grid=(0, 2, 5))
+        for kind in (ens.SEQUENTIAL_FIDELITY, ens.HYPOTHETICAL_PURITY)
+    ]
+    expected = run_ensemble(*specs, workers=1)
     forks = _InlineForks()
     monkeypatch.setattr(ens, "_run_forked", forks)
-    assert run_ensemble(spec, workers=2) == expected
-    assert run_ensemble(spec, workers=4) == expected
-    # 3 points x 2 chunks of 2G and G trials; 3 points x 3 chunks of G trials
-    assert forks.shares == [[3, 3], [3, 2, 2, 2]]
+    assert run_ensemble(*specs, workers=2) == expected
+    assert run_ensemble(*specs, workers=4) == expected
+    # 2 curves x 2 chunks of 2G and G trials; 2 curves x 3 chunks of G trials
+    assert forks.shares == [[2, 2], [2, 2, 1, 1]]
 
 
 def test_pool_is_sized_by_the_cpu_count(monkeypatch):
@@ -207,11 +210,11 @@ def test_pool_is_sized_by_the_cpu_count(monkeypatch):
     monkeypatch.setattr(ens, "_run_forked", forks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_ensemble(spec, workers=100_000) == expected
-    # planned as for 2 workers: 3 points x 2 chunks of 2G and G trials
-    assert forks.shares == [[3, 3]]
+    # planned as for 2 workers: one curve x 2 chunks of 2G and G trials
+    assert forks.shares == [[1, 1]]
     argv = ["fidelity-curve", "--n-grid", "0,2", "--trials", "30", "--estimator", "both", "--workers", "100000"]
     assert main([*argv, "--out", os.devnull]) == 0
-    assert forks.shares == [[3, 3], [2, 2]]
+    assert forks.shares == [[1, 1], [1, 1]]
     for cpus in (1, None):  # one CPU, or a count the platform cannot tell: in process
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_ensemble(spec, workers=100_000) == expected
@@ -219,17 +222,19 @@ def test_pool_is_sized_by_the_cpu_count(monkeypatch):
 
 
 def test_failing_trial_is_named(monkeypatch):
-    # grid point 1 fails; its first group, trials [0, G), draws from stream 1 * trials + 0
-    def explode(settings, n, trials, strategy, seed, base_index):
-        if n == 1:
+    # the curve fails for trials G + 50 and 2G; the rerun of the first chunk, trials
+    # [0, 2G), finds its group, trials [G, 2G), which draws from stream G
+    g = ens._GROUP
+
+    def explode(settings, n_grid, trials, strategy, seed, base_index):
+        if any(base_index <= k < base_index + trials for k in (g + 50, 2 * g)):
             raise ValueError("boom")
-        return np.full(trials, 0.5)
+        return np.full((trials, len(n_grid)), 0.5)
 
     monkeypatch.setattr(ens, "direct_fidelity_samples", explode)
-    g = ens._GROUP
-    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=g + 1, seed=54, n_grid=(0, 1))
-    assert _tasks(spec, 2) == 4
-    message = rf"^sequential-fidelity part 1 trials \[0, {g}\) \(stream {g + 1}\) failed: boom$"
+    spec = ExperimentSpec(kind=ens.SEQUENTIAL_FIDELITY, delta=20.0, trials=2 * g + 1, seed=54, n_grid=(0, 1))
+    assert _tasks(spec, 2) == 2
+    message = rf"^sequential-fidelity part curve trials \[{g}, {2 * g}\) \(stream {g}\) failed: boom$"
     for workers in (1, 2):
         # with 2 workers both children fail; the first child's error is raised
         with pytest.raises(EnsembleError, match=message):
@@ -327,6 +332,19 @@ def test_one_pool_per_command(monkeypatch, tmp_path, argv, many_cpus):
         outputs.append(out.read_bytes())
     assert forks.sizes == [2]
     assert outputs[0] == outputs[1]
+
+
+def test_purity_curve_samples_are_the_compare_purities():
+    # the purity curve and the compare's discrete half run one sampler: at the
+    # same seed and grid, each trial's F is (1 + its compare purity)/3
+    g, grid = ens._GROUP, (0, 3, 4, 9)
+    curve = ExperimentSpec(kind=ens.HYPOTHETICAL_PURITY, delta=20.0, trials=g + 30, seed=64, n_grid=grid)
+    compare = ExperimentSpec(kind=ens.CONTINUUM_COMPARE, delta=20.0, trials=g + 30, seed=64, n_grid=grid, dt=5e-4)
+    for lo, hi in ((0, g), (g, g + 30)):
+        fidelities = ens._samples(curve, ens._CURVE, lo, hi)
+        purities = ens._samples(compare, ens._PATHS, lo, hi)
+        assert fidelities.shape == purities.shape == (hi - lo, len(grid))
+        assert fidelities.tolist() == ((1.0 + purities) / 3.0).tolist()
 
 
 def test_continuum_compare_grid_and_zero_row():

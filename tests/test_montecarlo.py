@@ -17,9 +17,9 @@ G = montecarlo._GROUP
 CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,3,7", "--estimator", "both", "--seed", "11")
 COMPARE_FLAGS = ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--seed", "12")
 TABLE_DIGESTS = {
-    (CURVE_FLAGS, "--trials", 30): "44ab199a86dd8b0174278a85487c65df670eb61494054ce73a72e0875d2991ba",
-    (CURVE_FLAGS, "--trials", 101): "ba040ed337f70bc0f714d1df3bffff32f320a4ee10a2570f757f8eb7b854a3d0",
-    (CURVE_FLAGS, "--trials", 201): "80499da57e5d02c3b3ec3e917ade2184a9f5f406c40c902c74e338d95e0603c3",
+    (CURVE_FLAGS, "--trials", 30): "03bf818395a23fe7549b176910f84d1c706af2d5f96099c2532cd23f9b9f7864",
+    (CURVE_FLAGS, "--trials", 101): "d9512effca8c7fbe471fb69ec47d2ec9b8cab2e6ceeb622da9a7abced5664a2c",
+    (CURVE_FLAGS, "--trials", 201): "011a0820884b481079e2e0d22aa3c29165c28446c1a29a47d3dbac78243263e2",
     (COMPARE_FLAGS, "--trajectories", 30): "12d883c85c1dbe3e1925870819348633ed9db0809e525e4a39071e9f727604f0",
     (COMPARE_FLAGS, "--trajectories", 101): "b9d4bc8d4517f114b365fc6d12b797d211085690a66ead32dad4093bfd746e35",
     (COMPARE_FLAGS, "--trajectories", 201): "4667cb4b8b826ccd73c8283c2501592089d906e2d407a2d6ee7d4be562028ddc",

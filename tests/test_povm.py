@@ -107,7 +107,11 @@ def test_update_takes_any_finite_x_without_overflow(x):
     assert out[2, 0] == math.copysign(1.0, x) and np.all(np.abs(out[:2, 0]) <= 1e-308)
 
 
-@pytest.mark.parametrize("width", [1.0, 10.0, 0.1])
+# 1e-4 and 1e-5 once went unresolved by a fixed grid over +-(1 + 10 width), and
+# 1e153 and 1.3e154 overflowed its squares; 1e-100 would collapse a grid in s.
+# The scaled rule's defect does not depend on the width, so these extreme
+# widths guard against overflow and NaN
+@pytest.mark.parametrize("width", [1.0, 10.0, 0.1, 1e-4, 1e-5, 1e-100, 1e153, 1.3e154])
 def test_completeness_defect(width):
     defect = completeness_defect(settings(width))
     assert defect < 1e-9

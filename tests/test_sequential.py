@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,12 @@ def test_commuting_effects_multiply_weights():
     assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(2.0)), abs=1e-12)
 
 
+def test_replay_refuses_an_outcome_whose_x_overflows():
+    # x = 1e300 / 1e-20 overflows; the record is refused without a numpy warning
+    with pytest.raises(ValueError, match="infinite or undefined outcome"):
+        replay_hypothetical(((Z_AXIS, 1e300),), settings(1e-10))
+
+
 def test_long_chain_stays_normalized():
     # 10^4 steps: tr E underflows doubles long before this, the replays must not
     rng = derive_stream(801, 0)
@@ -233,13 +240,13 @@ def _rows_by_sub_batch(fn, trials, size):
 def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
     # every row bit for bit the same in the full batch of three groups, in
     # sub-batches split at group boundaries, and in batches of one group each
-    cfg = settings(width)
+    cfg, grid = settings(width), (0, 7, 30)
     samplers = {
-        "direct": lambda trials, lo: sequential.direct_fidelity_samples(cfg, 30, trials, seed=61, base_index=lo),
+        "direct": lambda trials, lo: sequential.direct_fidelity_samples(cfg, grid, trials, seed=61, base_index=lo),
         "dominant": lambda trials, lo: sequential.direct_fidelity_samples(
-            cfg, 30, trials, DOMINANT_EIGENSTATE, seed=61, base_index=lo
+            cfg, grid, trials, DOMINANT_EIGENSTATE, seed=61, base_index=lo
         ),
-        "purity": lambda trials, lo: sequential.purity_fidelity_samples(cfg, 30, trials, seed=62, base_index=lo),
+        "purity": lambda trials, lo: sequential.purity_samples(cfg, grid, trials, seed=62, base_index=lo),
         "paths": lambda trials, lo: hypothetical_purity_paths(30, cfg, trials, seed=63, base_index=lo),
     }
     trials = 2 * G + G // 2
@@ -253,14 +260,51 @@ def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
 
 
 def test_batched_direct_samples_equal_scalar_runs():
-    # trial b of group j is run_sequence on column b of group j's draws, after its pure start
-    cfg = settings(3.0)
+    # trial b of group j is run_sequence on column b of group j's draws, after
+    # its pure start; column n is the reverse replay of the run's first n outcomes
+    cfg, grid = settings(3.0), (0, 1, 10, 25)
     trials = G + 50
-    batch = sequential.direct_fidelity_samples(cfg, 25, trials, seed=64)
+    batch = sequential.direct_fidelity_samples(cfg, grid, trials, seed=64)
     for k in range(trials):
         rng = _trial_stream(64, 0, trials, k)
         true_state = random_pure_state(rng)
-        assert batch[k] == fidelity(run_sequence(true_state, 25, cfg, rng).estimate, true_state)
+        result = run_sequence(true_state, 25, cfg, rng)
+        assert batch[k, -1] == fidelity(result.estimate, true_state)
+        replays = [replay_hypothetical(result.outcomes[:n], cfg).estimate for n in grid]
+        assert batch[k].tolist() == [fidelity(estimate, true_state) for estimate in replays]
+
+
+@pytest.mark.parametrize("sampler", ["direct", "dominant", "purity"])
+def test_grid_columns_equal_the_full_grid_columns(sampler):
+    # a trial runs once to the grid's last count N, so any grid ending at N
+    # reads the matching columns of the grid range(N + 1), bit for bit
+    cfg, n, trials = settings(3.0), 30, G + 50
+    fn = {
+        "direct": lambda grid: sequential.direct_fidelity_samples(cfg, grid, trials, seed=67, base_index=G),
+        "dominant": lambda grid: sequential.direct_fidelity_samples(
+            cfg, grid, trials, DOMINANT_EIGENSTATE, seed=67, base_index=G
+        ),
+        "purity": lambda grid: sequential.purity_samples(cfg, grid, trials, seed=67, base_index=G),
+    }[sampler]
+    full = fn(range(n + 1))
+    assert full.shape == (trials, n + 1)
+    for grid in ((n,), (0, n), (0, 7, n), (3, 4, 29, n)):
+        np.testing.assert_array_equal(fn(grid), full[:, list(grid)], err_msg=str(grid))
+
+
+def test_purity_grid_keeps_only_its_columns():
+    # a sparse, long grid keeps (trials, len(grid)) results, not the whole
+    # (trials, N + 1) paths: those alone would take trials * N * 8 bytes
+    trials, n = 200, 5000
+    spec = ExperimentSpec(kind=HYPOTHETICAL_PURITY, delta=20.0, trials=trials, seed=68, n_grid=(0, n))
+    tracemalloc.start()
+    try:
+        (stats,) = run_ensemble(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.means[0] == 0.5 and 0.5 < stats.means[1] < 1.0
+    assert peak < trials * n * 8 / 2, f"peak {peak} bytes"
 
 
 def test_draw_block_bounds_memory_not_results(monkeypatch):
@@ -301,10 +345,10 @@ class _ZeroStartStream:
 def test_zero_length_start_is_refused(monkeypatch, block):
     # trial G + 30's three start normals are zero: the batch refuses it, as it
     # refuses a zero-length axis, whether its group shares a batch or not
-    cfg, n = settings(3.0), 25
+    cfg, grid = settings(3.0), (0, 10, 25)
     if block is not None:
         monkeypatch.setattr(sequential, "DRAW_BLOCK", block)  # one group per batch
-    assert np.all(np.isfinite(sequential.direct_fidelity_samples(cfg, n, G + 50, seed=72)))
+    assert np.all(np.isfinite(sequential.direct_fidelity_samples(cfg, grid, G + 50, seed=72)))
     real = sequential._group_streams
 
     def zero_start(seed, base_index, lo, hi):
@@ -313,7 +357,7 @@ def test_zero_length_start_is_refused(monkeypatch, block):
 
     monkeypatch.setattr(sequential, "_group_streams", zero_start)
     with pytest.raises(ValueError, match="pure start of zero length"):
-        sequential.direct_fidelity_samples(cfg, n, G + 50, seed=72)
+        sequential.direct_fidelity_samples(cfg, grid, G + 50, seed=72)
 
 
 def test_run_sequence_zero_steps():
@@ -390,15 +434,16 @@ def test_discrete_oracle_converges():
 @pytest.mark.parametrize("width", [0.3, 20.0])
 def test_length_chain_equals_scalar_steps_bitwise(monkeypatch, width):
     # 2G + 1 trials in one batch of three groups, over blocks of 7 steps:
-    # every path and every purity sample is its scalar chain, bit for bit;
-    # at width 0.3 outcomes saturate and the rescale onto the sphere acts
+    # every path and every grid's purity sample is its scalar chain, bit for
+    # bit; at width 0.3 outcomes saturate and the rescale onto the sphere acts
     monkeypatch.setattr(sequential, "_BLOCK_STEPS", 7)
     cfg, n, trials = settings(width), 23, 2 * G + 1
     chains = _scalar_lengths(75, 10, trials, n, width)
     paths = hypothetical_purity_paths(n, cfg, trials, seed=75, base_index=10)
     assert paths.tolist() == [[0.5 * (1.0 + rho * rho) for rho in path] for path in chains]
-    samples = sequential.purity_fidelity_samples(cfg, n, trials, seed=75, base_index=10)
-    assert samples.tolist() == [(1.0 + 0.5 * (1.0 + path[-1] * path[-1])) / 3.0 for path in chains]
+    grid = (0, 7, 8, n)
+    samples = sequential.purity_samples(cfg, grid, trials, seed=75, base_index=10)
+    assert samples.tolist() == [[0.5 * (1.0 + path[k] * path[k]) for k in grid] for path in chains]
     if width == 0.3:
         assert sum(path[-1] == 1.0 for path in chains) > 0
 
@@ -486,9 +531,14 @@ def test_fidelity_direct_zero_steps_exact():
 
 def test_fidelity_direct_validates_trials():
     with pytest.raises(ValueError):
-        sequential.direct_fidelity_samples(settings(1.0), 1, 0)
+        sequential.direct_fidelity_samples(settings(1.0), (1,), 0)
     with pytest.raises(ValueError):
         ExperimentSpec(kind=SEQUENTIAL_FIDELITY, delta=1.0, trials=0, seed=0, n_grid=(1,))
+    # the samplers refuse a grid the spec refuses
+    for sampler in (sequential.direct_fidelity_samples, sequential.purity_samples):
+        for grid in ((), (3, 1), (2, 2), (-1, 2)):
+            with pytest.raises(ValueError, match="n grid must be"):
+                sampler(settings(1.0), grid, 10)
 
 
 @CALIBRATION_XFAIL
@@ -547,7 +597,7 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
     def estimate_fidelities(streams):
         start = np.repeat(truth, sequential._width(streams), axis=1)
         _, axes, outcomes = sequential._recorded_run(start, streams, 20, cfg.precision)
-        estimates = sequential._estimate_batch(axes, outcomes, cfg.precision)
+        estimates = sequential._estimate_batch(axes, outcomes / (cfg.precision * cfg.precision))
         return 0.5 * (1.0 + _dot(estimates, truth))
 
     vals = sequential._by_trial_groups(estimate_fidelities, 20, 10**4, 312, 0)
