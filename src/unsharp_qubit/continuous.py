@@ -27,13 +27,16 @@ operation order, and the snapshots are built without re-checking them.
 An ensemble (`simulate_purity_ensemble`) steps only the Bloch lengths, a
 (B,) array of whole trajectory groups, in place through `_step_lengths`.
 The step commutes with rotations and the noise is isotropic, so the length
-alone is a Markov chain: one normal along the vector and one exponential
-for the squared increment across it give the scalar step's length exactly
-in law, at two variates per trajectory-step instead of three.  Its paths
-are therefore not `simulate_trajectory`'s bit for bit.  The ensemble draws
-its noise in the block layout the `montecarlo` docstring describes
-(`_length_noise`), hands the kernel the steps between two grid times, and
-samples the purity between kernel calls.
+alone is a Markov chain driven by the increment a along the vector and the
+squared length |b|^2 of the increment across it.  The ensemble draws them
+as two-point increments, the simplified weak Euler scheme (Kloeden &
+Platen, Numerical Solution of SDEs, 1992, sec. 14.1): a = +-sqrt(dt) from one
+uniform per trajectory-step and |b|^2 fixed at its mean 2 dt.  That keeps
+the scalar step's means to weak order 1, which is all the ensemble
+reports, but not its law, and its paths are not `simulate_trajectory`'s.
+The ensemble draws its noise in the block layout the `montecarlo`
+docstring describes (`_length_noise`), hands the kernel the steps between
+two grid times, and samples the purity between kernel calls.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -65,13 +68,13 @@ RATE_CONSTANT = 12.0
 # length.
 _ROW_CHUNK = 1024
 
-# Steps of noise an ensemble group draws per generator call: a constant of the
-# layout, never the batch width.  A group draws its normals and then its
-# exponentials for a block, so the ensemble's bits depend on this value.
+# Steps of noise an ensemble group draws per generator call, never the batch
+# width.  It bounds the block buffer only: a group reads its uniforms
+# step-major from one stream, so the ensemble's bits do not depend on it.
 _BLOCK_STEPS = 128
 
-# A trajectory-step's variates, in draw order: the normal along the vector, the exponential across it.
-_LENGTH_KINDS = (("standard_normal", ()), ("standard_exponential", ()))
+# A trajectory-step's variate: the uniform whose side of 1/2 signs the increment along the vector.
+_LENGTH_KINDS = (("random", ()),)
 
 
 def time_from_steps(n, settings: MeasurementSettings) -> float:
@@ -193,49 +196,57 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     return (x, y, z)
 
 
-def _step_lengths(rho: np.ndarray, two_as: np.ndarray, eight_b2s: np.ndarray, dt: float) -> None:
+def _step_lengths(rho: np.ndarray, two_as: np.ndarray, two_b: float, dt: float) -> None:
     """`_step_bloch`'s length map in place on a (B,) array of Bloch lengths, once per step of a block.
 
     Write r = rho e and dW = a e + b with b orthogonal to e.  The scalar step
     gives r' = e s + 2 b with s = rho (1 - 4 dt) + 2 a (1 - rho^2), so
-    |r'| = sqrt(s^2 + 4 |b|^2), and the projection keeps min(|r'|, 1).  two_as
-    holds 2 a and eight_b2s holds 4 |b|^2, as step-major (m, B) blocks or
-    step slices of them; the kernel only reads them.  s is formed as
-    (c - rho 2a) rho + 2a with c = 1 - 4 dt, so the reference in the tests
-    repeats the same operations on Python floats.  The constants are 0-d
-    arrays, converted once per call and not once per step.  Unchecked:
-    callers validate dt.
+    |r'| = hypot(s, 2 |b|), and the projection keeps min(|r'|, 1).  two_as
+    holds 2 a as a step-major (m, B) block or a step slice of one, which
+    the kernel only reads; two_b is 2 |b|, the same for every
+    trajectory-step.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt,
+    so the reference in the tests repeats the same operations on float64
+    scalars.  The constants are 0-d arrays, converted once per call and not
+    once per step.  Unchecked: callers validate dt.
+
+    The projection is a bounded repair.  With the two-point increments
+    2 a = +-2 sqrt(dt) and 2 |b| = sqrt(8 dt), s rises monotonically from 2 a
+    at rho = 0 to c at rho = 1 whenever c > 4 sqrt(dt), which holds for
+    dt <= DEFAULT_DT_MAX; so |s| <= c, |r'| <= sqrt(1 + 16 dt^2), and
+    min(., 1) moves a length by at most 8 dt^2 (8e-8 at dt = 1e-4), plus
+    rounding.
     """
     c = np.array(1.0 - 4.0 * dt)
+    b = np.array(two_b)
     one = np.array(1.0)
     t = np.empty_like(rho)
-    for two_a, eight_b2 in zip(two_as, eight_b2s):
+    for two_a in two_as:
         np.multiply(rho, two_a, out=t)
         np.subtract(c, t, out=t)
         t *= rho
         t += two_a
-        t *= t
-        t += eight_b2
-        np.sqrt(t, out=t)
+        np.hypot(t, b, out=t)
         np.minimum(t, one, out=rho)
 
 
 def _length_noise(streams, steps: int, dt: float):
-    """The blocks (2 a, 4 |b|^2) of `steps` steps for a batch of groups.
+    """The blocks (2 a, 2 |b|) of `steps` steps for a batch of groups: two-point increments.
 
-    The groups draw a standard normal and then a standard exponential per
-    trajectory-step, in the `montecarlo` block layout at _BLOCK_STEPS steps
-    a block: a ~ N(0, dt) is the increment along the Bloch vector and
-    |b|^2 = 2 dt Exp(1) the squared length of the increment across it.  The
-    step-major (m, B) blocks are scaled views of reused buffers, so each
-    pair must be read before the next is requested.
+    The groups draw one uniform u per trajectory-step, in the `montecarlo`
+    block layout at _BLOCK_STEPS steps a block, and the increment along the
+    Bloch vector is a = copysign(sqrt(dt), u - 1/2): +-sqrt(dt), each with
+    probability exactly 1/2, as u lies on the 2^-53 grid of [0, 1).  The
+    squared length |b|^2 of the increment across the vector is its mean
+    2 dt, so 2 |b| = sqrt(8 dt) comes as one float.  The step-major (m, B)
+    block of 2 a is a view of one reused buffer, so each block must be read
+    before the next is requested.
     """
-    a_scale = 2.0 * math.sqrt(dt)
-    b_scale = 8.0 * dt
-    for two_as, eight_b2s in _group_blocks(streams, steps, _BLOCK_STEPS, _LENGTH_KINDS):
-        two_as *= a_scale
-        eight_b2s *= b_scale
-        yield two_as, eight_b2s
+    two_sqrt_dt = 2.0 * math.sqrt(dt)
+    two_b = math.sqrt(8.0 * dt)
+    for (two_as,) in _group_blocks(streams, steps, _BLOCK_STEPS, _LENGTH_KINDS):
+        two_as -= 0.5
+        np.copysign(two_sqrt_dt, two_as, out=two_as)
+        yield two_as, two_b
 
 
 def simulate_trajectory(
@@ -251,7 +262,7 @@ def simulate_trajectory(
     integral of <sigma> dt + dW/2 up to its time.  The state steps as three
     Python floats through the scalar step `_step_bloch`, three normals of
     rng per step as `draw_noise` draws them.  An ensemble steps the same
-    law through the length chain, not these bits.
+    means through the two-point length chain, not this law or these bits.
 
     The noise is drawn _ROW_CHUNK rows at a time, which bounds the working
     memory, and each chunk goes through three passes.  The step pass runs `_step_bloch` over
@@ -322,7 +333,8 @@ def simulate_purity_ensemble(
     Returns shape (len(t_grid), trajectories).  Only the length
     |initial.bloch| enters: the Bloch lengths of all trajectories step
     together, one entry each of a (B,) array, through the in-place kernel
-    `_step_lengths`, the scalar step's law exactly.  Group j of trajectories
+    `_step_lengths`, under the two-point increments of `_length_noise`: the
+    scalar step's means to weak order 1, not its law.  Group j of trajectories
     [jG, (j + 1)G) draws its noise from derive_stream(seed, base_index + jG)
     (see `_length_noise`), so a batch split at group boundaries follows the
     same noise and step arithmetic as the whole.  Grid times snap to the
@@ -344,14 +356,14 @@ def simulate_purity_ensemble(
     out = np.empty((len(t_grid), trajectories))
     rho = np.full(trajectories, _norm(initial.bloch))
     blocks = _length_noise(_group_streams(seed, base_index, 0, trajectories), steps, dt)
-    two_as, eight_b2s, lo, taken = (), (), 0, 0  # the current blocks, their next step, steps taken
+    two_as, two_b, lo, taken = (), 0.0, 0, 0  # the current block, its next step, steps taken
     for mark, rows in sample_at.items():  # ascending, as the grid is
         # step up to the grid step, across blocks, then sample
         while taken < mark:
             if lo == len(two_as):
-                (two_as, eight_b2s), lo = next(blocks), 0
+                (two_as, two_b), lo = next(blocks), 0
             hi = min(len(two_as), lo + mark - taken)
-            _step_lengths(rho, two_as[lo:hi], eight_b2s[lo:hi], dt)
+            _step_lengths(rho, two_as[lo:hi], two_b, dt)
             taken, lo = taken + hi - lo, hi
         out[rows] = 0.5 * (1.0 + rho * rho)
     return out

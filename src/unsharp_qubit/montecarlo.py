@@ -23,8 +23,9 @@ variate, in a fixed order, and fills its columns of that kind's step-major
   discrete half), blocks of `sequential._BLOCK_STEPS`: the uniforms of the
   axis cosines random((m, w)), the branch uniforms random((m, w)), the
   outcome noise standard_normal((m, w));
-- SDE ensemble, blocks of `continuous._BLOCK_STEPS`: standard_normal((m, w)),
-  then standard_exponential((m, w)).
+- SDE ensemble, blocks of `continuous._BLOCK_STEPS`: random((m, w)), whose
+  side of 1/2 signs each two-point increment.  With one kind of variate the
+  blocks read a group's stream in step order, so their length moves no bit.
 """
 
 from __future__ import annotations

@@ -184,8 +184,8 @@ def test_validate_detects_injected_noise_fault(monkeypatch, capsys):
     euler, length_noise = continuous._euler_density, continuous._length_noise
 
     def doubled_noise(streams, steps, dt):
-        for two_as, eight_b2s in length_noise(streams, steps, dt):
-            yield 2.0 * two_as, 4.0 * eight_b2s
+        for two_as, two_b in length_noise(streams, steps, dt):
+            yield 2.0 * two_as, 2.0 * two_b
 
     monkeypatch.setattr(continuous, "_euler_density", lambda rho, d_w, dt: euler(rho, 2.0 * np.asarray(d_w), dt))
     monkeypatch.setattr(continuous, "_length_noise", doubled_noise)

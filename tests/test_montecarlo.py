@@ -20,9 +20,9 @@ TABLE_DIGESTS = {
     (CURVE_FLAGS, "--trials", 30): "03bf818395a23fe7549b176910f84d1c706af2d5f96099c2532cd23f9b9f7864",
     (CURVE_FLAGS, "--trials", 101): "d9512effca8c7fbe471fb69ec47d2ec9b8cab2e6ceeb622da9a7abced5664a2c",
     (CURVE_FLAGS, "--trials", 201): "011a0820884b481079e2e0d22aa3c29165c28446c1a29a47d3dbac78243263e2",
-    (COMPARE_FLAGS, "--trajectories", 30): "12d883c85c1dbe3e1925870819348633ed9db0809e525e4a39071e9f727604f0",
-    (COMPARE_FLAGS, "--trajectories", 101): "b9d4bc8d4517f114b365fc6d12b797d211085690a66ead32dad4093bfd746e35",
-    (COMPARE_FLAGS, "--trajectories", 201): "4667cb4b8b826ccd73c8283c2501592089d906e2d407a2d6ee7d4be562028ddc",
+    (COMPARE_FLAGS, "--trajectories", 30): "6bde24bb55941ea72368fc1a5e2f131355fd2c7a7f515319f1cb3fa8774a55b6",
+    (COMPARE_FLAGS, "--trajectories", 101): "a0aa19ec725c60938e4234c6dbbd9df8fe85a7cacc6151064dd7f0591ce73d34",
+    (COMPARE_FLAGS, "--trajectories", 201): "500b8e9f290a2f5aa57345fc3335e074b460415ae65774b07998a6304f84f267",
 }
 # every third snapshot and the last of one trajectory, 2500 steps across several noise chunks
 TRAJECTORY_DIGEST = "54229908dd98556c73003d03630c41d2618fc3633f81ac4f5472ce7b389eecdb"
