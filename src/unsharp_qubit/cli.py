@@ -60,11 +60,19 @@ from .povm import (
 from .sequential import _grid_end, replay_hypothetical, run_sequence, spectral_match
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _number(convert, text: str, accept, expected: str):
+    """convert(text) where it converts and `accept` takes it, else a usage error naming what was expected."""
+    try:
+        value = convert(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _number(int, text, lambda v: v >= 1, "a positive integer")
 
 
 def _worker_count(text: str) -> int:
@@ -77,10 +85,7 @@ def _worker_count(text: str) -> int:
 
 
 def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text!r}")
-    return value
+    return _number(int, text, lambda v: 0 <= v < 2**64, "an integer seed that fits in 64 unsigned bits")
 
 
 def _precision(text: str) -> float:
@@ -92,10 +97,7 @@ def _precision(text: str) -> float:
 
 
 def _step_size(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= DEFAULT_DT_MAX:
-        raise argparse.ArgumentTypeError(f"dt must satisfy 0 < dt <= {DEFAULT_DT_MAX!r}, got {text!r}")
-    return value
+    return _number(float, text, lambda v: 0.0 < v <= DEFAULT_DT_MAX, f"a step dt with 0 < dt <= {DEFAULT_DT_MAX!r}")
 
 
 def _int_grid(text: str) -> tuple[int, ...]:

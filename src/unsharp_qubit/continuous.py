@@ -35,8 +35,9 @@ uniform per trajectory-step and |b|^2 fixed at its mean 2 dt.  That keeps
 the scalar step's means to weak order 1, which is all the ensemble
 reports, but not its law, and its paths are not `simulate_trajectory`'s.
 The ensemble draws its noise in the block layout the `montecarlo`
-docstring describes (`_length_noise`), hands the kernel the steps between
-two grid times, and samples the purity between kernel calls.
+docstring describes (`_length_noise`), and its length chain, like the
+discrete one, yields the lengths after every step to
+`montecarlo._purities_at`, which reads them at the grid steps.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _norm
-from .montecarlo import _group_blocks, _group_streams
+from .montecarlo import _group_blocks, _group_streams, _purities_at
 from .povm import MeasurementSettings
 
 # The one Euler-Maruyama step ceiling: every integrator and the CLI's --dt
@@ -67,11 +68,6 @@ RATE_CONSTANT = 12.0
 # chunk's lists and arrays stay within a few hundred KiB whatever the path
 # length.
 _ROW_CHUNK = 1024
-
-# Steps of noise an ensemble group draws per generator call, never the batch
-# width.  It bounds the block buffer only: a group reads its uniforms
-# step-major from one stream, so the ensemble's bits do not depend on it.
-_BLOCK_STEPS = 128
 
 # A trajectory-step's variate: the uniform whose side of 1/2 signs the increment along the vector.
 _LENGTH_KINDS = (("random", ()),)
@@ -196,17 +192,17 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     return (x, y, z)
 
 
-def _step_lengths(rho: np.ndarray, two_as: np.ndarray, two_b: float, dt: float) -> None:
-    """`_step_bloch`'s length map in place on a (B,) array of Bloch lengths, once per step of a block.
+def _step_lengths(rho: np.ndarray, blocks, dt: float):
+    """`_step_bloch`'s length map in place on a (B,) array of Bloch lengths, yielding rho after every step.
 
     Write r = rho e and dW = a e + b with b orthogonal to e.  The scalar step
     gives r' = e s + 2 b with s = rho (1 - 4 dt) + 2 a (1 - rho^2), so
-    |r'| = hypot(s, 2 |b|), and the projection keeps min(|r'|, 1).  two_as
-    holds 2 a as a step-major (m, B) block or a step slice of one, which
-    the kernel only reads; two_b is 2 |b|, the same for every
-    trajectory-step.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt,
-    so the reference in the tests repeats the same operations on float64
-    scalars.  The constants are 0-d arrays, converted once per call and not
+    |r'| = hypot(s, 2 |b|), and the projection keeps min(|r'|, 1).  blocks
+    yields (2 a, 2 |b|): 2 a as a step-major (m, B) block, which the chain
+    only reads, and 2 |b| as one float for every trajectory-step of the
+    block.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt, so the
+    reference in the tests repeats the same operations on float64 scalars.
+    The constants are 0-d arrays, converted once per call or block and not
     once per step.  Unchecked: callers validate dt.
 
     The projection is a bounded repair.  With the two-point increments
@@ -217,25 +213,27 @@ def _step_lengths(rho: np.ndarray, two_as: np.ndarray, two_b: float, dt: float) 
     rounding.
     """
     c = np.array(1.0 - 4.0 * dt)
-    b = np.array(two_b)
     one = np.array(1.0)
     t = np.empty_like(rho)
-    for two_a in two_as:
-        np.multiply(rho, two_a, out=t)
-        np.subtract(c, t, out=t)
-        t *= rho
-        t += two_a
-        np.hypot(t, b, out=t)
-        np.minimum(t, one, out=rho)
+    for two_as, two_b in blocks:
+        b = np.array(two_b)
+        for two_a in two_as:
+            np.multiply(rho, two_a, out=t)
+            np.subtract(c, t, out=t)
+            t *= rho
+            t += two_a
+            np.hypot(t, b, out=t)
+            np.minimum(t, one, out=rho)
+            yield rho
 
 
 def _length_noise(streams, steps: int, dt: float):
     """The blocks (2 a, 2 |b|) of `steps` steps for a batch of groups: two-point increments.
 
     The groups draw one uniform u per trajectory-step, in the `montecarlo`
-    block layout at _BLOCK_STEPS steps a block, and the increment along the
-    Bloch vector is a = copysign(sqrt(dt), u - 1/2): +-sqrt(dt), each with
-    probability exactly 1/2, as u lies on the 2^-53 grid of [0, 1).  The
+    block layout, and the increment along the Bloch vector is
+    a = copysign(sqrt(dt), u - 1/2): +-sqrt(dt), each with probability
+    exactly 1/2, as u lies on the 2^-53 grid of [0, 1).  The
     squared length |b|^2 of the increment across the vector is its mean
     2 dt, so 2 |b| = sqrt(8 dt) comes as one float.  The step-major (m, B)
     block of 2 a is a view of one reused buffer, so each block must be read
@@ -243,7 +241,7 @@ def _length_noise(streams, steps: int, dt: float):
     """
     two_sqrt_dt = 2.0 * math.sqrt(dt)
     two_b = math.sqrt(8.0 * dt)
-    for (two_as,) in _group_blocks(streams, steps, _BLOCK_STEPS, _LENGTH_KINDS):
+    for (two_as,) in _group_blocks(streams, steps, _LENGTH_KINDS):
         two_as -= 0.5
         np.copysign(two_sqrt_dt, two_as, out=two_as)
         yield two_as, two_b
@@ -332,15 +330,13 @@ def simulate_purity_ensemble(
 
     Returns shape (len(t_grid), trajectories).  Only the length
     |initial.bloch| enters: the Bloch lengths of all trajectories step
-    together, one entry each of a (B,) array, through the in-place kernel
+    together, one entry each of a (B,) array, through the in-place chain
     `_step_lengths`, under the two-point increments of `_length_noise`: the
     scalar step's means to weak order 1, not its law.  Group j of trajectories
     [jG, (j + 1)G) draws its noise from derive_stream(seed, base_index + jG)
     (see `_length_noise`), so a batch split at group boundaries follows the
     same noise and step arithmetic as the whole.  Grid times snap to the
-    nearest step; each noise block is cut at the grid steps it holds, and
-    the purity (1 + rho^2)/2 is sampled between the kernel calls on its
-    pieces, so where the blocks end changes no sample.
+    nearest step, where `_purities_at` reads the purity (1 + rho^2)/2.
     """
     _check_step(dt)
     t_grid = [float(t) for t in t_grid]
@@ -348,22 +344,7 @@ def simulate_purity_ensemble(
         raise ValueError("time grid must be nonempty, finite, nonnegative, ascending")
     if trajectories < 1:
         raise ValueError(f"need at least one trajectory, got {trajectories!r}")
-    steps = int(round(t_grid[-1] / dt))
-    sample_at: dict[int, list[int]] = {}
-    for g, t in enumerate(t_grid):
-        sample_at.setdefault(int(round(t / dt)), []).append(g)
-
-    out = np.empty((len(t_grid), trajectories))
+    marks = [int(round(t / dt)) for t in t_grid]
     rho = np.full(trajectories, _norm(initial.bloch))
-    blocks = _length_noise(_group_streams(seed, base_index, 0, trajectories), steps, dt)
-    two_as, two_b, lo, taken = (), 0.0, 0, 0  # the current block, its next step, steps taken
-    for mark, rows in sample_at.items():  # ascending, as the grid is
-        # step up to the grid step, across blocks, then sample
-        while taken < mark:
-            if lo == len(two_as):
-                (two_as, two_b), lo = next(blocks), 0
-            hi = min(len(two_as), lo + mark - taken)
-            _step_lengths(rho, two_as[lo:hi], two_b, dt)
-            taken, lo = taken + hi - lo, hi
-        out[rows] = 0.5 * (1.0 + rho * rho)
-    return out
+    blocks = _length_noise(_group_streams(seed, base_index, 0, trajectories), marks[-1], dt)
+    return _purities_at(_step_lengths(rho, blocks, dt), marks, rho)

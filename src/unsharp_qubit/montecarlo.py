@@ -10,27 +10,30 @@ A trial runs once, to the last count of its grid, and is read at every
 count, so every point of a grid reads the same streams.
 
 A batch of groups draws its step randomness through `_group_blocks`: per
-block of m steps, each group of width w makes one generator call per kind of
-variate, in a fixed order, and fills its columns of that kind's step-major
-(m, ..., B) buffer.  Column b of a group is trial b of that group.
+block of m <= `_BLOCK_STEPS` steps, each group of width w makes one generator
+call per kind of variate, in a fixed order, and fills its columns of that
+kind's step-major (m, ..., B) buffer.  Column b of a group is trial b of that
+group.  Every chain draws at that one block length:
 
 - discrete runs that keep their axes (`run_sequence`, the direct
-  estimator), blocks of `sequential._BLOCK_STEPS`: the axes
-  standard_normal((m, 3, w)), the branch uniforms random((m, w)), the outcome
-  noise standard_normal((m, w)); where the estimator needs pure starts, each
-  group first draws their normals (3, w);
+  estimator): the axes standard_normal((m, 3, w)), the branch uniforms
+  random((m, w)), the outcome noise standard_normal((m, w)); where the
+  estimator needs pure starts, each group first draws their normals (3, w);
 - discrete mixed-start length chains (the purity estimator, the compare's
-  discrete half), blocks of `sequential._BLOCK_STEPS`: the uniforms of the
-  axis cosines random((m, w)), the branch uniforms random((m, w)), the
-  outcome noise standard_normal((m, w));
-- SDE ensemble, blocks of `continuous._BLOCK_STEPS`: random((m, w)), whose
-  side of 1/2 signs each two-point increment.  With one kind of variate the
-  blocks read a group's stream in step order, so their length moves no bit.
+  discrete half): the uniforms of the axis cosines random((m, w)), the
+  branch uniforms random((m, w)), the outcome noise standard_normal((m, w));
+- SDE ensemble: random((m, w)), whose side of 1/2 signs each two-point
+  increment.  With one kind of variate the blocks read a group's stream in
+  step order, so their length moves no bit.
+Both length chains, discrete and SDE, yield their (B,) Bloch lengths after
+every step, and `_purities_at` reads either at its grid steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -40,9 +43,12 @@ _GROUP = 100
 
 # Trial-steps of randomness a discrete batch pre-draws at once: a batch is as
 # many whole groups as fit in DRAW_BLOCK trial-steps (at least one), since the
-# reverse replay keeps the batch's whole record, and every group draws its
-# measurement randomness in blocks of DRAW_BLOCK // _GROUP steps.
+# reverse replay keeps the batch's whole record.
 DRAW_BLOCK = 32768
+
+# Steps of randomness a group draws per generator call, in every chain: a
+# constant of the layout, never the batch width.
+_BLOCK_STEPS = DRAW_BLOCK // _GROUP
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -53,11 +59,13 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     (master_seed, index) pair always yields the same stream and distinct
     indices yield streams with no shared state, so ensemble results are a
     function of (master seed, index) only, independent of execution
-    order or degree of parallelism.
+    order or degree of parallelism.  Both are integers; a float is refused,
+    not truncated.
     """
+    index = operator.index(index)
     if index < 0:
         raise ValueError(f"stream index must be nonnegative, got {index!r}")
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+    seq = np.random.SeedSequence(entropy=operator.index(master_seed), spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -66,27 +74,47 @@ def _group_streams(seed: int, base_index: int, lo: int, hi: int) -> list[tuple[n
     return [(derive_stream(seed, base_index + g), min(_GROUP, hi - g)) for g in range(lo, hi, _GROUP)]
 
 
-def _group_blocks(streams, steps: int, block_steps: int, kinds):
+def _width(streams) -> int:
+    return sum(w for _, w in streams)
+
+
+def _group_blocks(streams, steps: int, kinds):
     """Blocks of `steps` steps of randomness for a batch of groups, one list of buffers per block.
 
     streams holds the (generator, width) of each group, in column order, and
     kinds the (method name, trailing shape) of each kind of variate, in draw
-    order.  Per block of m <= block_steps steps, each group calls
+    order.  Per block of m <= _BLOCK_STEPS steps, each group calls
     getattr(g, name)((m, *shape, w)) once per kind and fills its columns of
     that kind's (m, *shape, B) buffer.  The buffers are allocated once and
     yielded as [:m] views, so a block must be read before the next is
     requested.
     """
-    width = sum(w for _, w in streams)
-    buffers = [np.empty((min(block_steps, steps), *shape, width)) for _, shape in kinds]
-    for done in range(0, steps, block_steps):
-        m = min(block_steps, steps - done)
+    buffers = [np.empty((min(_BLOCK_STEPS, steps), *shape, _width(streams))) for _, shape in kinds]
+    for done in range(0, steps, _BLOCK_STEPS):
+        m = min(_BLOCK_STEPS, steps - done)
         lo = 0
         for g, w in streams:
             for (name, shape), buffer in zip(kinds, buffers):
                 buffer[:m, ..., lo : lo + w] = getattr(g, name)((m, *shape, w))
             lo += w
         yield [buffer[:m] for buffer in buffers]
+
+
+def _purities_at(chain, marks, start: np.ndarray) -> np.ndarray:
+    """The (len(marks), B) purities (1 + rho^2)/2 of a length chain at the ascending step counts marks.
+
+    start holds the (B,) Bloch lengths at step 0 and chain yields them after
+    every step, at least up to marks[-1], possibly as one array updated in
+    place, start itself included.  A mark may repeat or be 0.
+    """
+    lengths = np.empty((len(marks), len(start)))
+    rho, taken = start, 0
+    for row, mark in zip(lengths, marks):
+        if mark > taken:
+            rho = next(itertools.islice(chain, mark - taken - 1, None))
+            taken = mark
+        row[:] = rho
+    return 0.5 * (1.0 + lengths * lengths)
 
 
 def summarize(samples) -> tuple[float, float]:

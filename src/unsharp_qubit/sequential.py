@@ -27,11 +27,11 @@ isotropic, so the length alone is a Markov chain, and a step needs only
 the cosine of its axis to the Bloch vector, uniform on [-1, 1].  Their
 paths are therefore not `run_sequence`'s bit for bit.  A batch is whole
 trial groups (`montecarlo._GROUP` trials each, on one stream per group),
-drawn in the block layout the `montecarlo` docstring describes, in blocks
-of at most `_BLOCK_STEPS` steps.  `run_sequence` is one group of width 1
-on the caller's stream.  The samplers of an n grid
-(`direct_fidelity_samples`, `purity_samples`) run each trial once, to the
-grid's last count, and read it at every count of the grid;
+drawn in the block layout the `montecarlo` docstring describes.
+`run_sequence` is one group of width 1 on the caller's stream.  The
+samplers of an n grid (`direct_fidelity_samples`, `purity_samples`) run
+each trial once, to the grid's last count, and read it at every count of
+the grid, the length chain through `montecarlo._purities_at`;
 `ensemble.run_ensemble` summarizes their samples.
 """
 
@@ -50,12 +50,8 @@ from .bloch import (
     _norm,
     _pure_batch,
 )
-from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams
+from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _purities_at, _width
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, posterior_batch
-
-# Steps of measurement randomness a group draws per generator call: a constant
-# of the layout, never the batch width.
-_BLOCK_STEPS = DRAW_BLOCK // _GROUP
 
 # A step's variates, in draw order: the axis normals, the branch uniform, the outcome noise.
 _STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()))
@@ -63,10 +59,6 @@ _STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()
 # A mixed-start length step's variates, in draw order: the uniform of the
 # axis cosine, the branch uniform, the outcome noise.
 _LENGTH_KINDS = (("random", ()), ("random", ()), ("standard_normal", ()))
-
-
-def _width(streams) -> int:
-    return sum(w for _, w in streams)
 
 
 def _pure_starts(streams) -> np.ndarray:
@@ -101,7 +93,7 @@ def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     The axes are views of a reused buffer; a zero-length axis is refused.
     """
     var = precision * precision
-    for axes, branches, noise in _group_blocks(streams, n, _BLOCK_STEPS, _STEP_KINDS):
+    for axes, branches, noise in _group_blocks(streams, n, _STEP_KINDS):
         v = axes.transpose(1, 0, 2)
         length = np.sqrt(_dot(v, v))  # `random_pure_state` arithmetic
         if not (length > 0.0).all():
@@ -155,7 +147,7 @@ def _mixed_start_lengths(streams, n: int, precision: float):
     """
     var = precision * precision
     rho = np.zeros(_width(streams))
-    for cosines, branches, noise in _group_blocks(streams, n, _BLOCK_STEPS, _LENGTH_KINDS):
+    for cosines, branches, noise in _group_blocks(streams, n, _LENGTH_KINDS):
         cosines *= 2.0
         cosines -= 1.0
         sines = 4.0 * (1.0 - cosines) * (1.0 + cosines)
@@ -343,14 +335,10 @@ def purity_samples(
     random-eigenstate fidelity averaged over random pure inputs.
     """
     n_max = _grid_end(n_grid)
-    column = {n: i for i, n in enumerate(n_grid)}
 
     def group(streams):
-        lengths = np.zeros((len(column), _width(streams)))
-        for step, rho in enumerate(_mixed_start_lengths(streams, n_max, settings.precision), 1):
-            if step in column:
-                lengths[column[step]] = rho
-        return (0.5 * (1.0 + lengths * lengths)).T
+        chain = _mixed_start_lengths(streams, n_max, settings.precision)
+        return _purities_at(chain, n_grid, np.zeros(_width(streams))).T
 
     return _by_trial_groups(group, n_max, trials, seed, base_index)
 

@@ -228,6 +228,25 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["fidelity-curve", "--trials", "1.5"], "expected a positive integer, got '1.5'"),
+        (["fidelity-curve", "--workers", "two"], "expected a positive integer, got 'two'"),
+        (["continuum-compare", "--n-max", "x"], "expected a positive integer, got 'x'"),
+        (["validate", "--seed", "abc"], "expected an integer seed that fits in 64 unsigned bits, got 'abc'"),
+        (["continuum-compare", "--dt", "abc"], "expected a step dt with 0 < dt <= 0.001, got 'abc'"),
+    ],
+)
+def test_malformed_number_flags_name_the_expectation(capsys, argv, expected):
+    # a value that does not parse is a usage error that says what the flag takes
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert expected in stderr and "invalid _" not in stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["fidelity-curve", "--trials", "10", "--delta", "1e-200"],  # precision^2 underflows to 0

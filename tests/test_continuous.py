@@ -191,7 +191,7 @@ def _group_lengths_noise(seed, index, width, steps, dt):
 
     Read off the stream in the layout the ensemble draws it: one uniform per
     trajectory-step, step-major, which is the same draws whatever
-    `_BLOCK_STEPS` cuts them into; 2a = copysign(2 sqrt(dt), u - 1/2).
+    `montecarlo._BLOCK_STEPS` cuts them into; 2a = copysign(2 sqrt(dt), u - 1/2).
     """
     u = derive_stream(seed, index).random((steps, width))
     return np.copysign(2.0 * math.sqrt(dt), u - 0.5).tolist()
@@ -231,7 +231,7 @@ def _scalar_purities(seed, trajectories, dt, sample_steps, start, base_index=0):
 @pytest.mark.parametrize("block", [None, 2400])
 def test_pure_start_ensemble_equals_scalar_steps_bitwise(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(continuous, "_BLOCK_STEPS", block // 8)
+        monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", block // 8)
     dt, steps, start = 1e-4, 2000, (0.0, 0.6, 0.8)
     sample_steps = list(range(0, steps + 1, 50))
     ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, 8, seed=66, initial=DensityMatrix(start))
@@ -248,7 +248,7 @@ def test_pure_start_ensemble_equals_scalar_steps_bitwise(monkeypatch, block):
     ids=["block-ends", "some-block-ends", "repeated", "zero-only", "zero-repeated", "first-steps"],
 )
 def test_ensemble_grid_sampling_equals_scalar_steps_bitwise(monkeypatch, block_steps, sample_steps):
-    monkeypatch.setattr(continuous, "_BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", block_steps)
     dt, start = 1e-4, (0.0, 0.0, 1.0)
     ensemble = simulate_purity_ensemble([k * dt for k in sample_steps], dt, 4, seed=69, initial=DensityMatrix(start))
     purities, _ = _scalar_purities(69, 4, dt, sample_steps, start)
@@ -270,11 +270,12 @@ def test_zero_noise_length_chain_is_the_drift_recursion():
     # as the kernel forms it: hypot(s, 0) = |s| is exact
     dt, steps = 1e-4, 300
     c, rho = 1.0 - 4.0 * dt, 0.5
-    lengths, zeros = np.full(3, rho), np.zeros((1, 3))
-    for _ in range(steps):
-        continuous._step_lengths(lengths, zeros, 0.0, dt)
+    lengths = np.full(3, rho)
+    chain = continuous._step_lengths(lengths, [(np.zeros((steps, 3)), 0.0)], dt)
+    for taken, step in enumerate(chain, 1):
         rho = c * rho
-        assert lengths.tolist() == [rho] * 3
+        assert step is lengths and lengths.tolist() == [rho] * 3
+    assert taken == steps
 
 
 @hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -300,15 +301,14 @@ def test_length_kernel_equals_the_vector_and_matrix_steps(rho, direction, across
     a = math.copysign(math.sqrt(dt), 1.0 if up else -1.0)
     b = [math.sqrt(2.0 * dt) * x / size for x in ortho]
     d_w = [a * x + y for x, y in zip(e, b)]
-    lengths = np.array([rho])
-    continuous._step_lengths(lengths, np.array([[2.0 * a]]), math.sqrt(8.0 * dt), dt)
+    (length,) = next(continuous._step_lengths(np.array([rho]), [(np.array([[2.0 * a]]), math.sqrt(8.0 * dt))], dt))
     r = [rho * x for x in e]
     vector = continuous._step_bloch(*r, *d_w, dt)
     matrix = sme_step(DensityMatrix.clipped(r), dt, tuple(d_w)).bloch
     # 4 ulp of 1, the scale of a Bloch length: where s cancels and the length
     # is tiny, the two roundings differ by more ulps of the result
-    assert abs(lengths[0] - math.sqrt(sum(x * x for x in vector))) <= 4.0 * math.ulp(1.0)
-    assert abs(lengths[0] - math.sqrt(sum(x * x for x in matrix))) <= 1e-12
+    assert abs(length - math.sqrt(sum(x * x for x in vector))) <= 4.0 * math.ulp(1.0)
+    assert abs(length - math.sqrt(sum(x * x for x in matrix))) <= 1e-12
 
 
 @hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -329,9 +329,8 @@ def test_length_projection_is_a_bounded_repair(rho, dt, up):
     length = float(np.hypot(s, two_b))
     assert abs(s) <= c + 4.0 * math.ulp(1.0)
     assert length - 1.0 <= 8.0 * dt * dt + 4.0 * math.ulp(1.0)
-    lengths = np.array([rho])
-    continuous._step_lengths(lengths, np.array([[two_a]]), two_b, dt)
-    assert lengths[0] == min(length, 1.0)
+    (projected,) = next(continuous._step_lengths(np.array([rho]), [(np.array([[two_a]]), two_b)], dt))
+    assert projected == min(length, 1.0)
 
 
 def test_single_trajectory_batches_equal_the_whole_batch(monkeypatch):
@@ -360,7 +359,7 @@ def test_ensemble_sub_batch_and_noise_block_do_not_change_results(monkeypatch):
     np.testing.assert_array_equal(whole[:, g : 2 * g], part)
     monkeypatch.setattr(montecarlo, "_GROUP", 5)
     default = simulate_purity_ensemble(grid, 1e-4, 16, seed=62)
-    monkeypatch.setattr(continuous, "_BLOCK_STEPS", 7)
+    monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", 7)
     purities, _ = _scalar_purities(62, 16, 1e-4, [100, 500, 1000], (0.0, 0.0, 0.0))
     assert simulate_purity_ensemble(grid, 1e-4, 16, seed=62).tolist() == purities == default.tolist()
 

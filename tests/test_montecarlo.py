@@ -2,24 +2,40 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 import unsharp_qubit.ensemble as ens
 import unsharp_qubit.montecarlo as montecarlo
-from unsharp_qubit import DensityMatrix, derive_stream, simulate_trajectory
+from unsharp_qubit import (
+    DensityMatrix,
+    MeasurementSettings,
+    derive_stream,
+    hypothetical_purity_paths,
+    simulate_purity_ensemble,
+    simulate_trajectory,
+)
 from unsharp_qubit.cli import main
 
 G = montecarlo._GROUP
 
 # SHA-256 of the CSV at the flags below, one per trial count: below G, at
-# G + 1 and at 2G + 1.  A change to the draw layout changes them; announce it
-# and update them together.
+# G + 1 and at 2G + 1, and for the curve to n = 400, past one block of
+# montecarlo._BLOCK_STEPS steps, below G.  A change to the draw layout changes
+# them; announce it and update them together.  The continuum-compare digests
+# also rest on the C library's hypot, which the SDE length chain calls and
+# which is not correctly rounded (on glibc 2.36, 57 of 20,000 results of
+# hypot(s, sqrt(8 dt)) were off the nearest double): on another libm those
+# digests can fail where the arithmetic in this package did not change.
 CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,3,7", "--estimator", "both", "--seed", "11")
+BLOCK_CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,400", "--estimator", "both", "--seed", "11")
 COMPARE_FLAGS = ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--seed", "12")
+LABELS = {CURVE_FLAGS: "fidelity-curve", BLOCK_CURVE_FLAGS: "fidelity-curve-n400", COMPARE_FLAGS: "continuum-compare"}
 TABLE_DIGESTS = {
     (CURVE_FLAGS, "--trials", 30): "03bf818395a23fe7549b176910f84d1c706af2d5f96099c2532cd23f9b9f7864",
     (CURVE_FLAGS, "--trials", 101): "d9512effca8c7fbe471fb69ec47d2ec9b8cab2e6ceeb622da9a7abced5664a2c",
     (CURVE_FLAGS, "--trials", 201): "011a0820884b481079e2e0d22aa3c29165c28446c1a29a47d3dbac78243263e2",
+    (BLOCK_CURVE_FLAGS, "--trials", 30): "4d687539e3bc6ab44592666b44fdd9ed23fedf6ffe5bee389ee8e18cb32a9608",
     (COMPARE_FLAGS, "--trajectories", 30): "6bde24bb55941ea72368fc1a5e2f131355fd2c7a7f515319f1cb3fa8774a55b6",
     (COMPARE_FLAGS, "--trajectories", 101): "a0aa19ec725c60938e4234c6dbbd9df8fe85a7cacc6151064dd7f0591ce73d34",
     (COMPARE_FLAGS, "--trajectories", 201): "500b8e9f290a2f5aa57345fc3335e074b460415ae65774b07998a6304f84f267",
@@ -32,6 +48,20 @@ def _first_draws(rng):
     return rng.standard_normal(3).tolist(), rng.random(2).tolist()
 
 
+def test_float_seeds_and_indices_are_refused_not_truncated():
+    # int() would have read 7.9 as 7 and seed 3.5 as 3; numpy integers still pass
+    for seed, index in ((7.9, 0), (7, 0.0), (7, 1.5)):
+        with pytest.raises(TypeError):
+            derive_stream(seed, index)
+    assert _first_draws(derive_stream(np.uint64(7), np.int32(3))) == _first_draws(derive_stream(7, 3))
+    with pytest.raises(TypeError):
+        simulate_purity_ensemble((0.0, 0.01), 1e-4, 4, seed=3.5)
+    with pytest.raises(TypeError):
+        hypothetical_purity_paths(3, MeasurementSettings(2.0), 4, seed=2.5)
+    whole = simulate_purity_ensemble((0.0, 0.01), 1e-4, 4, seed=np.int64(3))
+    np.testing.assert_array_equal(whole, simulate_purity_ensemble((0.0, 0.01), 1e-4, 4, seed=3))
+
+
 def test_groups_cover_the_part_at_fixed_boundaries():
     # group j of a part covers trials [jG, (j + 1)G) on derive_stream(seed, base + jG)
     groups = montecarlo._group_streams(5, 1000, 0, 2 * G + 50)
@@ -40,6 +70,21 @@ def test_groups_cover_the_part_at_fixed_boundaries():
     tail = montecarlo._group_streams(5, 1000, G, 2 * G + 1)
     assert [w for _, w in tail] == [G, 1]
     assert [_first_draws(g) for g, _ in tail] == [_first_draws(derive_stream(5, 1000 + j * G)) for j in (1, 2)]
+
+
+def test_purities_at_reads_a_chain_at_its_marks_only():
+    # step 0 and repeated marks included; the chain, updated in place, is not advanced past the last mark
+    rho = np.zeros(2)
+
+    def chain():
+        for k in range(1, 100):
+            rho[:] = k / 100
+            yield rho
+
+    steps = chain()
+    purities = montecarlo._purities_at(steps, [0, 0, 3, 3, 10], rho)
+    assert purities.tolist() == [[0.5 * (1.0 + x * x)] * 2 for x in (0.0, 0.0, 0.03, 0.03, 0.1)]
+    assert next(steps).tolist() == [0.11, 0.11]
 
 
 def test_chunks_split_parts_at_group_boundaries():
@@ -53,7 +98,7 @@ def test_chunks_split_parts_at_group_boundaries():
 
 
 @pytest.mark.parametrize(
-    ("flags", "count_flag", "count"), list(TABLE_DIGESTS), ids=[f"{f[0]}-{n}" for f, _, n in TABLE_DIGESTS]
+    ("flags", "count_flag", "count"), list(TABLE_DIGESTS), ids=[f"{LABELS[f]}-{n}" for f, _, n in TABLE_DIGESTS]
 )
 def test_table_bytes_are_pinned_at_any_worker_count(tmp_path, flags, count_flag, count):
     def run(workers, fmt):

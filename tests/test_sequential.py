@@ -84,7 +84,7 @@ def _scalar_lengths(seed, base_index, trials, n, width, columns=None):
     """Bloch lengths after every step of mixed-start runs, stepped on Python floats, one list per trial.
 
     Trial k reads column k % G of its group's draws: per block of at most
-    `sequential._BLOCK_STEPS` steps, random((m, w)) for the cosines, then
+    `montecarlo._BLOCK_STEPS` steps, random((m, w)) for the cosines, then
     random((m, w)) for the branches, then standard_normal((m, w)) for the
     noise.  Each step repeats `_mixed_start_lengths`' operations in order,
     the update through the oracle's `length_update` on numpy float64
@@ -97,8 +97,8 @@ def _scalar_lengths(seed, base_index, trials, n, width, columns=None):
         w = min(G, trials - lo)
         rng = derive_stream(seed, base_index + lo)
         rows = []  # (cosine uniforms, branch uniforms, normals) of every step
-        for done in range(0, n, sequential._BLOCK_STEPS):
-            m = min(sequential._BLOCK_STEPS, n - done)
+        for done in range(0, n, montecarlo._BLOCK_STEPS):
+            m = min(montecarlo._BLOCK_STEPS, n - done)
             rows.extend(zip(rng.random((m, w)), rng.random((m, w)), rng.standard_normal((m, w))))
         for b in range(w):
             if columns is not None and lo + b not in columns:
@@ -316,7 +316,7 @@ def test_draw_block_bounds_memory_not_results(monkeypatch):
     whole = hypothetical_purity_paths(12, cfg, trials, seed=65)
     monkeypatch.setattr(sequential, "DRAW_BLOCK", 12)
     np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, trials, seed=65), whole)
-    monkeypatch.setattr(sequential, "_BLOCK_STEPS", 5)
+    monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", 5)
     blocked = hypothetical_purity_paths(12, cfg, trials, seed=65)
     finals = [0.5 * (1.0 + path[-1] * path[-1]) for path in _scalar_lengths(65, 0, trials, 12, 5.0)]
     assert blocked[:, -1].tolist() == finals
@@ -386,7 +386,7 @@ def test_first_outcome_marginal_matches_density():
     cfg = settings(1.0)
 
     def first_outcomes(streams):
-        _, _, outcomes = sequential._recorded_run(np.zeros((3, sequential._width(streams))), streams, 1, cfg.precision)
+        _, _, outcomes = sequential._recorded_run(np.zeros((3, montecarlo._width(streams))), streams, 1, cfg.precision)
         return outcomes[0]
 
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
@@ -436,7 +436,7 @@ def test_length_chain_equals_scalar_steps_bitwise(monkeypatch, width):
     # 2G + 1 trials in one batch of three groups, over blocks of 7 steps:
     # every path and every grid's purity sample is its scalar chain, bit for
     # bit; at width 0.3 outcomes saturate and the rescale onto the sphere acts
-    monkeypatch.setattr(sequential, "_BLOCK_STEPS", 7)
+    monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", 7)
     cfg, n, trials = settings(width), 23, 2 * G + 1
     chains = _scalar_lengths(75, 10, trials, n, width)
     paths = hypothetical_purity_paths(n, cfg, trials, seed=75, base_index=10)
@@ -579,7 +579,7 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
     truth = np.array(true_state.bloch)[:, None]
 
     def group(streams):
-        final, _, _ = sequential._recorded_run(np.zeros((3, sequential._width(streams))), streams, n, cfg.precision)
+        final, _, _ = sequential._recorded_run(np.zeros((3, montecarlo._width(streams))), streams, n, cfg.precision)
         overlap = 0.5 * (1.0 + _dot(final, truth))
         return 2.0 * overlap * overlap
 
@@ -595,7 +595,7 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
     truth = np.array(true_state.bloch)[:, None]
 
     def estimate_fidelities(streams):
-        start = np.repeat(truth, sequential._width(streams), axis=1)
+        start = np.repeat(truth, montecarlo._width(streams), axis=1)
         _, axes, outcomes = sequential._recorded_run(start, streams, 20, cfg.precision)
         estimates = sequential._estimate_batch(axes, outcomes / (cfg.precision * cfg.precision))
         return 0.5 * (1.0 + _dot(estimates, truth))
