@@ -5,9 +5,9 @@ measurements along random directions, forms the record-only state estimate
 by replaying the outcome record in reverse order through the same
 posterior update, and benchmarks its fidelity against the one-measurement
 optimum 2/3.  Every discrete experiment advances a whole batch of trials
-together: as one component-major (3, B) array of Bloch vectors where the
-record-only estimate needs the axes, and as a (B,) array of Bloch lengths
-where a mixed-start run needs only its purity.  A matching time-continuous
+together: as component-major (3, B) arrays of Bloch vectors where a run
+needs the axes, and as a (B,) array of Bloch lengths where a mixed-start
+run needs only its purity.  A matching time-continuous
 conditional master equation plus closed-form purity and fidelity curves
 covers the constant-rate measurement limit; its ensembles step a (B,)
 array of Bloch lengths.

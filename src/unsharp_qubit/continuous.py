@@ -37,7 +37,7 @@ reports, but not its law, and its paths are not `simulate_trajectory`'s.
 The ensemble draws its noise in the block layout the `montecarlo`
 docstring describes (`_length_noise`), and its length chain, like the
 discrete one, yields the lengths after every step to
-`montecarlo._purities_at`, which reads them at the grid steps.
+`montecarlo._rows_at`, which reads them at the grid steps.
 `sme_step` is the matrix-form reference step (with per-step trace
 renormalization); it is checked pathwise against `bloch_sde_step`.  Every
 integrator refuses a step above the one ceiling `DEFAULT_DT_MAX`.
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _norm
-from .montecarlo import _group_blocks, _group_streams, _purities_at
+from .montecarlo import _group_blocks, _group_streams, _rows_at
 from .povm import MeasurementSettings
 
 # The one Euler-Maruyama step ceiling: every integrator and the CLI's --dt
@@ -336,7 +336,7 @@ def simulate_purity_ensemble(
     [jG, (j + 1)G) draws its noise from derive_stream(seed, base_index + jG)
     (see `_length_noise`), so a batch split at group boundaries follows the
     same noise and step arithmetic as the whole.  Grid times snap to the
-    nearest step, where `_purities_at` reads the purity (1 + rho^2)/2.
+    nearest step, where `_rows_at` reads the lengths rho for (1 + rho^2)/2.
     """
     _check_step(dt)
     t_grid = [float(t) for t in t_grid]
@@ -347,4 +347,5 @@ def simulate_purity_ensemble(
     marks = [int(round(t / dt)) for t in t_grid]
     rho = np.full(trajectories, _norm(initial.bloch))
     blocks = _length_noise(_group_streams(seed, base_index, 0, trajectories), marks[-1], dt)
-    return _purities_at(_step_lengths(rho, blocks, dt), marks, rho)
+    lengths = _rows_at(_step_lengths(rho, blocks, dt), marks, rho)
+    return 0.5 * (1.0 + lengths * lengths)

@@ -25,8 +25,9 @@ group.  Every chain draws at that one block length:
 - SDE ensemble: random((m, w)), whose side of 1/2 signs each two-point
   increment.  With one kind of variate the blocks read a group's stream in
   step order, so their length moves no bit.
-Both length chains, discrete and SDE, yield their (B,) Bloch lengths after
-every step, and `_purities_at` reads either at its grid steps.
+Every grid sampler is a chain that yields a (B,) row after every step, and
+`_rows_at` reads it at the grid steps: the lengths of both length chains,
+discrete and SDE, and the direct estimator's fidelities.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import numpy as np
 # or the trial count; every split of a part falls on a multiple of it.
 _GROUP = 100
 
-# Trial-steps of randomness a discrete batch pre-draws at once: a batch is as
-# many whole groups as fit in DRAW_BLOCK trial-steps (at least one), since the
-# reverse replay keeps the batch's whole record.
+# Trial-steps of randomness a discrete batch's draw buffers hold per kind of
+# variate: a batch is as many whole groups as fit in DRAW_BLOCK trial-steps
+# (at least one), and it draws at most _BLOCK_STEPS steps at once.
 DRAW_BLOCK = 32768
 
 # Steps of randomness a group draws per generator call, in every chain: a
@@ -100,21 +101,21 @@ def _group_blocks(streams, steps: int, kinds):
         yield [buffer[:m] for buffer in buffers]
 
 
-def _purities_at(chain, marks, start: np.ndarray) -> np.ndarray:
-    """The (len(marks), B) purities (1 + rho^2)/2 of a length chain at the ascending step counts marks.
+def _rows_at(chain, marks, start: np.ndarray) -> np.ndarray:
+    """The (len(marks), B) rows of a chain at the ascending step counts marks.
 
-    start holds the (B,) Bloch lengths at step 0 and chain yields them after
-    every step, at least up to marks[-1], possibly as one array updated in
-    place, start itself included.  A mark may repeat or be 0.
+    start holds the (B,) row at step 0 and chain yields the row after every
+    step, at least up to marks[-1], possibly as one array updated in place,
+    start itself included.  A mark may repeat or be 0.
     """
-    lengths = np.empty((len(marks), len(start)))
-    rho, taken = start, 0
-    for row, mark in zip(lengths, marks):
+    rows = np.empty((len(marks), len(start)))
+    value, taken = start, 0
+    for row, mark in zip(rows, marks):
         if mark > taken:
-            rho = next(itertools.islice(chain, mark - taken - 1, None))
+            value = next(itertools.islice(chain, mark - taken - 1, None))
             taken = mark
-        row[:] = rho
-    return 0.5 * (1.0 + lengths * lengths)
+        row[:] = value
+    return rows
 
 
 def summarize(samples) -> tuple[float, float]:

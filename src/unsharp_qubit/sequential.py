@@ -18,21 +18,23 @@ spectrum of the estimate (singular values of A), hence its purity.  That
 identity is what the purity-based mean-fidelity estimator rests on, and
 `spectral_match` checks it numerically for every run.
 
-The runs that keep their axes (`run_sequence`, `direct_fidelity_samples`,
-whose reverse replay needs them) advance a batch of B trials in lockstep
-on a component-major (3, B) Bloch batch.  The mixed-start runs that read
-only the purity (`purity_samples`, `hypothetical_purity_paths`) step a
-(B,) array of Bloch lengths instead: from the mixed state the run is
-isotropic, so the length alone is a Markov chain, and a step needs only
-the cosine of its axis to the Bloch vector, uniform on [-1, 1].  Their
-paths are therefore not `run_sequence`'s bit for bit.  A batch is whole
-trial groups (`montecarlo._GROUP` trials each, on one stream per group),
-drawn in the block layout the `montecarlo` docstring describes.
-`run_sequence` is one group of width 1 on the caller's stream.  The
-samplers of an n grid (`direct_fidelity_samples`, `purity_samples`) run
-each trial once, to the grid's last count, and read it at every count of
-the grid, the length chain through `montecarlo._purities_at`;
-`ensemble.run_ensemble` summarizes their samples.
+The direct estimator replays nothing.  With t = tanh x, tr[A^dag A rho]
+is, up to a factor no state changes, the product over steps of 1 + t a.r
+along rho's conditional run r, and tr[A^dag A] twice that along the
+mixed-start run m; so 1 + estimate.truth is the ratio of the two products,
+and |estimate| = |m|.  `_direct_fidelities` steps both runs.
+
+`run_sequence` and those runs advance a batch of B trials in lockstep on
+component-major (3, B) Bloch batches.  The mixed-start runs that read only
+the purity (`purity_samples`, `hypothetical_purity_paths`) step a (B,)
+array of Bloch lengths instead: from the mixed state the run is isotropic,
+so the length alone is a Markov chain, and a step needs only the cosine of
+its axis to the Bloch vector, uniform on [-1, 1].  Their paths are
+therefore not `run_sequence`'s bit for bit.  A batch is whole trial groups
+(`montecarlo._GROUP` trials each, on one stream per group), drawn in the
+block layout the `montecarlo` docstring describes; `run_sequence` is one
+group of width 1 on the caller's stream.  An n grid's samplers run each
+trial once, as a chain that `montecarlo._rows_at` reads at every count.
 """
 
 from __future__ import annotations
@@ -41,16 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    DEGENERACY_TOL,
-    DensityMatrix,
-    MeasurementAxis,
-    _dot,
-    _dots,
-    _norm,
-    _pure_batch,
-)
-from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _purities_at, _width
+from .bloch import DEGENERACY_TOL, DensityMatrix, MeasurementAxis, _dot, _dots, _norm, _pure_batch
+from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _rows_at, _width
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, posterior_batch
 
 # A step's variates, in draw order: the axis normals, the branch uniform, the outcome noise.
@@ -88,9 +82,9 @@ def _outcomes(along: np.ndarray, branches: np.ndarray, noise: np.ndarray) -> np.
 
 def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     """Advance the (3, B) batch r by n measurements on the groups' streams,
-    yielding (r, axes, outcomes) after every step.  Each outcome is drawn
-    from its column's current state by `_outcomes`, with along = axis.r.
-    The axes are views of a reused buffer; a zero-length axis is refused.
+    yielding (r, axes, along, outcomes) after every step.  Each outcome is
+    drawn by `_outcomes`, with along = axes.r before the step.  The axes
+    are views of a reused buffer; a zero-length axis is refused.
     """
     var = precision * precision
     for axes, branches, noise in _group_blocks(streams, n, _STEP_KINDS):
@@ -104,7 +98,7 @@ def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
             along = _dots(a, r)
             outcomes = _outcomes(along, u, z)
             r = posterior_batch(r, a, along, outcomes / var)
-            yield r, a, outcomes
+            yield r, a, along, outcomes
 
 
 def _length_posterior(rho: np.ndarray, along: np.ndarray, sines: np.ndarray, x: np.ndarray) -> None:
@@ -175,18 +169,6 @@ def _estimate_batch(axes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _replay(np.zeros(axes.shape[1:]), axes[::-1], x[::-1])
 
 
-def _recorded_run(start: np.ndarray, streams, n: int, precision: float):
-    """Forward run from the (3, B) `start`; returns (final batch, axes (n, 3, B), outcomes (n, B))."""
-    width = start.shape[1]
-    axes, outcomes = np.empty((0, 3, width)), np.empty((0, width))
-    r = start
-    for i, (r, a, s) in enumerate(_sampled_steps(start, streams, n, precision)):
-        if i == 0:  # allocated once the first block is drawn, so their peaks do not add up
-            axes, outcomes = np.empty((n, 3, width)), np.empty((n, width))
-        axes[i], outcomes[i] = a, s
-    return r, axes, outcomes
-
-
 def _grid_end(n_grid) -> int:
     """The last count of an n grid; a grid that is empty, not strictly ascending or negative is refused."""
     if not n_grid or n_grid[0] < 0 or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
@@ -235,7 +217,10 @@ def run_sequence(
     """
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    final, axes, outcomes = _recorded_run(np.array(true_state.bloch)[:, None], [(rng, 1)], n, settings.precision)
+    final = np.array(true_state.bloch)[:, None]
+    axes, outcomes = np.empty((n, 3, 1)), np.empty((n, 1))
+    for i, (final, a, _, s) in enumerate(_sampled_steps(final, [(rng, 1)], n, settings.precision)):
+        axes[i], outcomes[i] = a, s
     record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
     estimate = _estimate_batch(axes, outcomes / (settings.precision * settings.precision))
     return SequenceResult(record, _state(final), _state(estimate))
@@ -272,22 +257,38 @@ def spectral_match(result: SequenceResult, hypothetical: SequenceResult) -> floa
     return 0.5 * abs(len_est - len_hyp)
 
 
-def _expected_fidelities(estimate: np.ndarray, truth: np.ndarray, strategy: str) -> np.ndarray:
+def _expected_fidelities(d: np.ndarray, m: np.ndarray, strategy: str) -> np.ndarray:
     """Exact conditional mean of the purified-estimate fidelity given each record.
 
-    For random-eigenstate this is fidelity(estimate, true) by bilinearity;
-    for dominant-eigenstate it is the fidelity of the leading eigenstate
-    (0.5 for a degenerate estimate, averaging the uniform tie-break).
-    Recording the conditional mean instead of one purification draw leaves
-    every expectation unchanged and only removes Monte Carlo variance.
-    Unchecked: the caller validates the strategy.
+    d is estimate.truth and m the (3, B) mixed-start state, |m| = |estimate|:
+    (1 + d)/2 for random-eigenstate by bilinearity, and the leading
+    eigenstate's (1 + d/|m|)/2 for dominant-eigenstate (0.5 for a degenerate
+    estimate, averaging the uniform tie-break).  The conditional mean in
+    place of one purification draw keeps every expectation and only removes
+    Monte Carlo variance.  Unchecked: the caller validates the strategy.
     """
     if strategy == RANDOM_EIGENSTATE:
-        return 0.5 * (1.0 + _dot(estimate, truth))
-    length = np.sqrt(_dot(estimate, estimate))
+        return 0.5 * (1.0 + d)
+    length = np.sqrt(_dot(m, m))
     degenerate = length < DEGENERACY_TOL
-    leading = estimate / np.where(degenerate, 1.0, length)
-    return np.where(degenerate, 0.5, 0.5 * (1.0 + _dot(leading, truth)))
+    return np.where(degenerate, 0.5, 0.5 * (1.0 + d / np.where(degenerate, 1.0, length)))
+
+
+def _direct_fidelities(truth: np.ndarray, streams, n: int, precision: float, strategy: str):
+    """Yield the (B,) `_expected_fidelities` after each of n steps of the (3, B) pure truth's run r.
+
+    The mixed-start run m follows r on its axes and outcomes.  1 + d gains (1 + t a.r)/(1 + t a.m)
+    a step, carried as d' = (d (1 + t a.r) + t (a.r - a.m))/(1 + t a.m) to keep d accurate near 0.
+    """
+    var = precision * precision
+    d, m = np.zeros(truth.shape[1]), np.zeros(truth.shape)
+    for _, a, along, s in _sampled_steps(truth, streams, n, precision):
+        x = s / var
+        mixed = _dots(a, m)
+        m = posterior_batch(m, a, mixed, x)  # refuses 1 + t a.m <= 0 before d divides by it
+        t = np.tanh(x)
+        d = (d * (1.0 + t * along) + t * (along - mixed)) / (1.0 + t * mixed)
+        yield _expected_fidelities(d, m, strategy)
 
 
 def direct_fidelity_samples(
@@ -303,19 +304,15 @@ def direct_fidelity_samples(
     Every trial draws a uniform pure true state on its group's stream
     derive_stream(seed, base_index + jG) and runs once, to n_grid[-1].
     Column i holds the expected fidelity under `strategy` of the purified
-    estimate from the run's first n_grid[i] outcomes, their reverse replay.
+    estimate from the run's first n_grid[i] outcomes, by `_direct_fidelities`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     n_max = _grid_end(n_grid)
 
     def group(streams):
-        truth = _pure_starts(streams)
-        _, axes, outcomes = _recorded_run(truth, streams, n_max, settings.precision)
-        x = outcomes / (settings.precision * settings.precision)
-        return np.stack([
-            _expected_fidelities(_estimate_batch(axes[:n], x[:n]), truth, strategy) for n in n_grid
-        ], axis=1)
+        chain = _direct_fidelities(_pure_starts(streams), streams, n_max, settings.precision, strategy)
+        return _rows_at(chain, n_grid, np.full(_width(streams), 0.5)).T
 
     return _by_trial_groups(group, n_max, trials, seed, base_index)
 
@@ -338,7 +335,8 @@ def purity_samples(
 
     def group(streams):
         chain = _mixed_start_lengths(streams, n_max, settings.precision)
-        return _purities_at(chain, n_grid, np.zeros(_width(streams))).T
+        lengths = _rows_at(chain, n_grid, np.zeros(_width(streams))).T
+        return 0.5 * (1.0 + lengths * lengths)
 
     return _by_trial_groups(group, n_max, trials, seed, base_index)
 

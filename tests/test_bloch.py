@@ -196,7 +196,7 @@ def test_sampled_axes_unit_and_isotropic():
     streams = [(derive_stream(101, 1), width)]
     steps = sequential._sampled_steps(np.zeros((3, width)), streams, SPHERE_DRAWS // width, 1.0)
     n_z = 0.0
-    for _, axes, _ in steps:
+    for _, axes, _, _ in steps:
         assert np.all(np.abs(np.sqrt(_dot(axes, axes)) - 1.0) <= 1e-12)
         n_z += axes[2].sum()
     assert abs(n_z / SPHERE_DRAWS) < SPHERE_MEAN_BOUND

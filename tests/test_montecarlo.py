@@ -22,20 +22,23 @@ G = montecarlo._GROUP
 # SHA-256 of the CSV at the flags below, one per trial count: below G, at
 # G + 1 and at 2G + 1, and for the curve to n = 400, past one block of
 # montecarlo._BLOCK_STEPS steps, below G.  A change to the draw layout changes
-# them; announce it and update them together.  The continuum-compare digests
-# also rest on the C library's hypot, which the SDE length chain calls and
-# which is not correctly rounded (on glibc 2.36, 57 of 20,000 results of
-# hypot(s, sqrt(8 dt)) were off the nearest double): on another libm those
-# digests can fail where the arithmetic in this package did not change.
+# them, and so does a kernel's arithmetic with the layout kept: the
+# fidelity-curve digests also pin the last bits of the direct estimator's
+# forward chain.  Announce either and update them together.  The
+# continuum-compare digests also rest on the C library's hypot, which the SDE
+# length chain calls and which is not correctly rounded (on glibc 2.36, 57 of
+# 20,000 results of hypot(s, sqrt(8 dt)) were off the nearest double): on
+# another libm those digests can fail where the arithmetic in this package
+# did not change.
 CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,3,7", "--estimator", "both", "--seed", "11")
 BLOCK_CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,400", "--estimator", "both", "--seed", "11")
 COMPARE_FLAGS = ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--seed", "12")
 LABELS = {CURVE_FLAGS: "fidelity-curve", BLOCK_CURVE_FLAGS: "fidelity-curve-n400", COMPARE_FLAGS: "continuum-compare"}
 TABLE_DIGESTS = {
-    (CURVE_FLAGS, "--trials", 30): "03bf818395a23fe7549b176910f84d1c706af2d5f96099c2532cd23f9b9f7864",
-    (CURVE_FLAGS, "--trials", 101): "d9512effca8c7fbe471fb69ec47d2ec9b8cab2e6ceeb622da9a7abced5664a2c",
-    (CURVE_FLAGS, "--trials", 201): "011a0820884b481079e2e0d22aa3c29165c28446c1a29a47d3dbac78243263e2",
-    (BLOCK_CURVE_FLAGS, "--trials", 30): "4d687539e3bc6ab44592666b44fdd9ed23fedf6ffe5bee389ee8e18cb32a9608",
+    (CURVE_FLAGS, "--trials", 30): "3c36ab8a8cca30d119367ee4bfea1e90d031b45a59d8d1b8a5b8a621aa4545ee",
+    (CURVE_FLAGS, "--trials", 101): "3c7237bb97ba3f7fd2d98a6b0e979d83402e5e36c492203263da5dedff8e196c",
+    (CURVE_FLAGS, "--trials", 201): "aca648c9d7e4cbf05d416b4aafd741007d35afebac0de62cd92e00e605f99209",
+    (BLOCK_CURVE_FLAGS, "--trials", 30): "2fa0e256ed7baeaecb1c9c5458e96aab1badca211a529d3a1c05aee77c9c1c32",
     (COMPARE_FLAGS, "--trajectories", 30): "6bde24bb55941ea72368fc1a5e2f131355fd2c7a7f515319f1cb3fa8774a55b6",
     (COMPARE_FLAGS, "--trajectories", 101): "a0aa19ec725c60938e4234c6dbbd9df8fe85a7cacc6151064dd7f0591ce73d34",
     (COMPARE_FLAGS, "--trajectories", 201): "500b8e9f290a2f5aa57345fc3335e074b460415ae65774b07998a6304f84f267",
@@ -72,7 +75,7 @@ def test_groups_cover_the_part_at_fixed_boundaries():
     assert [_first_draws(g) for g, _ in tail] == [_first_draws(derive_stream(5, 1000 + j * G)) for j in (1, 2)]
 
 
-def test_purities_at_reads_a_chain_at_its_marks_only():
+def test_rows_at_reads_a_chain_at_its_marks_only():
     # step 0 and repeated marks included; the chain, updated in place, is not advanced past the last mark
     rho = np.zeros(2)
 
@@ -82,8 +85,8 @@ def test_purities_at_reads_a_chain_at_its_marks_only():
             yield rho
 
     steps = chain()
-    purities = montecarlo._purities_at(steps, [0, 0, 3, 3, 10], rho)
-    assert purities.tolist() == [[0.5 * (1.0 + x * x)] * 2 for x in (0.0, 0.0, 0.03, 0.03, 0.1)]
+    rows = montecarlo._rows_at(steps, [0, 0, 3, 3, 10], rho)
+    assert rows.tolist() == [[x] * 2 for x in (0.0, 0.0, 0.03, 0.03, 0.1)]
     assert next(steps).tolist() == [0.11, 0.11]
 
 

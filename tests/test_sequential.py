@@ -21,6 +21,7 @@ from unsharp_qubit import (
     fidelity,
     hypothetical_purity_paths,
     mean_fidelity_closed_form,
+    purify_estimate,
     purity,
     random_pure_state,
     replay_hypothetical,
@@ -259,19 +260,30 @@ def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
         np.testing.assert_array_equal(fn(trials, 0), wholes[name], err_msg=name)
 
 
-def test_batched_direct_samples_equal_scalar_runs():
+def _purified_fidelity(estimate, true_state, strategy):
+    """The expected fidelity of a nondegenerate estimate's purification under `strategy`."""
+    if strategy == RANDOM_EIGENSTATE:
+        return fidelity(estimate, true_state)
+    return fidelity(purify_estimate(estimate, strategy, None), true_state)  # draws nothing
+
+
+@pytest.mark.parametrize("strategy", [RANDOM_EIGENSTATE, DOMINANT_EIGENSTATE])
+@pytest.mark.parametrize("width", [0.05, 1.0, 5.0, 20.0, 100.0, 1000.0])
+def test_batched_direct_samples_equal_scalar_runs(width, strategy):
     # trial b of group j is run_sequence on column b of group j's draws, after
-    # its pure start; column n is the reverse replay of the run's first n outcomes
-    cfg, grid = settings(3.0), (0, 1, 10, 25)
+    # its pure start; the forward chain's column n agrees with the reverse
+    # replay of the run's first n outcomes to 1e-12, and the empty record is 0.5
+    cfg, grid = settings(width), (0, 1, 10, 25)
     trials = G + 50
-    batch = sequential.direct_fidelity_samples(cfg, grid, trials, seed=64)
+    batch = sequential.direct_fidelity_samples(cfg, grid, trials, strategy, seed=64)
+    assert batch[:, 0].tolist() == [0.5] * trials
     for k in range(trials):
         rng = _trial_stream(64, 0, trials, k)
         true_state = random_pure_state(rng)
         result = run_sequence(true_state, 25, cfg, rng)
-        assert batch[k, -1] == fidelity(result.estimate, true_state)
-        replays = [replay_hypothetical(result.outcomes[:n], cfg).estimate for n in grid]
-        assert batch[k].tolist() == [fidelity(estimate, true_state) for estimate in replays]
+        estimates = [result.estimate, *(replay_hypothetical(result.outcomes[:n], cfg).estimate for n in grid[1:])]
+        expected = [_purified_fidelity(estimate, true_state, strategy) for estimate in estimates]
+        np.testing.assert_allclose(batch[k, [-1, *range(1, len(grid))]], expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("sampler", ["direct", "dominant", "purity"])
@@ -292,11 +304,13 @@ def test_grid_columns_equal_the_full_grid_columns(sampler):
         np.testing.assert_array_equal(fn(grid), full[:, list(grid)], err_msg=str(grid))
 
 
-def test_purity_grid_keeps_only_its_columns():
+@pytest.mark.parametrize("kind", [HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY])
+def test_purity_grid_keeps_only_its_columns(kind):
     # a sparse, long grid keeps (trials, len(grid)) results, not the whole
-    # (trials, N + 1) paths: those alone would take trials * N * 8 bytes
+    # (trials, N + 1) paths or the direct estimator's records: those alone
+    # would take trials * N * 8 bytes
     trials, n = 200, 5000
-    spec = ExperimentSpec(kind=HYPOTHETICAL_PURITY, delta=20.0, trials=trials, seed=68, n_grid=(0, n))
+    spec = ExperimentSpec(kind=kind, delta=20.0, trials=trials, seed=68, n_grid=(0, n))
     tracemalloc.start()
     try:
         (stats,) = run_ensemble(spec)
@@ -386,8 +400,10 @@ def test_first_outcome_marginal_matches_density():
     cfg = settings(1.0)
 
     def first_outcomes(streams):
-        _, _, outcomes = sequential._recorded_run(np.zeros((3, montecarlo._width(streams))), streams, 1, cfg.precision)
-        return outcomes[0]
+        ((_, _, _, outcomes),) = sequential._sampled_steps(
+            np.zeros((3, montecarlo._width(streams))), streams, 1, cfg.precision
+        )
+        return outcomes
 
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
     for k in [*range(50), *range(10**5 - 50, 10**5)]:  # the batch reproduces the public per-trial run
@@ -579,7 +595,9 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
     truth = np.array(true_state.bloch)[:, None]
 
     def group(streams):
-        final, _, _ = sequential._recorded_run(np.zeros((3, montecarlo._width(streams))), streams, n, cfg.precision)
+        start = np.zeros((3, montecarlo._width(streams)))
+        for final, _, _, _ in sequential._sampled_steps(start, streams, n, cfg.precision):
+            pass
         overlap = 0.5 * (1.0 + _dot(final, truth))
         return 2.0 * overlap * overlap
 
@@ -596,7 +614,8 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
 
     def estimate_fidelities(streams):
         start = np.repeat(truth, montecarlo._width(streams), axis=1)
-        _, axes, outcomes = sequential._recorded_run(start, streams, 20, cfg.precision)
+        record = [(a.copy(), s) for _, a, _, s in sequential._sampled_steps(start, streams, 20, cfg.precision)]
+        axes, outcomes = np.array([a for a, _ in record]), np.array([s for _, s in record])
         estimates = sequential._estimate_batch(axes, outcomes / (cfg.precision * cfg.precision))
         return 0.5 * (1.0 + _dot(estimates, truth))
 
