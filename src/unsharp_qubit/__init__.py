@@ -24,6 +24,7 @@ from .bloch import (
     random_pure_state,
 )
 from .continuous import (
+    Trajectory,
     TrajectoryState,
     bloch_sde_step,
     draw_noise,

@@ -21,9 +21,10 @@ The simulations integrate the Bloch form by Euler-Maruyama, projecting any
 vector that leaves the unit ball back onto the sphere.  A single
 trajectory (`simulate_trajectory`) steps three Python floats through the
 scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic,
-one chunk of noise rows at a time; array passes over the chunk then form
-the snapshot times, the record and the clipped states in the scalar
-operation order, and the snapshots are built without re-checking them.
+one chunk of noise rows at a time; array passes over the chunk then write
+the record and the clipped states, in the scalar operation order, into
+the columns of a `Trajectory`.  That result keeps the path as three arrays
+and builds a `TrajectoryState` snapshot only when one is read.
 An ensemble (`simulate_purity_ensemble`) steps only the Bloch lengths, a
 (B,) array of whole trajectory groups, in place through `_step_lengths`.
 The step commutes with rotations and the noise is isotropic, so the length
@@ -47,6 +48,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +67,10 @@ DEFAULT_DT_MAX = 1e-3
 # their rate RATE_CONSTANT / precision^2 from this one value.
 RATE_CONSTANT = 12.0
 
-# Noise rows `simulate_trajectory` takes through its passes at once: the
-# chunk's lists and arrays stay within a few hundred KiB whatever the path
-# length.
+# Noise rows `simulate_trajectory` takes through its passes at once, and
+# columns a `Trajectory` turns into snapshots at once while it is iterated:
+# the chunk's lists and arrays stay within a few hundred KiB whatever the
+# path length.
 _ROW_CHUNK = 1024
 
 # A trajectory-step's variate: the uniform whose side of 1/2 signs the increment along the vector.
@@ -125,11 +129,70 @@ def draw_noise(rng: np.random.Generator, dt: float) -> Vec3:
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryState:
-    """Snapshot of a conditional trajectory, optionally with its record."""
+    """Snapshot of a conditional trajectory, optionally with its record.
+
+    A `Trajectory` builds one from its column k each time the column is read.
+    """
 
     state: DensityMatrix
     time: float
     record: Vec3 | None = None
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Trajectory(Sequence):
+    """A conditional trajectory as columns: `times` (K,), `bloch` (3, K), and `record` (3, K) or None.
+
+    Column k holds snapshot k: its time, its state's Bloch vector and, when
+    the record was emitted, the record integral up to that time.  As a
+    sequence of `TrajectoryState`, `path[k]` (k < 0 too) builds snapshot k
+    from its column, a slice returns a list of snapshots, and iteration
+    builds them one at a time, never all at once.  `==` compares the arrays.
+    """
+
+    times: np.ndarray
+    bloch: np.ndarray
+    record: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(self._snapshots(key))
+        k, size = operator.index(key), len(self.times)
+        if not -size <= k < size:
+            raise IndexError(f"trajectory index {k} out of range for {size} snapshots")
+        k %= size
+        return next(self._snapshots(slice(k, k + 1)))
+
+    def __iter__(self) -> Iterator[TrajectoryState]:
+        for k in range(0, len(self.times), _ROW_CHUNK):
+            yield from self._snapshots(slice(k, k + _ROW_CHUNK))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        if (self.record is None) != (other.record is None):
+            return False
+        return (np.array_equal(self.times, other.times) and np.array_equal(self.bloch, other.bloch)
+                and (self.record is None or np.array_equal(self.record, other.record)))
+
+    def _snapshots(self, columns: slice) -> Iterator[TrajectoryState]:
+        """The snapshots of the columns `columns` selects, built from their floats without
+        re-checking them, as `DensityMatrix.clipped` builds its state."""
+        blochs = zip(*self.bloch[:, columns].tolist())
+        times = self.times[columns].tolist()
+        records = itertools.repeat(None) if self.record is None else zip(*self.record[:, columns].tolist())
+        new, put = object.__new__, object.__setattr__
+        for bloch, t, rec in zip(blochs, times, records):
+            state = new(DensityMatrix)
+            put(state, "bloch", bloch)
+            snap = new(TrajectoryState)
+            put(snap, "state", state)
+            put(snap, "time", t)
+            put(snap, "record", rec)
+            yield snap
 
 
 def _euler_density(rho: np.ndarray, d_w, dt: float) -> np.ndarray:
@@ -253,23 +316,24 @@ def simulate_trajectory(
     dt: float,
     rng: np.random.Generator,
     emit_record: bool = False,
-) -> list[TrajectoryState]:
-    """Integrate one conditional trajectory, emitting the initial state and every step.
+) -> Trajectory:
+    """Integrate one conditional trajectory, keeping the initial state and every step.
 
-    When emit_record is set each snapshot carries the accumulated record
-    integral of <sigma> dt + dW/2 up to its time.  The state steps as three
-    Python floats through the scalar step `_step_bloch`, three normals of
-    rng per step as `draw_noise` draws them.  An ensemble steps the same
+    Returns a `Trajectory` of K = steps + 1 columns, steps =
+    max(1, round(t_max / dt)), in read-only arrays from which each
+    `TrajectoryState` snapshot is built when it is read.  When emit_record is set each column carries the accumulated
+    record integral of <sigma> dt + dW/2 up to its time.  The state steps as
+    three Python floats through the scalar step `_step_bloch`, three normals
+    of rng per step as `draw_noise` draws them.  An ensemble steps the same
     means through the two-point length chain, not this law or these bits.
 
     The noise is drawn _ROW_CHUNK rows at a time, which bounds the working
-    memory, and each chunk goes through three passes.  The step pass runs `_step_bloch` over
-    the rows' floats and keeps every state.  The array passes form the
-    snapshot times k dt; the record (rec + r dt) + 0.5 dW through one
+    memory, and each chunk goes through two passes.  The step pass runs
+    `_step_bloch` over the rows' floats and keeps every state.  The array
+    passes write the record (rec + r dt) + 0.5 dW, through one
     `np.add.accumulate` over the interleaved terms, which adds them in step
-    order; and `DensityMatrix.clipped`'s rescale and refusals of the
-    states through `_clipped_batch`.  The object pass builds the
-    snapshots without re-checking them, as `clipped` builds its state.
+    order, and `DensityMatrix.clipped`'s rescale and refusals of the states,
+    through `_clipped_batch`, into the chunk's columns; the times are k dt.
     Every snapshot equals the step-by-step scalar chain bit for bit.
     """
     _check_step(dt)
@@ -277,10 +341,10 @@ def simulate_trajectory(
         raise ValueError(f"t_max must be a positive real, got {t_max!r}")
     steps = max(1, int(round(t_max / dt)))
     r = initial.bloch
-    out = [TrajectoryState(initial, 0.0, (0.0, 0.0, 0.0) if emit_record else None)]
-    record = np.zeros(3)  # the record after the last step taken
-    records = itertools.repeat(None)
-    new, put = object.__new__, object.__setattr__
+    times = np.arange(steps + 1) * dt
+    bloch = np.empty((3, steps + 1))
+    bloch[:, 0] = r
+    record = np.zeros((3, steps + 1)) if emit_record else None
     scale = math.sqrt(dt)
     for k in range(0, steps, _ROW_CHUNK):  # k: steps taken
         d_w = rng.standard_normal((min(_ROW_CHUNK, steps - k), 3))
@@ -296,26 +360,18 @@ def simulate_trajectory(
         # array passes; states is (3, m + 1): the chunk's start, then the state after each step
         states = np.fromiter(itertools.chain.from_iterable(path), float, 3 * (m + 1))
         states = states.reshape(m + 1, 3).T
-        blochs = zip(*_clipped_batch(states[:, 1:]).tolist())
-        times = (np.arange(k + 1, k + m + 1) * dt).tolist()
-        if emit_record:
+        bloch[:, k + 1 : k + m + 1] = _clipped_batch(states[:, 1:])
+        if record is not None:
             terms = np.empty((2 * m + 1, 3))
-            terms[0] = record
+            terms[0] = record[:, k]
             terms[1::2] = states[:, :-1].T * dt
             terms[2::2] = 0.5 * d_w
             np.add.accumulate(terms, axis=0, out=terms)
-            record = terms[-1]
-            records = zip(*terms[2::2].T.tolist())
-        # object pass
-        for bloch, t, rec in zip(blochs, times, records):
-            state = new(DensityMatrix)
-            put(state, "bloch", bloch)
-            snap = new(TrajectoryState)
-            put(snap, "state", state)
-            put(snap, "time", t)
-            put(snap, "record", rec)
-            out.append(snap)
-    return out
+            record[:, k + 1 : k + m + 1] = terms[2::2].T
+    for column in (times, bloch, record):
+        if column is not None:
+            column.flags.writeable = False
+    return Trajectory(times, bloch, record)
 
 
 def simulate_purity_ensemble(

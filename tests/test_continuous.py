@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import math
 import pickle
+import struct
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from unsharp_qubit import (
     FULLY_MIXED,
     DensityMatrix,
     MeasurementSettings,
+    Trajectory,
     TrajectoryState,
     bloch_sde_step,
     derive_stream,
@@ -477,6 +481,83 @@ def test_snapshot_classes_round_trip():
     assert dataclasses.replace(run[-1].state, bloch=[0, 0, 1]).bloch == (0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         dataclasses.replace(run[-1].state, bloch=(0.0, 0.0, 1.5))
+
+
+def _bits(time, bloch, record):
+    return struct.pack("<7d", time, *bloch, *record)
+
+
+def test_trajectory_columns_are_its_snapshots_bitwise():
+    # a pure start, so steps project, over two noise chunks of 1024 rows and part of a third
+    run = simulate_trajectory(DensityMatrix((0.0, 0.6, 0.8)), 0.25, 1e-4, derive_stream(71, 0), emit_record=True)
+    assert isinstance(run, Trajectory) and isinstance(run, Sequence)
+    assert len(run) == 2501 and run.times.shape == (2501,) and run.bloch.shape == run.record.shape == (3, 2501)
+    for k in (0, 1, 1023, 1024, 1025, 2500, -1, -2501):
+        snap = run[k]
+        assert _bits(snap.time, snap.state.bloch, snap.record) == _bits(run.times[k], run.bloch[:, k], run.record[:, k])
+        assert type(snap.time) is float and all(type(v) is float for v in (*snap.state.bloch, *snap.record))
+    assert run[0].state == DensityMatrix((0.0, 0.6, 0.8)) and run[0].record == (0.0, 0.0, 0.0)
+    assert run[np.int64(-1)] == run[2500]
+    assert list(run) == run[:] == [run[k] for k in range(len(run))]
+    assert list(reversed(run)) == run[::-1]
+
+
+def test_trajectory_slices_are_lists_and_indices_are_checked():
+    run = simulate_trajectory(FULLY_MIXED, 0.01, 1e-3, derive_stream(71, 1))
+    assert type(run[::4]) is list and type(run[5:2]) is list and run[5:2] == []
+    assert run[::4] + run[-1:] == [run[0], run[4], run[8], run[10]]
+    for k in (11, -12, 10**30):
+        with pytest.raises(IndexError):
+            run[k]
+    with pytest.raises(TypeError):
+        run[1.0]
+
+
+def test_trajectory_without_record_has_none_throughout():
+    run = simulate_trajectory(FULLY_MIXED, 0.3, 1e-4, derive_stream(71, 2))
+    assert run.record is None
+    assert all(snap.record is None for snap in run) and run[-1].record is None
+
+
+def test_trajectory_equality_and_round_trips():
+    run = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), emit_record=True)
+    bare = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0))
+    assert run == simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), emit_record=True)
+    assert run != bare and bare != run and dataclasses.replace(run, record=None) == bare
+    assert run != simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 1), emit_record=True)
+    assert run != list(run)
+    for value in (run, bare):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and twin is not value and list(twin) == list(value)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.times = None
+        with pytest.raises(ValueError):
+            value.bloch[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        hash(run)
+
+
+# Peak traced bytes per snapshot of a trajectory: its arrays take 56 B a
+# snapshot and one chunk's working set adds about 20 B at 20,001 snapshots
+# (73-77 B measured); a list of snapshot objects took about 447 B.
+SNAPSHOT_BYTES = 100
+
+
+def test_trajectory_memory_is_its_columns_built_or_iterated():
+    rng = derive_stream(72, 0)
+    tracemalloc.start()
+    try:
+        run = simulate_trajectory(FULLY_MIXED, 2.0, 1e-4, rng, emit_record=True)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in run:
+            pass
+        _, iterated = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run) == 20001
+    assert max(built, iterated) <= SNAPSHOT_BYTES * len(run), (built, iterated)
 
 
 @EULER_FLOOR_XFAIL

@@ -16,6 +16,7 @@ PUBLIC_NAMES = [
     "RANDOM_EIGENSTATE",
     "STRATEGIES",
     "SequenceResult",
+    "Trajectory",
     "TrajectoryState",
     "bloch",
     "bloch_sde_step",
