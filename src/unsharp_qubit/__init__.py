@@ -5,9 +5,10 @@ measurements along random directions, forms the record-only state estimate
 by replaying the outcome record in reverse order through the same
 posterior update, and benchmarks its fidelity against the one-measurement
 optimum 2/3.  Every discrete experiment advances a whole batch of trials
-together: as component-major (3, B) arrays of Bloch vectors where a run
-needs the axes, and as a (B,) array of Bloch lengths where a mixed-start
-run needs only its purity.  A matching time-continuous
+together, as (B,) arrays of rotation invariants: the Bloch length where a
+mixed-start run needs only its purity, and for the direct estimator that
+length, its components along and across the true state's run, and the
+estimate's overlap with the true state.  A matching time-continuous
 conditional master equation plus closed-form purity and fidelity curves
 covers the constant-rate measurement limit; its ensembles step a (B,)
 array of Bloch lengths.

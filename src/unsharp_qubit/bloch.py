@@ -157,10 +157,3 @@ def _clipped_batch(r: np.ndarray) -> np.ndarray:
     if (squared > _MAX_SQUARED_LENGTH).any():
         raise ValueError(f"bloch vector leaves the unit ball: |r| = {math.sqrt(squared.max())!r}")
     return r
-
-
-def _pure_batch(v: np.ndarray) -> np.ndarray:
-    """`random_pure_state` of every column of accepted normals (3, B), with the same arithmetic:
-    the division by the length, then `clipped`'s rescale and checks."""
-    return _clipped_batch(v / np.sqrt(_dot(v, v)))
-

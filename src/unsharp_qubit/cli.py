@@ -57,7 +57,7 @@ from .povm import (
     MeasurementSettings,
     completeness_defect,
 )
-from .sequential import _grid_end, replay_hypothetical, run_sequence, spectral_match
+from .sequential import _grid, replay_hypothetical, run_sequence, spectral_match
 
 
 def _number(convert, text: str, accept, expected: str):
@@ -103,11 +103,9 @@ def _step_size(text: str) -> float:
 def _int_grid(text: str) -> tuple[int, ...]:
     """An n grid, refused here as the samplers would refuse it."""
     try:
-        grid = tuple(int(part) for part in text.split(","))
-        _grid_end(grid)
+        return _grid(tuple(int(part) for part in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n grid {text!r}: {exc}") from exc
-    return grid
 
 
 def _precision_list(text: str) -> tuple[float, ...]:

@@ -38,7 +38,7 @@ from .continuous import (
 )
 from .montecarlo import _GROUP, summarize
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings
-from .sequential import _grid_end, direct_fidelity_samples, purity_samples
+from .sequential import _grid, direct_fidelity_samples, purity_samples
 
 SEQUENTIAL_FIDELITY = "sequential-fidelity"
 HYPOTHETICAL_PURITY = "hypothetical-purity"
@@ -73,7 +73,7 @@ class ExperimentSpec:
         # operator.index refuses a float (TypeError) and takes Python or numpy integers
         object.__setattr__(self, "trials", operator.index(self.trials))
         object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "n_grid", tuple(operator.index(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", _grid(self.n_grid))  # refused as the samplers refuse it
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if self.strategy not in STRATEGIES:
@@ -81,7 +81,6 @@ class ExperimentSpec:
         if self.kind == HYPOTHETICAL_PURITY and self.strategy != RANDOM_EIGENSTATE:
             # F = (1 + P)/3 is the random-eigenstate fidelity; it says nothing of the other strategy
             raise ValueError(f"{self.kind} estimates the {RANDOM_EIGENSTATE} fidelity only, got {self.strategy!r}")
-        _grid_end(self.n_grid)  # refuses a grid that is empty, not ascending or negative
         self.settings()  # refuses a bad delta
         _check_step(self.dt)
         if self.seed < 0:

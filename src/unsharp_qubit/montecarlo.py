@@ -15,19 +15,20 @@ call per kind of variate, in a fixed order, and fills its columns of that
 kind's step-major (m, ..., B) buffer.  Column b of a group is trial b of that
 group.  Every chain draws at that one block length:
 
-- discrete runs that keep their axes (`run_sequence`, the direct
-  estimator): the axes standard_normal((m, 3, w)), the branch uniforms
-  random((m, w)), the outcome noise standard_normal((m, w)); where the
-  estimator needs pure starts, each group first draws their normals (3, w);
+- `run_sequence`, the one run of Bloch vectors: the axes standard_normal((m, 3, w)),
+  the branch uniforms random((m, w)), the outcome noise standard_normal((m, w));
 - discrete mixed-start length chains (the purity estimator, the compare's
   discrete half): the uniforms of the axis cosines random((m, w)), the
   branch uniforms random((m, w)), the outcome noise standard_normal((m, w));
+- the direct estimator: the uniforms of the axis cosines to the truth
+  random((m, w)), then of their azimuths random((m, w)), then the branch
+  uniforms and the outcome noise as the length chains;
 - SDE ensemble: random((m, w)), whose side of 1/2 signs each two-point
   increment.  With one kind of variate the blocks read a group's stream in
   step order, so their length moves no bit.
-Every grid sampler is a chain that yields a (B,) row after every step, and
-`_rows_at` reads it at the grid steps: the lengths of both length chains,
-discrete and SDE, and the direct estimator's fidelities.
+Every grid sampler is a chain of (B,) arrays that yields its row after
+every step, and `_rows_at` reads it at the grid steps: the lengths of both
+length chains, discrete and SDE, and the direct estimator's (2, B) (d, rho).
 """
 
 from __future__ import annotations
@@ -102,13 +103,13 @@ def _group_blocks(streams, steps: int, kinds):
 
 
 def _rows_at(chain, marks, start: np.ndarray) -> np.ndarray:
-    """The (len(marks), B) rows of a chain at the ascending step counts marks.
+    """The (len(marks), *start.shape) rows of a chain at the ascending step counts marks.
 
-    start holds the (B,) row at step 0 and chain yields the row after every
-    step, at least up to marks[-1], possibly as one array updated in place,
-    start itself included.  A mark may repeat or be 0.
+    start holds the row at step 0, of any shape, and chain yields the row
+    after every step, at least up to marks[-1], possibly as one array
+    updated in place, start itself included.  A mark may repeat or be 0.
     """
-    rows = np.empty((len(marks), len(start)))
+    rows = np.empty((len(marks), *start.shape))
     value, taken = start, 0
     for row, mark in zip(rows, marks):
         if mark > taken:

@@ -78,6 +78,15 @@ def completeness_defect(settings: MeasurementSettings) -> float:
     return abs(total - 1.0)
 
 
+def _update_norm(t: np.ndarray, along: np.ndarray) -> np.ndarray:
+    """1 + t along, the normalization of an update with t = tanh x; a value <= 0 or undefined is refused."""
+    norm = t * along
+    norm += 1.0
+    if not norm.min() > 0.0:
+        raise ValueError("degenerate update: a sure branch meets a saturated outcome, or x is undefined")
+    return norm
+
+
 def posterior_batch(r: np.ndarray, axes: np.ndarray, along: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Conditional states sqrt(effect) rho sqrt(effect) / tr[effect rho], one per column.
 
@@ -95,10 +104,7 @@ def posterior_batch(r: np.ndarray, axes: np.ndarray, along: np.ndarray, x: np.nd
     """
     t = np.tanh(x)
     e = np.exp(-np.abs(x))
-    norm = t * along
-    norm += 1.0
-    if not norm.min() > 0.0:
-        raise ValueError("degenerate update: a sure branch meets a saturated outcome, or x is undefined")
+    norm = _update_norm(t, along)
     # (t + along)/norm along the axis and 2 e/((1 + e^2) norm) across it, formed in place
     damp = e * e
     damp += 1.0

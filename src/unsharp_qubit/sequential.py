@@ -22,15 +22,18 @@ The direct estimator replays nothing.  With t = tanh x, tr[A^dag A rho]
 is, up to a factor no state changes, the product over steps of 1 + t a.r
 along rho's conditional run r, and tr[A^dag A] twice that along the
 mixed-start run m; so 1 + estimate.truth is the ratio of the two products,
-and |estimate| = |m|.  `_direct_fidelities` steps both runs.
+and |estimate| = |m|.
 
-`run_sequence` and those runs advance a batch of B trials in lockstep on
-component-major (3, B) Bloch batches.  The mixed-start runs that read only
-the purity (`purity_samples`, `hypothetical_purity_paths`) step a (B,)
-array of Bloch lengths instead: from the mixed state the run is isotropic,
-so the length alone is a Markov chain, and a step needs only the cosine of
-its axis to the Bloch vector, uniform on [-1, 1].  Their paths are
-therefore not `run_sequence`'s bit for bit.  A batch is whole trial groups
+Only `run_sequence` and `replay_hypothetical` step Bloch vectors, as
+component-major (3, 1) batches.  The axes are isotropic and the update
+commutes with rotations, so every grid sampler steps (B,) arrays of
+invariants instead, each a Markov chain by itself: the Bloch length of the
+mixed-start runs that read only the purity (`purity_samples`,
+`hypothetical_purity_paths`), whose step needs only the cosine of its axis
+to the Bloch vector, uniform on [-1, 1]; and for the direct estimator
+d = estimate.truth, rho = |m|, p = r.m and m's length across r, from
+zeros with no true state drawn.  Their paths are therefore not
+`run_sequence`'s bit for bit.  A batch is whole trial groups
 (`montecarlo._GROUP` trials each, on one stream per group), drawn in the
 block layout the `montecarlo` docstring describes; `run_sequence` is one
 group of width 1 on the caller's stream.  An n grid's samplers run each
@@ -39,13 +42,14 @@ trial once, as a chain that `montecarlo._rows_at` reads at every count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DEGENERACY_TOL, DensityMatrix, MeasurementAxis, _dot, _dots, _norm, _pure_batch
+from .bloch import DEGENERACY_TOL, DensityMatrix, MeasurementAxis, _dot, _dots, _norm
 from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _rows_at, _width
-from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, posterior_batch
+from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, _update_norm, posterior_batch
 
 # A step's variates, in draw order: the axis normals, the branch uniform, the outcome noise.
 _STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()))
@@ -54,16 +58,9 @@ _STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()
 # axis cosine, the branch uniform, the outcome noise.
 _LENGTH_KINDS = (("random", ()), ("random", ()), ("standard_normal", ()))
 
-
-def _pure_starts(streams) -> np.ndarray:
-    """The (3, B) uniform pure starts of a batch of groups, each group's normals (3, w) in turn.
-
-    `random_pure_state` arithmetic; a zero-length start is refused.
-    """
-    starts = np.concatenate([g.standard_normal((3, w)) for g, w in streams], axis=1)
-    if not (_dot(starts, starts) > 0.0).all():
-        raise ValueError("drew a pure start of zero length")
-    return _pure_batch(starts)
+# A direct chain step's variates, in draw order: the uniforms of the axis
+# cosine to the truth and of its azimuth, the branch uniform, the outcome noise.
+_DIRECT_KINDS = (("random", ()), ("random", ()), ("random", ()), ("standard_normal", ()))
 
 
 def _scale_block(branches: np.ndarray, noise: np.ndarray, precision: float) -> None:
@@ -82,9 +79,9 @@ def _outcomes(along: np.ndarray, branches: np.ndarray, noise: np.ndarray) -> np.
 
 def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
     """Advance the (3, B) batch r by n measurements on the groups' streams,
-    yielding (r, axes, along, outcomes) after every step.  Each outcome is
-    drawn by `_outcomes`, with along = axes.r before the step.  The axes
-    are views of a reused buffer; a zero-length axis is refused.
+    yielding (r, axes, outcomes) after every step.  Each outcome is drawn
+    by `_outcomes`, with along = axes.r before the step.  The axes are
+    views of a reused buffer; a zero-length axis is refused.
     """
     var = precision * precision
     for axes, branches, noise in _group_blocks(streams, n, _STEP_KINDS):
@@ -98,37 +95,34 @@ def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
             along = _dots(a, r)
             outcomes = _outcomes(along, u, z)
             r = posterior_batch(r, a, along, outcomes / var)
-            yield r, a, along, outcomes
+            yield r, a, outcomes
 
 
-def _length_posterior(rho: np.ndarray, along: np.ndarray, sines: np.ndarray, x: np.ndarray) -> None:
-    """`posterior_batch`'s map of Bloch lengths, in place on the (B,) array rho.
+def _length_posterior(rho: np.ndarray, along: np.ndarray, across: np.ndarray, x: np.ndarray):
+    """`posterior_batch`'s map of Bloch lengths, in place on the (B,) array rho; returns t, q and 1 + t along.
 
-    The Bloch vector has component along = rho c on the axis and length
-    rho sqrt(1 - c^2) across it, with sines = 4 (1 - c^2).  The update takes
+    The Bloch vector has component `along` on the axis, and across, which
+    is overwritten and may be rho itself, holds four times its squared
+    length across it.  With t = tanh x and q = e^{-2|x|}, the update takes
     the first to (t + along)/(1 + t along) and scales the second by
-    sech x / (1 + t along), so with q = e^{-2|x|} and
-    sech^2 x = 4 q/(1 + q)^2 the new length is
-    min(sqrt((t + along)^2 + rho^2 sines q/(1 + q)^2)/(1 + t along), 1), the
+    sech x / (1 + t along), so with sech^2 x = 4 q/(1 + q)^2 the new length
+    is min(sqrt((t + along)^2 + across q/(1 + q)^2)/(1 + t along), 1), the
     min being the rescale onto the sphere.  1 + t along <= 0 is refused.
     """
     t = np.tanh(x)
-    norm = 1.0 + t * along
-    if not norm.min() > 0.0:
-        raise ValueError("degenerate update: a sure branch meets a saturated outcome")
+    norm = _update_norm(t, along)
     q = np.exp(-2.0 * np.abs(x))
-    t += along
-    t *= t
-    rho *= rho
-    rho *= sines
-    rho *= q
-    q += 1.0
-    q *= q
-    rho /= q
-    rho += t
-    np.sqrt(rho, out=rho)
+    shift = t + along
+    shift *= shift
+    across *= q
+    q1 = q + 1.0
+    q1 *= q1
+    across /= q1
+    across += shift
+    np.sqrt(across, out=rho)
     rho /= norm
     np.minimum(rho, 1.0, out=rho)
+    return t, q, norm
 
 
 def _mixed_start_lengths(streams, n: int, precision: float):
@@ -148,8 +142,64 @@ def _mixed_start_lengths(streams, n: int, precision: float):
         _scale_block(branches, noise, precision)
         for c, sine, u, z in zip(cosines, sines, branches, noise):
             along = rho * c
-            _length_posterior(rho, along, sine, _outcomes(along, u, z) / var)
+            x = _outcomes(along, u, z) / var
+            rho *= rho
+            rho *= sine
+            _length_posterior(rho, along, rho, x)  # rho holds the across term
             yield rho
+
+
+def _direct_step(state: np.ndarray, c: np.ndarray, toward: np.ndarray, aside: np.ndarray, x: np.ndarray) -> None:
+    """One measurement of the direct chain, in place on its (4, B) invariants (d, rho, p, g).
+
+    The truth's unit run r and the mixed-start run m share the axis a and
+    x = outcome / precision^2: d = estimate.truth, rho = |m|, p = r.m and
+    g = |m - p r|.  In the frame of r and of m's direction across it,
+    a = (toward, aside, c), so mu = a.m = c p + toward g, and rho steps by
+    `_length_posterior` with across = 4 |a x m|^2.  With t = tanh x and
+    h = sech x, a Bloch vector w goes to (h w + (t + (1 - h) a.w) a)/(1 + t a.w);
+    so with D = (1 + t c)(1 + t mu), p' = ((t + c)(t + mu) + h^2 (p - c mu))/D,
+    and g' = |m' x r'| = h |(aside k, v, f g aside)|/D for the f, k and v
+    below.  Every length is the root of a sum of squares, which stays
+    accurate where the runs meet.  1 + d gains (1 + t c)/(1 + t mu), carried
+    as d' = (d (1 + t c) + t (c - mu))/(1 + t mu) to keep d accurate near 0.
+    1 + t c <= 0 is refused.
+    """
+    d, rho, p, g = state
+    mu = c * p + toward * g
+    t, q, norm = _length_posterior(rho, mu, 4.0 * ((aside * rho) ** 2 + (c * g - toward * p) ** 2), x)
+    truth_norm = _update_norm(t, c)
+    h = 2.0 * np.sqrt(q) / (1.0 + q)
+    soft = 1.0 - h
+    f = t + soft * c
+    k = t * (1.0 - p) + soft * toward * g
+    v = g * (h + f * c) + toward * k
+    both = truth_norm * norm
+    g_next = h * np.sqrt((aside * k) ** 2 + v * v + (f * g * aside) ** 2) / both
+    p[:] = ((t + c) * (t + mu) + h * h * (p - c * mu)) / both
+    g[:] = g_next
+    d[:] = (d * truth_norm + t * (c - mu)) / norm
+
+
+def _direct_chain(streams, n: int, precision: float):
+    """Yield the (2, B) rows (d, rho) of the groups' direct chains after each of n steps.
+
+    A step turns its uniforms u and v into the cosine c = 2u - 1 of its axis
+    to the truth and the azimuth 2 pi v, draws the outcome from the truth by
+    `_outcomes` with along = c, and updates the invariants by `_direct_step`
+    from zeros.  One array is updated in place and yielded after every step.
+    """
+    var = precision * precision
+    state = np.zeros((4, _width(streams)))
+    for cosines, azimuths, branches, noise in _group_blocks(streams, n, _DIRECT_KINDS):
+        cosines *= 2.0
+        cosines -= 1.0
+        sines = np.sqrt((1.0 - cosines) * (1.0 + cosines))
+        azimuths *= 2.0 * np.pi
+        _scale_block(branches, noise, precision)
+        for c, toward, aside, u, z in zip(cosines, sines * np.cos(azimuths), sines * np.sin(azimuths), branches, noise):
+            _direct_step(state, c, toward, aside, _outcomes(c, u, z) / var)
+            yield state[:2]
 
 
 def _replay(r: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -169,11 +219,15 @@ def _estimate_batch(axes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _replay(np.zeros(axes.shape[1:]), axes[::-1], x[::-1])
 
 
-def _grid_end(n_grid) -> int:
-    """The last count of an n grid; a grid that is empty, not strictly ascending or negative is refused."""
-    if not n_grid or n_grid[0] < 0 or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+def _grid(n_grid) -> tuple[int, ...]:
+    """An n grid as a tuple of ints; one of non-integers, empty, not strictly ascending or negative is refused."""
+    try:
+        grid = tuple(map(operator.index, n_grid))
+    except TypeError:
+        raise TypeError(f"an n grid must be a sequence of integers, got {n_grid!r}") from None
+    if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError(f"an n grid must be nonempty, strictly ascending and nonnegative, got {n_grid!r}")
-    return n_grid[-1]
+    return grid
 
 
 def _by_trial_groups(fn, n: int, trials: int, seed: int, base_index: int) -> np.ndarray:
@@ -219,7 +273,7 @@ def run_sequence(
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
     final = np.array(true_state.bloch)[:, None]
     axes, outcomes = np.empty((n, 3, 1)), np.empty((n, 1))
-    for i, (final, a, _, s) in enumerate(_sampled_steps(final, [(rng, 1)], n, settings.precision)):
+    for i, (final, a, s) in enumerate(_sampled_steps(final, [(rng, 1)], n, settings.precision)):
         axes[i], outcomes[i] = a, s
     record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
     estimate = _estimate_batch(axes, outcomes / (settings.precision * settings.precision))
@@ -257,40 +311,6 @@ def spectral_match(result: SequenceResult, hypothetical: SequenceResult) -> floa
     return 0.5 * abs(len_est - len_hyp)
 
 
-def _expected_fidelities(d: np.ndarray, m: np.ndarray, strategy: str) -> np.ndarray:
-    """Exact conditional mean of the purified-estimate fidelity given each record.
-
-    d is estimate.truth and m the (3, B) mixed-start state, |m| = |estimate|:
-    (1 + d)/2 for random-eigenstate by bilinearity, and the leading
-    eigenstate's (1 + d/|m|)/2 for dominant-eigenstate (0.5 for a degenerate
-    estimate, averaging the uniform tie-break).  The conditional mean in
-    place of one purification draw keeps every expectation and only removes
-    Monte Carlo variance.  Unchecked: the caller validates the strategy.
-    """
-    if strategy == RANDOM_EIGENSTATE:
-        return 0.5 * (1.0 + d)
-    length = np.sqrt(_dot(m, m))
-    degenerate = length < DEGENERACY_TOL
-    return np.where(degenerate, 0.5, 0.5 * (1.0 + d / np.where(degenerate, 1.0, length)))
-
-
-def _direct_fidelities(truth: np.ndarray, streams, n: int, precision: float, strategy: str):
-    """Yield the (B,) `_expected_fidelities` after each of n steps of the (3, B) pure truth's run r.
-
-    The mixed-start run m follows r on its axes and outcomes.  1 + d gains (1 + t a.r)/(1 + t a.m)
-    a step, carried as d' = (d (1 + t a.r) + t (a.r - a.m))/(1 + t a.m) to keep d accurate near 0.
-    """
-    var = precision * precision
-    d, m = np.zeros(truth.shape[1]), np.zeros(truth.shape)
-    for _, a, along, s in _sampled_steps(truth, streams, n, precision):
-        x = s / var
-        mixed = _dots(a, m)
-        m = posterior_batch(m, a, mixed, x)  # refuses 1 + t a.m <= 0 before d divides by it
-        t = np.tanh(x)
-        d = (d * (1.0 + t * along) + t * (along - mixed)) / (1.0 + t * mixed)
-        yield _expected_fidelities(d, m, strategy)
-
-
 def direct_fidelity_samples(
     settings: MeasurementSettings,
     n_grid,
@@ -301,20 +321,26 @@ def direct_fidelity_samples(
 ) -> np.ndarray:
     """Estimate fidelities over random pure inputs at every count of n_grid, shape (trials, len(n_grid)).
 
-    Every trial draws a uniform pure true state on its group's stream
-    derive_stream(seed, base_index + jG) and runs once, to n_grid[-1].
-    Column i holds the expected fidelity under `strategy` of the purified
-    estimate from the run's first n_grid[i] outcomes, by `_direct_fidelities`.
+    Every trial runs `_direct_chain` once, to n_grid[-1], on its group's
+    stream derive_stream(seed, base_index + jG).  Column i holds the
+    conditional mean, given the first n_grid[i] outcomes, of the fidelity of
+    the estimate purified under `strategy`, which keeps every expectation and
+    only removes Monte Carlo variance: (1 + d)/2 for random-eigenstate, and
+    (1 + d/rho)/2 for dominant-eigenstate (0.5 below `DEGENERACY_TOL`,
+    averaging the uniform tie-break).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    n_max = _grid_end(n_grid)
+    grid = _grid(n_grid)
 
     def group(streams):
-        chain = _direct_fidelities(_pure_starts(streams), streams, n_max, settings.precision, strategy)
-        return _rows_at(chain, n_grid, np.full(_width(streams), 0.5)).T
+        chain = _direct_chain(streams, grid[-1], settings.precision)
+        d, rho = _rows_at(chain, grid, np.zeros((2, _width(streams)))).transpose(1, 2, 0)
+        if strategy == RANDOM_EIGENSTATE:
+            return 0.5 * (1.0 + d)
+        return np.where(rho < DEGENERACY_TOL, 0.5, 0.5 * (1.0 + d / np.maximum(rho, DEGENERACY_TOL)))
 
-    return _by_trial_groups(group, n_max, trials, seed, base_index)
+    return _by_trial_groups(group, grid[-1], trials, seed, base_index)
 
 
 def purity_samples(
@@ -331,14 +357,14 @@ def purity_samples(
     kept.  The estimate shares that purity P, so (1 + P)/3 is its
     random-eigenstate fidelity averaged over random pure inputs.
     """
-    n_max = _grid_end(n_grid)
+    grid = _grid(n_grid)
 
     def group(streams):
-        chain = _mixed_start_lengths(streams, n_max, settings.precision)
-        lengths = _rows_at(chain, n_grid, np.zeros(_width(streams))).T
+        chain = _mixed_start_lengths(streams, grid[-1], settings.precision)
+        lengths = _rows_at(chain, grid, np.zeros(_width(streams))).T
         return 0.5 * (1.0 + lengths * lengths)
 
-    return _by_trial_groups(group, n_max, trials, seed, base_index)
+    return _by_trial_groups(group, grid[-1], trials, seed, base_index)
 
 
 def hypothetical_purity_paths(

@@ -17,7 +17,7 @@ from unsharp_qubit import (
     random_pure_state,
 )
 from unsharp_qubit import sequential
-from unsharp_qubit.bloch import DEGENERACY_TOL, _clipped_batch, _dot, _dots, _pure_batch
+from unsharp_qubit.bloch import DEGENERACY_TOL, _clipped_batch, _dot, _dots
 
 SPHERE_DRAWS = 10**5
 # three-sigma bound on one Cartesian mean: component variance is 1/3
@@ -140,15 +140,6 @@ def test_random_pure_state_isotropic():
     assert np.all(np.abs(total / SPHERE_DRAWS) < SPHERE_MEAN_BOUND)
 
 
-def test_pure_rows_equal_random_pure_state_bitwise():
-    # the batched starts of the direct estimator, on the normals each stream draws first
-    normals = np.array([derive_stream(81, k).standard_normal(3) for k in range(2000)]).T
-    divided = normals / np.sqrt(_dot(normals, normals))
-    assert (np.sqrt(_dot(divided, divided)) > 1.0).sum() > 0  # columns that take `clipped`'s rescale
-    expected = [random_pure_state(derive_stream(81, k)).bloch for k in range(2000)]
-    assert _pure_batch(normals).T.tolist() == [list(row) for row in expected]
-
-
 def test_clipped_equals_checked_constructor_bitwise():
     rng = derive_stream(73, 0)
     columns = rng.standard_normal((2000, 3)).T
@@ -196,7 +187,7 @@ def test_sampled_axes_unit_and_isotropic():
     streams = [(derive_stream(101, 1), width)]
     steps = sequential._sampled_steps(np.zeros((3, width)), streams, SPHERE_DRAWS // width, 1.0)
     n_z = 0.0
-    for _, axes, _, _ in steps:
+    for _, axes, _ in steps:
         assert np.all(np.abs(np.sqrt(_dot(axes, axes)) - 1.0) <= 1e-12)
         n_z += axes[2].sum()
     assert abs(n_z / SPHERE_DRAWS) < SPHERE_MEAN_BOUND

@@ -23,8 +23,10 @@ G = montecarlo._GROUP
 # G + 1 and at 2G + 1, and for the curve to n = 400, past one block of
 # montecarlo._BLOCK_STEPS steps, below G.  A change to the draw layout changes
 # them, and so does a kernel's arithmetic with the layout kept: the
-# fidelity-curve digests also pin the last bits of the direct estimator's
-# forward chain.  Announce either and update them together.  The
+# fidelity-curve digests also pin the direct estimator's chain of invariants
+# (four variates a step, no pure start) bit for bit, and their purity
+# columns the mixed-start length chain.  Announce either and update them
+# together.  The
 # continuum-compare digests also rest on the C library's hypot, which the SDE
 # length chain calls and which is not correctly rounded (on glibc 2.36, 57 of
 # 20,000 results of hypot(s, sqrt(8 dt)) were off the nearest double): on
@@ -35,10 +37,10 @@ BLOCK_CURVE_FLAGS = ("fidelity-curve", "--delta", "20", "--n-grid", "0,400", "--
 COMPARE_FLAGS = ("continuum-compare", "--delta", "20", "--n-max", "3", "--dt", "5e-4", "--seed", "12")
 LABELS = {CURVE_FLAGS: "fidelity-curve", BLOCK_CURVE_FLAGS: "fidelity-curve-n400", COMPARE_FLAGS: "continuum-compare"}
 TABLE_DIGESTS = {
-    (CURVE_FLAGS, "--trials", 30): "3c36ab8a8cca30d119367ee4bfea1e90d031b45a59d8d1b8a5b8a621aa4545ee",
-    (CURVE_FLAGS, "--trials", 101): "3c7237bb97ba3f7fd2d98a6b0e979d83402e5e36c492203263da5dedff8e196c",
-    (CURVE_FLAGS, "--trials", 201): "aca648c9d7e4cbf05d416b4aafd741007d35afebac0de62cd92e00e605f99209",
-    (BLOCK_CURVE_FLAGS, "--trials", 30): "2fa0e256ed7baeaecb1c9c5458e96aab1badca211a529d3a1c05aee77c9c1c32",
+    (CURVE_FLAGS, "--trials", 30): "4894aa06bb1538c0fae10c1aafc84348c001d75311f098d2de802b5b8da2c517",
+    (CURVE_FLAGS, "--trials", 101): "4ace01be6993a829892d60a20858db66195080a836c60787d98045cdedbcbc8f",
+    (CURVE_FLAGS, "--trials", 201): "770cc342da9490f7f68bf1de4e5408781bd41dc111ac121571e16ee78cb69472",
+    (BLOCK_CURVE_FLAGS, "--trials", 30): "42ac8a42b93e57e1aa80176e5e636edd9b69618cba5797a45bbe1e9d0982e73c",
     (COMPARE_FLAGS, "--trajectories", 30): "6bde24bb55941ea72368fc1a5e2f131355fd2c7a7f515319f1cb3fa8774a55b6",
     (COMPARE_FLAGS, "--trajectories", 101): "a0aa19ec725c60938e4234c6dbbd9df8fe85a7cacc6151064dd7f0591ce73d34",
     (COMPARE_FLAGS, "--trajectories", 201): "500b8e9f290a2f5aa57345fc3335e074b460415ae65774b07998a6304f84f267",

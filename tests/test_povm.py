@@ -163,7 +163,7 @@ def _outcomes(state, axis, width, rng, size):
     for lo in range(0, size, 10**5):
         u, z = uniforms[:, lo : lo + 10**5], noise[:, lo : lo + 10**5]
         stream = _StepStream(_columns(axis, u.shape[1])[None], u, z)
-        ((_, _, _, outcomes),) = sequential._sampled_steps(_columns(state, u.shape[1]), [(stream, u.shape[1])], 1, width)
+        ((_, _, outcomes),) = sequential._sampled_steps(_columns(state, u.shape[1]), [(stream, u.shape[1])], 1, width)
         chunks.append(outcomes)
     return np.concatenate(chunks)
 

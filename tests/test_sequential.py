@@ -30,7 +30,7 @@ from unsharp_qubit import (
     spectral_match,
     summarize,
 )
-from unsharp_qubit.bloch import _dot, _dots
+from unsharp_qubit.bloch import DEGENERACY_TOL, _dot, _dots
 from unsharp_qubit.ensemble import HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY
 from unsharp_qubit.povm import posterior_batch
 
@@ -55,17 +55,15 @@ G = montecarlo._GROUP
 class _ColumnStream:
     """Column b of one trial group's draws, served as a one-trial group draws them.
 
-    A draw of shape (..., 1), or `random_pure_state`'s three normals, takes
-    the group's draw of shape (..., width) from its stream and keeps column
-    b, so the public one-trial runs replay trial b of the group.
+    A draw of shape (..., 1) takes the group's draw of shape (..., width)
+    from its stream and keeps column b, so the public one-trial runs replay
+    trial b of the group.
     """
 
     def __init__(self, rng, width, b):
         self._rng, self._width, self._b = rng, width, b
 
     def _column(self, draw, size):
-        if size == 3:  # a pure start: the group draws (3, width)
-            return draw((3, self._width))[:, self._b]
         return draw((*size[:-1], self._width))[..., self._b : self._b + 1]
 
     def standard_normal(self, size):
@@ -260,30 +258,135 @@ def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
         np.testing.assert_array_equal(fn(trials, 0), wholes[name], err_msg=name)
 
 
-def _purified_fidelity(estimate, true_state, strategy):
-    """The expected fidelity of a nondegenerate estimate's purification under `strategy`."""
+def _axes_about(r, m, cosines, azimuths):
+    """Unit axes at the given cosines to the columns of r and azimuths about them.
+
+    The azimuth is measured from the component of m across r, or, where m
+    has none, from a fixed direction across r: the frame of the direct
+    chain's invariants, built from explicit vectors.  A column of r that
+    rounded off the sphere is normalized first, so that the component
+    across it is across it.
+    """
+    r = r / np.sqrt(_dot(r, r))
+    across = m - _dot(r, m) * r
+    across -= _dot(r, across) * r
+    length = np.sqrt(_dot(across, across))
+    fixed = np.where(np.abs(r[0]) < 0.9, np.array([[1.0], [0.0], [0.0]]), np.array([[0.0], [1.0], [0.0]]))
+    fixed -= _dot(r, fixed) * r
+    fixed /= np.sqrt(_dot(fixed, fixed))
+    first = np.where(length > 0.0, across / np.where(length > 0.0, length, 1.0), fixed)
+    second = np.cross(r, first, axis=0)
+    sines = np.sqrt((1.0 - cosines) * (1.0 + cosines))
+    return cosines * r + sines * (np.cos(azimuths) * first + np.sin(azimuths) * second)
+
+
+def _vector_direct_step(r, m, d, a, x):
+    """The truth's run r, the mixed-start run m and d = estimate.truth after one measurement along a, on vectors."""
+    along_r, along_m = _dots(a, r), _dots(a, m)
+    t = np.tanh(x)
+    d = (d * (1.0 + t * along_r) + t * (along_r - along_m)) / (1.0 + t * along_m)
+    return posterior_batch(r, a, along_r, x), posterior_batch(m, a, along_m, x), d
+
+
+def _vector_direct_runs(seed, trials, n, width):
+    """The direct chain stepped on explicit vectors, one (d, m, axes, x) per trial group.
+
+    Group j draws from derive_stream(seed, jG) in the chain's layout: per
+    block of at most `montecarlo._BLOCK_STEPS` steps, random((m, w)) for the
+    axis cosines, random((m, w)) for their azimuths, random((m, w)) for the
+    branches, standard_normal((m, w)) for the noise.  The truth starts at
+    the z axis and the mixed start at 0; each axis is built by `_axes_about`,
+    and each outcome is drawn from the truth along a.r.  d (n + 1, w) and
+    the mixed-start run m (n + 1, 3, w) hold steps 0..n; the axes (n, 3, w)
+    and x = outcomes / width^2 (n, w) are the record.
+    """
+    var = width * width
+    for lo in range(0, trials, G):
+        w = min(G, trials - lo)
+        rng = derive_stream(seed, lo)
+        steps = []
+        for done in range(0, n, montecarlo._BLOCK_STEPS):
+            size = (min(montecarlo._BLOCK_STEPS, n - done), w)
+            cosines, azimuths, branches = rng.random(size), rng.random(size), rng.random(size)
+            steps.extend(zip(cosines, azimuths, branches, rng.standard_normal(size)))
+        r, m, d = np.repeat([[0.0], [0.0], [1.0]], w, axis=1), np.zeros((3, w)), np.zeros(w)
+        ds, ms, axes, xs = [d], [m], [], []
+        for cosine_u, azimuth_u, branch_u, z in steps:
+            a = _axes_about(r, m, 2.0 * cosine_u - 1.0, 2.0 * np.pi * azimuth_u)
+            x = (np.copysign(1.0, _dots(a, r) - (2.0 * branch_u - 1.0)) + width * z) / var
+            r, m, d = _vector_direct_step(r, m, d, a, x)
+            ds.append(d), ms.append(m), axes.append(a), xs.append(x)
+        yield np.array(ds), np.array(ms), np.array(axes), np.array(xs)
+
+
+def _expected_fidelities(d, m, strategy):
+    """(1 + d)/2, or for dominant-eigenstate (1 + d/|m|)/2 and 0.5 for a degenerate m."""
     if strategy == RANDOM_EIGENSTATE:
-        return fidelity(estimate, true_state)
-    return fidelity(purify_estimate(estimate, strategy, None), true_state)  # draws nothing
+        return 0.5 * (1.0 + d)
+    length = np.sqrt(_dot(m, m))
+    return np.where(length < DEGENERACY_TOL, 0.5, 0.5 * (1.0 + d / np.maximum(length, DEGENERACY_TOL)))
 
 
 @pytest.mark.parametrize("strategy", [RANDOM_EIGENSTATE, DOMINANT_EIGENSTATE])
 @pytest.mark.parametrize("width", [0.05, 1.0, 5.0, 20.0, 100.0, 1000.0])
 def test_batched_direct_samples_equal_scalar_runs(width, strategy):
-    # trial b of group j is run_sequence on column b of group j's draws, after
-    # its pure start; the forward chain's column n agrees with the reverse
-    # replay of the run's first n outcomes to 1e-12, and the empty record is 0.5
+    # every trial's columns are the direct chain stepped on explicit vectors,
+    # the truth's run and the mixed-start run, on the trial's column of its
+    # group's draws, to 1e-12, and the empty record is 0.5; and at every
+    # nonzero count that reference is the purified reverse-replay estimate's
+    # fidelity to the truth, to 1e-12
     cfg, grid = settings(width), (0, 1, 10, 25)
     trials = G + 50
     batch = sequential.direct_fidelity_samples(cfg, grid, trials, strategy, seed=64)
     assert batch[:, 0].tolist() == [0.5] * trials
-    for k in range(trials):
-        rng = _trial_stream(64, 0, trials, k)
-        true_state = random_pure_state(rng)
-        result = run_sequence(true_state, 25, cfg, rng)
-        estimates = [result.estimate, *(replay_hypothetical(result.outcomes[:n], cfg).estimate for n in grid[1:])]
-        expected = [_purified_fidelity(estimate, true_state, strategy) for estimate in estimates]
-        np.testing.assert_allclose(batch[k, [-1, *range(1, len(grid))]], expected, rtol=0.0, atol=1e-12)
+    runs = list(_vector_direct_runs(64, trials, grid[-1], width))
+    expected = np.concatenate([_expected_fidelities(d, m.transpose(1, 0, 2), strategy).T for d, m, _, _ in runs])
+    np.testing.assert_allclose(batch, expected[:, list(grid)], rtol=0.0, atol=1e-12)
+    truth = DensityMatrix((0.0, 0.0, 1.0))
+    for lo, (_, _, axes, x) in zip(range(0, trials, G), runs):
+        for i, n in enumerate(grid[1:], 1):
+            estimates = sequential._estimate_batch(axes[:n], x[:n])
+            for b in range(estimates.shape[1]):
+                estimate = DensityMatrix(estimates[:, b].tolist())
+                if strategy != RANDOM_EIGENSTATE:
+                    estimate = purify_estimate(estimate, strategy, None)  # draws nothing
+                assert abs(fidelity(estimate, truth) - expected[lo + b, n]) <= 1e-12
+
+
+@hypothesis_settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    rho=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    tilt=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0)),
+    lean=st.floats(min_value=-1.0, max_value=1.0),
+    cosine=st.floats(min_value=-1.0, max_value=1.0),
+    azimuth=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    x=st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-800.0, max_value=800.0)),
+)
+def test_direct_step_is_the_vector_update_of_its_invariants(rho, tilt, lean, cosine, azimuth, x):
+    # one `_direct_step` from rho = |m|, p = r.m = tilt rho, m's length across
+    # r g = rho sqrt(1 - tilt^2) (m parallel to r at tilt +-1) and d = lean rho
+    # equals `posterior_batch` on r and m with the axis built from explicit
+    # vectors, to 1e-12, for saturated outcomes too
+    p, g = tilt * rho, rho * math.sqrt((1.0 - tilt) * (1.0 + tilt))
+    r, m = np.array([[0.0], [0.0], [1.0]]), np.array([[g], [0.0], [p]])
+    a = _axes_about(r, m, np.array([cosine]), np.array([azimuth]))
+    state = np.array([[lean * rho], [rho], [p], [g]])
+    sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
+    args = ([cosine], [sine * math.cos(azimuth)], [sine * math.sin(azimuth)], [x])  # a in the frame of r and m
+    try:
+        r1, m1, d1 = _vector_direct_step(r, m, state[0].copy(), a, np.array([x]))
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate update"):
+            sequential._direct_step(state, *map(np.array, args))
+        return
+    sequential._direct_step(state, *map(np.array, args))
+    d, rho1, p1, g1 = state[:, 0].tolist()
+    r1, m1 = r1[:, 0], m1[:, 0]
+    cross = np.cross(m1, r1)
+    assert abs(rho1 - math.sqrt(_dot(m1, m1))) <= 1e-12
+    assert abs(p1 - _dot(r1, m1)) <= 1e-12
+    assert abs(g1 - math.sqrt(_dot(cross, cross) / _dot(r1, r1))) <= 1e-12
+    assert abs(d - float(d1[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("sampler", ["direct", "dominant", "purity"])
@@ -337,43 +440,6 @@ def test_draw_block_bounds_memory_not_results(monkeypatch):
     assert np.all(blocked[:, 0] == 0.5) and np.all((blocked >= 0.5) & (blocked <= 1.0))
 
 
-class _ZeroStartStream:
-    """A real group stream whose first draw, the group's pure starts, has one column of exact zeros."""
-
-    def __init__(self, rng, column):
-        self._rng = rng
-        self._column = column
-
-    def standard_normal(self, size):
-        values = self._rng.standard_normal(size)
-        if self._column is not None:
-            values[:, self._column] = 0.0
-            self._column = None
-        return values
-
-    def random(self, size):
-        return self._rng.random(size)
-
-
-@pytest.mark.parametrize("block", [None, 10])
-def test_zero_length_start_is_refused(monkeypatch, block):
-    # trial G + 30's three start normals are zero: the batch refuses it, as it
-    # refuses a zero-length axis, whether its group shares a batch or not
-    cfg, grid = settings(3.0), (0, 10, 25)
-    if block is not None:
-        monkeypatch.setattr(sequential, "DRAW_BLOCK", block)  # one group per batch
-    assert np.all(np.isfinite(sequential.direct_fidelity_samples(cfg, grid, G + 50, seed=72)))
-    real = sequential._group_streams
-
-    def zero_start(seed, base_index, lo, hi):
-        return [(_ZeroStartStream(g, 30) if base_index + lo + j * G == G else g, w)
-                for j, (g, w) in enumerate(real(seed, base_index, lo, hi))]
-
-    monkeypatch.setattr(sequential, "_group_streams", zero_start)
-    with pytest.raises(ValueError, match="pure start of zero length"):
-        sequential.direct_fidelity_samples(cfg, grid, G + 50, seed=72)
-
-
 def test_run_sequence_zero_steps():
     true_state = random_pure_state(derive_stream(20, 0))
     result = run_sequence(true_state, 0, settings(20.0), derive_stream(20, 1))
@@ -400,7 +466,7 @@ def test_first_outcome_marginal_matches_density():
     cfg = settings(1.0)
 
     def first_outcomes(streams):
-        ((_, _, _, outcomes),) = sequential._sampled_steps(
+        ((_, _, outcomes),) = sequential._sampled_steps(
             np.zeros((3, montecarlo._width(streams))), streams, 1, cfg.precision
         )
         return outcomes
@@ -481,7 +547,8 @@ def test_length_chain_is_the_length_of_the_vector_update(rho, cosine, x):
     z_axis = np.array([[0.0], [0.0], [1.0]])
     vector = posterior_batch(r, z_axis, _dots(z_axis, r), np.array([x]))
     lengths = np.array([rho])
-    sequential._length_posterior(lengths, along, np.array([4.0 * (1.0 - cosine) * (1.0 + cosine)]), np.array([x]))
+    across = np.array([rho * rho * (4.0 * (1.0 - cosine) * (1.0 + cosine))])
+    sequential._length_posterior(lengths, along, across, np.array([x]))
     assert abs(lengths[0] - math.sqrt(_dot(vector[:, 0], vector[:, 0]))) <= 4.0 * math.ulp(1.0)
 
 
@@ -550,11 +617,15 @@ def test_fidelity_direct_validates_trials():
         sequential.direct_fidelity_samples(settings(1.0), (1,), 0)
     with pytest.raises(ValueError):
         ExperimentSpec(kind=SEQUENTIAL_FIDELITY, delta=1.0, trials=0, seed=0, n_grid=(1,))
-    # the samplers refuse a grid the spec refuses
+    # the samplers refuse a grid the spec refuses, and read a numpy integer grid as its tuple
     for sampler in (sequential.direct_fidelity_samples, sequential.purity_samples):
-        for grid in ((), (3, 1), (2, 2), (-1, 2)):
+        for grid in ((), (3, 1), (2, 2), (-1, 2), np.array([3, 1])):
             with pytest.raises(ValueError, match="n grid must be"):
                 sampler(settings(1.0), grid, 10)
+        for grid in ((0, 2.5), np.array([0.0, 5.0]), 5):
+            with pytest.raises(TypeError, match="n grid must be a sequence of integers"):
+                sampler(settings(1.0), grid, 10)
+        np.testing.assert_array_equal(sampler(settings(1.0), np.array([0, 5]), 10), sampler(settings(1.0), (0, 5), 10))
 
 
 @CALIBRATION_XFAIL
@@ -596,7 +667,7 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
 
     def group(streams):
         start = np.zeros((3, montecarlo._width(streams)))
-        for final, _, _, _ in sequential._sampled_steps(start, streams, n, cfg.precision):
+        for final, _, _ in sequential._sampled_steps(start, streams, n, cfg.precision):
             pass
         overlap = 0.5 * (1.0 + _dot(final, truth))
         return 2.0 * overlap * overlap
@@ -614,7 +685,7 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
 
     def estimate_fidelities(streams):
         start = np.repeat(truth, montecarlo._width(streams), axis=1)
-        record = [(a.copy(), s) for _, a, _, s in sequential._sampled_steps(start, streams, 20, cfg.precision)]
+        record = [(a.copy(), s) for _, a, s in sequential._sampled_steps(start, streams, 20, cfg.precision)]
         axes, outcomes = np.array([a for a, _ in record]), np.array([s for _, s in record])
         estimates = sequential._estimate_batch(axes, outcomes / (cfg.precision * cfg.precision))
         return 0.5 * (1.0 + _dot(estimates, truth))
