@@ -7,11 +7,11 @@ posterior update, and benchmarks its fidelity against the one-measurement
 optimum 2/3.  Every discrete experiment advances a whole batch of trials
 together, as (B,) arrays of rotation invariants: the Bloch length where a
 mixed-start run needs only its purity, and for the direct estimator that
-length, its components along and across the true state's run, and the
-estimate's overlap with the true state.  A matching time-continuous
-conditional master equation plus closed-form purity and fidelity curves
-covers the constant-rate measurement limit; its ensembles step a (B,)
-array of Bloch lengths.
+run's components along and across the true state's run, whose root sum of
+squares is its length, and the estimate's overlap with the true state.  A
+matching time-continuous conditional master equation plus closed-form
+purity and fidelity curves covers the constant-rate measurement limit; its
+ensembles step a (B,) array of Bloch lengths.
 """
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ group.  Every chain draws at that one block length:
   step order, so their length moves no bit.
 Every grid sampler is a chain of (B,) arrays that yields its row after
 every step, and `_rows_at` reads it at the grid steps: the lengths of both
-length chains, discrete and SDE, and the direct estimator's (2, B) (d, rho).
+length chains, discrete and SDE, and the direct estimator's (3, B) (d, p, g).
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ invariants instead, each a Markov chain by itself: the Bloch length of the
 mixed-start runs that read only the purity (`purity_samples`,
 `hypothetical_purity_paths`), whose step needs only the cosine of its axis
 to the Bloch vector, uniform on [-1, 1]; and for the direct estimator
-d = estimate.truth, rho = |m|, p = r.m and m's length across r, from
-zeros with no true state drawn.  Their paths are therefore not
+d = estimate.truth, p = r.m and m's length g across r, from zeros with no
+true state drawn, |m| read as sqrt(p^2 + g^2).  Their paths are not
 `run_sequence`'s bit for bit.  A batch is whole trial groups
 (`montecarlo._GROUP` trials each, on one stream per group), drawn in the
 block layout the `montecarlo` docstring describes; `run_sequence` is one
@@ -98,31 +98,32 @@ def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
             yield r, a, outcomes
 
 
-def _length_posterior(rho: np.ndarray, along: np.ndarray, across: np.ndarray, x: np.ndarray):
-    """`posterior_batch`'s map of Bloch lengths, in place on the (B,) array rho; returns t, q and 1 + t along.
+def _length_posterior(rho: np.ndarray, along: np.ndarray, sines: np.ndarray, x: np.ndarray) -> None:
+    """`posterior_batch`'s map of Bloch lengths, in place on the (B,) array rho.
 
-    The Bloch vector has component `along` on the axis, and across, which
-    is overwritten and may be rho itself, holds four times its squared
-    length across it.  With t = tanh x and q = e^{-2|x|}, the update takes
-    the first to (t + along)/(1 + t along) and scales the second by
-    sech x / (1 + t along), so with sech^2 x = 4 q/(1 + q)^2 the new length
-    is min(sqrt((t + along)^2 + across q/(1 + q)^2)/(1 + t along), 1), the
+    The Bloch vector has component along = rho c on the axis and length
+    rho sqrt(1 - c^2) across it, with sines = 4 (1 - c^2).  With t = tanh x,
+    the update takes the first to (t + along)/(1 + t along) and scales the
+    second by sech x / (1 + t along), so with q = e^{-2|x|} and
+    sech^2 x = 4 q/(1 + q)^2 the new length is
+    min(sqrt((t + along)^2 + rho^2 sines q/(1 + q)^2)/(1 + t along), 1), the
     min being the rescale onto the sphere.  1 + t along <= 0 is refused.
     """
     t = np.tanh(x)
     norm = _update_norm(t, along)
     q = np.exp(-2.0 * np.abs(x))
-    shift = t + along
-    shift *= shift
-    across *= q
-    q1 = q + 1.0
-    q1 *= q1
-    across /= q1
-    across += shift
-    np.sqrt(across, out=rho)
+    t += along
+    t *= t
+    rho *= rho
+    rho *= sines
+    rho *= q
+    q += 1.0
+    q *= q
+    rho /= q
+    rho += t
+    np.sqrt(rho, out=rho)
     rho /= norm
     np.minimum(rho, 1.0, out=rho)
-    return t, q, norm
 
 
 def _mixed_start_lengths(streams, n: int, precision: float):
@@ -142,32 +143,30 @@ def _mixed_start_lengths(streams, n: int, precision: float):
         _scale_block(branches, noise, precision)
         for c, sine, u, z in zip(cosines, sines, branches, noise):
             along = rho * c
-            x = _outcomes(along, u, z) / var
-            rho *= rho
-            rho *= sine
-            _length_posterior(rho, along, rho, x)  # rho holds the across term
+            _length_posterior(rho, along, sine, _outcomes(along, u, z) / var)
             yield rho
 
 
 def _direct_step(state: np.ndarray, c: np.ndarray, toward: np.ndarray, aside: np.ndarray, x: np.ndarray) -> None:
-    """One measurement of the direct chain, in place on its (4, B) invariants (d, rho, p, g).
+    """One measurement of the direct chain, in place on its (3, B) invariants (d, p, g).
 
-    The truth's unit run r and the mixed-start run m share the axis a and
-    x = outcome / precision^2: d = estimate.truth, rho = |m|, p = r.m and
-    g = |m - p r|.  In the frame of r and of m's direction across it,
-    a = (toward, aside, c), so mu = a.m = c p + toward g, and rho steps by
-    `_length_posterior` with across = 4 |a x m|^2.  With t = tanh x and
-    h = sech x, a Bloch vector w goes to (h w + (t + (1 - h) a.w) a)/(1 + t a.w);
-    so with D = (1 + t c)(1 + t mu), p' = ((t + c)(t + mu) + h^2 (p - c mu))/D,
-    and g' = |m' x r'| = h |(aside k, v, f g aside)|/D for the f, k and v
-    below.  Every length is the root of a sum of squares, which stays
-    accurate where the runs meet.  1 + d gains (1 + t c)/(1 + t mu), carried
-    as d' = (d (1 + t c) + t (c - mu))/(1 + t mu) to keep d accurate near 0.
-    1 + t c <= 0 is refused.
+    The truth's run r and the mixed-start run m share the axis a and
+    x = outcome / precision^2: d = estimate.truth, p = r.m and g = |m - p r|;
+    r stays pure, so |m| = sqrt(p^2 + g^2).  In the frame of r and of m's
+    direction across it, a = (toward, aside, c), so mu = a.m = c p + toward g.
+    With t = tanh x, q = e^{-2|x|} and h = sech x, a Bloch vector w goes to
+    (h w + (t + (1 - h) a.w) a)/(1 + t a.w); so with D = (1 + t c)(1 + t mu),
+    p' = ((t + c)(t + mu) + h^2 (p - c mu))/D, and g' = |m' x r'| =
+    h |(aside k, v, f g aside)|/D for the f, k and v below, a root of a sum of
+    squares, which stays accurate where the runs meet.  1 + d gains
+    (1 + t c)/(1 + t mu), carried as d' = (d (1 + t c) + t (c - mu))/(1 + t mu)
+    to keep d accurate near 0.  1 + t mu <= 0 or 1 + t c <= 0 is refused.
     """
-    d, rho, p, g = state
+    d, p, g = state
     mu = c * p + toward * g
-    t, q, norm = _length_posterior(rho, mu, 4.0 * ((aside * rho) ** 2 + (c * g - toward * p) ** 2), x)
+    t = np.tanh(x)
+    norm = _update_norm(t, mu)
+    q = np.exp(-2.0 * np.abs(x))
     truth_norm = _update_norm(t, c)
     h = 2.0 * np.sqrt(q) / (1.0 + q)
     soft = 1.0 - h
@@ -182,7 +181,7 @@ def _direct_step(state: np.ndarray, c: np.ndarray, toward: np.ndarray, aside: np
 
 
 def _direct_chain(streams, n: int, precision: float):
-    """Yield the (2, B) rows (d, rho) of the groups' direct chains after each of n steps.
+    """Yield the (3, B) invariants (d, p, g) of the groups' direct chains after each of n steps.
 
     A step turns its uniforms u and v into the cosine c = 2u - 1 of its axis
     to the truth and the azimuth 2 pi v, draws the outcome from the truth by
@@ -190,7 +189,7 @@ def _direct_chain(streams, n: int, precision: float):
     from zeros.  One array is updated in place and yielded after every step.
     """
     var = precision * precision
-    state = np.zeros((4, _width(streams)))
+    state = np.zeros((3, _width(streams)))
     for cosines, azimuths, branches, noise in _group_blocks(streams, n, _DIRECT_KINDS):
         cosines *= 2.0
         cosines -= 1.0
@@ -199,7 +198,7 @@ def _direct_chain(streams, n: int, precision: float):
         _scale_block(branches, noise, precision)
         for c, toward, aside, u, z in zip(cosines, sines * np.cos(azimuths), sines * np.sin(azimuths), branches, noise):
             _direct_step(state, c, toward, aside, _outcomes(c, u, z) / var)
-            yield state[:2]
+            yield state
 
 
 def _replay(r: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -335,9 +334,10 @@ def direct_fidelity_samples(
 
     def group(streams):
         chain = _direct_chain(streams, grid[-1], settings.precision)
-        d, rho = _rows_at(chain, grid, np.zeros((2, _width(streams)))).transpose(1, 2, 0)
+        d, p, g = _rows_at(chain, grid, np.zeros((3, _width(streams)))).transpose(1, 2, 0)
         if strategy == RANDOM_EIGENSTATE:
             return 0.5 * (1.0 + d)
+        rho = np.sqrt(p * p + g * g)
         return np.where(rho < DEGENERACY_TOL, 0.5, 0.5 * (1.0 + d / np.maximum(rho, DEGENERACY_TOL)))
 
     return _by_trial_groups(group, grid[-1], trials, seed, base_index)

@@ -218,6 +218,7 @@ def test_posterior_degenerate_update_error():
     # tanh x rounds to -1: 1 + t along = 0, for the vector update and the length chain
     with pytest.raises(ValueError, match="sure branch meets a saturated outcome"):
         posterior_batch(_columns(Z, 1), _columns(Z, 1), np.ones(1), np.array([-40.0]))
+    # the length chain's state: rho = 1 at cosine c = -1, so sines = 4 (1 - c^2) = 0
     with pytest.raises(ValueError, match="sure branch meets a saturated outcome"):
         sequential._length_posterior(np.ones(1), -np.ones(1), np.zeros(1), np.array([40.0]))
 

@@ -30,7 +30,7 @@ from unsharp_qubit import (
     spectral_match,
     summarize,
 )
-from unsharp_qubit.bloch import DEGENERACY_TOL, _dot, _dots
+from unsharp_qubit.bloch import DEGENERACY_TOL, POSITIVITY_SLACK, _dot, _dots
 from unsharp_qubit.ensemble import HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY
 from unsharp_qubit.povm import posterior_batch
 
@@ -363,14 +363,14 @@ def test_batched_direct_samples_equal_scalar_runs(width, strategy):
     x=st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-800.0, max_value=800.0)),
 )
 def test_direct_step_is_the_vector_update_of_its_invariants(rho, tilt, lean, cosine, azimuth, x):
-    # one `_direct_step` from rho = |m|, p = r.m = tilt rho, m's length across
-    # r g = rho sqrt(1 - tilt^2) (m parallel to r at tilt +-1) and d = lean rho
+    # one `_direct_step` from p = r.m = tilt rho, m's length across r
+    # g = rho sqrt(1 - tilt^2) (m parallel to r at tilt +-1) and d = lean rho
     # equals `posterior_batch` on r and m with the axis built from explicit
-    # vectors, to 1e-12, for saturated outcomes too
+    # vectors, to 1e-12, for saturated outcomes too, and sqrt(p^2 + g^2) is |m|
     p, g = tilt * rho, rho * math.sqrt((1.0 - tilt) * (1.0 + tilt))
     r, m = np.array([[0.0], [0.0], [1.0]]), np.array([[g], [0.0], [p]])
     a = _axes_about(r, m, np.array([cosine]), np.array([azimuth]))
-    state = np.array([[lean * rho], [rho], [p], [g]])
+    state = np.array([[lean * rho], [p], [g]])
     sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
     args = ([cosine], [sine * math.cos(azimuth)], [sine * math.sin(azimuth)], [x])  # a in the frame of r and m
     try:
@@ -380,13 +380,26 @@ def test_direct_step_is_the_vector_update_of_its_invariants(rho, tilt, lean, cos
             sequential._direct_step(state, *map(np.array, args))
         return
     sequential._direct_step(state, *map(np.array, args))
-    d, rho1, p1, g1 = state[:, 0].tolist()
+    d, p1, g1 = state[:, 0].tolist()
     r1, m1 = r1[:, 0], m1[:, 0]
     cross = np.cross(m1, r1)
-    assert abs(rho1 - math.sqrt(_dot(m1, m1))) <= 1e-12
+    assert abs(math.sqrt(p1 * p1 + g1 * g1) - math.sqrt(_dot(m1, m1))) <= 1e-12
     assert abs(p1 - _dot(r1, m1)) <= 1e-12
     assert abs(g1 - math.sqrt(_dot(cross, cross) / _dot(r1, r1))) <= 1e-12
     assert abs(d - float(d1[0])) <= 1e-12
+
+
+def test_direct_chain_leaves_the_ball_by_rounding_only():
+    # the direct chain carries no min(|m|, 1): on runs that reach the sphere,
+    # at widths 0.3 and 1, |m| read as sqrt(p^2 + g^2) passes 1 by at most
+    # POSITIVITY_SLACK, and |d| <= 1, at every step of 500 trials to n = 400
+    longest, widest = 0.0, 0.0
+    for width in (0.3, 1.0):
+        for d, p, g in sequential._direct_chain(montecarlo._group_streams(82, 0, 0, 500), 400, width):
+            longest = max(longest, float(np.sqrt(p * p + g * g).max()))
+            widest = max(widest, float(np.abs(d).max()))
+    assert 1.0 < longest <= 1.0 + POSITIVITY_SLACK
+    assert widest <= 1.0
 
 
 @pytest.mark.parametrize("sampler", ["direct", "dominant", "purity"])
@@ -547,8 +560,8 @@ def test_length_chain_is_the_length_of_the_vector_update(rho, cosine, x):
     z_axis = np.array([[0.0], [0.0], [1.0]])
     vector = posterior_batch(r, z_axis, _dots(z_axis, r), np.array([x]))
     lengths = np.array([rho])
-    across = np.array([rho * rho * (4.0 * (1.0 - cosine) * (1.0 + cosine))])
-    sequential._length_posterior(lengths, along, across, np.array([x]))
+    sines = np.array([4.0 * (1.0 - cosine) * (1.0 + cosine)])
+    sequential._length_posterior(lengths, along, sines, np.array([x]))
     assert abs(lengths[0] - math.sqrt(_dot(vector[:, 0], vector[:, 0]))) <= 4.0 * math.ulp(1.0)
 
 
