@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -299,6 +300,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command from argv (default sys.argv[1:]) and return its exit code.
+
+    The first statement is `gc.freeze()`, with no collection before it: every
+    object alive at entry, the interpreter's, numpy's and this package's
+    import-time objects, moves to CPython's permanent generation, so no later
+    collection scans them, not even the interpreter's final ones at exit.
+    Objects made after the call are collected as before, and forked workers
+    inherit the frozen heap.  In a long-lived caller such as a test runner,
+    objects alive at the call are exempt from cyclic collection from then
+    on; reference counting still frees them.
+    """
+    gc.freeze()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "estimator", "direct") != "direct" and args.strategy != RANDOM_EIGENSTATE:

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +284,42 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "0 False False"
+
+
+def test_main_freezes_the_heap_it_finds_and_still_collects_later_cycles():
+    # every object alive at entry goes to the permanent generation, which no
+    # collection scans, the final ones at exit included; the collector stays on
+    argv = ["fidelity-curve", "--n-grid", "0,2", "--trials", "20", "--out", os.devnull]
+    alive = gc.get_objects()  # held, so that none of them is freed before the count
+    assert main(argv) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() >= len(alive)
+    young = {id(obj) for obj in gc.get_objects()}  # the permanent generation is not listed
+    assert not any(id(obj) in young for obj in alive)
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    watch = weakref.ref(node)
+    del node
+    gc.collect()
+    assert watch() is None
+
+
+def test_console_path_prints_what_main_writes(tmp_path):
+    # a fresh process through the module's entry point, with the heap frozen
+    # until exit, still flushes every byte of its table to stdout
+    flags = ("fidelity-curve", "--trials", "200", "--estimator", "both")
+    code, expected = run_cli(tmp_path, "curve.csv", *flags)
+    assert code == 0
+    src = str(Path(unsharp_qubit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "unsharp_qubit.cli", *flags, "--out", "-"],
+                          env=env, capture_output=True, check=False)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == expected
 
 
 def test_workers_need_fork(monkeypatch, capsys):

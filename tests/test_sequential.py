@@ -353,6 +353,19 @@ def test_batched_direct_samples_equal_scalar_runs(width, strategy):
                 assert abs(fidelity(estimate, truth) - expected[lo + b, n]) <= 1e-12
 
 
+def test_batched_direct_samples_equal_vector_runs_to_n_400():
+    # long runs at an informative width, where rounding in either side has
+    # 400 steps to drift: every trial's columns, both strategies, are the
+    # same runs stepped as vectors to 1e-12 (measured: fidelities within
+    # 5.2e-14, d within 1.1e-13 and |m| within 2.0e-13)
+    grid, trials, width = (0, 1, 10, 25, 100, 200, 400), 200, 1.0
+    runs = list(_vector_direct_runs(7, trials, grid[-1], width))
+    for strategy in (RANDOM_EIGENSTATE, DOMINANT_EIGENSTATE):
+        batch = sequential.direct_fidelity_samples(settings(width), grid, trials, strategy, seed=7)
+        expected = np.concatenate([_expected_fidelities(d, m.transpose(1, 0, 2), strategy).T for d, m, _, _ in runs])
+        np.testing.assert_allclose(batch, expected[:, list(grid)], rtol=0.0, atol=1e-12)
+
+
 @hypothesis_settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(
     rho=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
