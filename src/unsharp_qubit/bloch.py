@@ -141,19 +141,3 @@ def random_pure_state(rng: np.random.Generator) -> DensityMatrix:
         raise ValueError("drew a pure state of zero length")
     return DensityMatrix.clipped((v[0] / n, v[1] / n, v[2] / n))
 
-
-def _clipped_batch(r: np.ndarray) -> np.ndarray:
-    """`DensityMatrix.clipped`'s Bloch vector of every column of a (3, B) batch, with the same
-    arithmetic and refusals: a column of non-finite length is refused, every column is divided
-    by max(|r|, 1), which leaves a column inside the ball unchanged, and a column still outside
-    the ball after that is refused."""
-    n = np.sqrt(_dot(r, r))
-    finite = np.isfinite(n)
-    if not finite.all():
-        bad = tuple(r[:, np.argmin(finite)].tolist())
-        raise ValueError(f"bloch vector must be a finite 3-vector of finite length, got {bad!r}")
-    r = r / np.maximum(n, 1.0)
-    squared = _dot(r, r)
-    if (squared > _MAX_SQUARED_LENGTH).any():
-        raise ValueError(f"bloch vector leaves the unit ball: |r| = {math.sqrt(squared.max())!r}")
-    return r

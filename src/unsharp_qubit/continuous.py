@@ -21,10 +21,11 @@ The simulations integrate the Bloch form by Euler-Maruyama, projecting any
 vector that leaves the unit ball back onto the sphere.  A single
 trajectory (`simulate_trajectory`) steps three Python floats through the
 scalar step `_step_bloch`, which is also `bloch_sde_step`'s arithmetic,
-one chunk of noise rows at a time; array passes over the chunk then write
-the record and the clipped states, in the scalar operation order, into
-the columns of a `Trajectory`.  That result keeps the path as three arrays
-and builds a `TrajectoryState` snapshot only when one is read.
+one chunk of noise rows at a time, and writes each state into its column
+of a `Trajectory` as the step returned it; an array pass over the chunk
+writes the record in the scalar operation order.  That result keeps the
+path as three arrays and builds a `TrajectoryState` snapshot only when one
+is read.
 An ensemble (`simulate_purity_ensemble`) steps only the Bloch lengths, a
 (B,) array of whole trajectory groups, in place through `_step_lengths`.
 The step commutes with rotations and the noise is isotropic, so the length
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _clipped_batch, _norm
+from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _norm
 from .montecarlo import _group_blocks, _group_streams, _rows_at
 from .povm import MeasurementSettings
 
@@ -328,43 +329,42 @@ def simulate_trajectory(
     means through the two-point length chain, not this law or these bits.
 
     The noise is drawn _ROW_CHUNK rows at a time, which bounds the working
-    memory, and each chunk goes through two passes.  The step pass runs
-    `_step_bloch` over the rows' floats and keeps every state.  The array
-    passes write the record (rec + r dt) + 0.5 dW, through one
-    `np.add.accumulate` over the interleaved terms, which adds them in step
-    order, and `DensityMatrix.clipped`'s rescale and refusals of the states,
-    through `_clipped_batch`, into the chunk's columns; the times are k dt.
-    Every snapshot equals the step-by-step scalar chain bit for bit.
+    memory.  The step pass runs `_step_bloch` over a chunk's rows and writes
+    the states straight into the chunk's columns, so column k is
+    `bloch_sde_step`'s chain after k steps, bit for bit: the step's own
+    projection is the only repair, and |r| <= 1 + 4 eps.  A chunk holding a
+    non-finite state, which only a stream drawing non-finite normals can
+    cause, is refused.  The record pass writes (rec + r dt) + 0.5 dW from
+    the columns already written, through one `np.add.accumulate` over the
+    interleaved terms, which adds them in step order; the times are k dt.
     """
     _check_step(dt)
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise ValueError(f"t_max must be a positive real, got {t_max!r}")
     steps = max(1, int(round(t_max / dt)))
-    r = initial.bloch
+    x, y, z = initial.bloch
     times = np.arange(steps + 1) * dt
     bloch = np.empty((3, steps + 1))
-    bloch[:, 0] = r
+    bloch[:, 0] = initial.bloch
     record = np.zeros((3, steps + 1)) if emit_record else None
     scale = math.sqrt(dt)
     for k in range(0, steps, _ROW_CHUNK):  # k: steps taken
         d_w = rng.standard_normal((min(_ROW_CHUNK, steps - k), 3))
         d_w *= scale
         m = len(d_w)
-        # step pass
-        path = [r]
-        append = path.append
+        flat = []
+        extend = flat.extend
         for wx, wy, wz in d_w.tolist():
-            x, y, z = r
-            r = _step_bloch(x, y, z, wx, wy, wz, dt)
-            append(r)
-        # array passes; states is (3, m + 1): the chunk's start, then the state after each step
-        states = np.fromiter(itertools.chain.from_iterable(path), float, 3 * (m + 1))
-        states = states.reshape(m + 1, 3).T
-        bloch[:, k + 1 : k + m + 1] = _clipped_batch(states[:, 1:])
+            x, y, z = r = _step_bloch(x, y, z, wx, wy, wz, dt)
+            extend(r)
+        chunk = bloch[:, k + 1 : k + m + 1]
+        chunk[:] = np.array(flat).reshape(m, 3).T
+        if not np.isfinite(chunk).all():
+            raise ValueError(f"the trajectory reached a non-finite state within steps {k + 1}..{k + m}")
         if record is not None:
             terms = np.empty((2 * m + 1, 3))
             terms[0] = record[:, k]
-            terms[1::2] = states[:, :-1].T * dt
+            terms[1::2] = bloch[:, k : k + m].T * dt
             terms[2::2] = 0.5 * d_w
             np.add.accumulate(terms, axis=0, out=terms)
             record[:, k + 1 : k + m + 1] = terms[2::2].T

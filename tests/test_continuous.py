@@ -415,7 +415,7 @@ def test_trajectory_equals_bloch_sde_step_chain_and_projects_pure_only(start, pr
         record = record + np.array(r) * dt + 0.5 * d_w[k]
         r = bloch_sde_step(r, dt, tuple(d_w[k].tolist()))
         projected += int(abs(np.linalg.norm(r) - 1.0) < 1e-12)
-        assert run[k + 1].state == DensityMatrix.clipped(r)
+        assert run[k + 1].state.bloch == r
         assert run[k + 1].record == tuple(record.tolist())
     assert (projected > 0) == projects
 
@@ -435,24 +435,26 @@ def test_trajectory_equals_scalar_chain_across_blocks_and_chunks(emit_record, st
         rec = tuple((rec[i] + r[i] * dt) + 0.5 * w[i] for i in range(3))
         r = bloch_sde_step(r, dt, tuple(w))
         if k % stride == 0 or k == steps:
-            expected.append(TrajectoryState(DensityMatrix.clipped(r), k * dt, rec if emit_record else None))
+            expected.append(TrajectoryState(DensityMatrix(r), k * dt, rec if emit_record else None))
     assert _every(run, stride) == expected
     assert all(type(s.time) is float and type(s.state.bloch[0]) is float for s in run)
 
 
 def test_trajectory_rescale_is_rounding_only():
-    # every scalar step leaves the ball by rounding at most; some snapshots still take the rescale
+    # from a pure start the steps project onto the sphere, and the columns keep
+    # what the projection returned, with no second rescale: some lengths lie
+    # above 1, by rounding only
     dt, steps, start = 1e-4, 5000, (0.0, 0.0, 1.0)
     run = simulate_trajectory(DensityMatrix(start), steps * dt, dt, derive_stream(68, 0))
     d_w = derive_stream(68, 0).standard_normal((steps, 3)) * math.sqrt(dt)
     x, y, z = start
-    worst, rescaled = 0.0, 0
-    for w, snap in zip(d_w.tolist(), run[1:]):
+    for k, w in enumerate(d_w.tolist(), start=1):
         x, y, z = continuous._step_bloch(x, y, z, *w, dt)
-        worst = max(worst, math.sqrt(x * x + y * y + z * z))
-        rescaled += snap.state.bloch != (x, y, z)
-    assert worst <= 1.0 + 4.0 * np.finfo(float).eps
-    assert rescaled > 0
+        assert run.bloch[:, k].tolist() == [x, y, z]
+    x, y, z = run.bloch
+    lengths = np.sqrt(x * x + y * y + z * z)
+    assert lengths.max() <= 1.0 + 4.0 * np.finfo(float).eps
+    assert (lengths > 1.0).any()
 
 
 class _InfiniteNormals:
