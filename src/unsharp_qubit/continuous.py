@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FULLY_MIXED, DensityMatrix, Vec3, _PAULI, _norm
-from .montecarlo import _group_blocks, _group_streams, _rows_at
+from .montecarlo import _GROUP, _group_blocks, _group_streams, _rows_at
 from .povm import MeasurementSettings
 
 # The one Euler-Maruyama step ceiling: every integrator and the CLI's --dt
@@ -73,6 +73,11 @@ RATE_CONSTANT = 12.0
 # the chunk's lists and arrays stay within a few hundred KiB whatever the
 # path length.
 _ROW_CHUNK = 1024
+
+# Trajectories an ensemble steps at once, ten whole groups: its noise blocks
+# and chain arrays grow with this batch, not with the trajectory count, and
+# the CLI's default 1,000 trajectories are one batch.
+_ENSEMBLE_BATCH = 10 * _GROUP
 
 # A trajectory-step's variate: the uniform whose side of 1/2 signs the increment along the vector.
 _LENGTH_KINDS = (("random", ()),)
@@ -385,13 +390,15 @@ def simulate_purity_ensemble(
     """Purity of independent trajectories at the requested times.
 
     Returns shape (len(t_grid), trajectories).  Only the length
-    |initial.bloch| enters: the Bloch lengths of all trajectories step
-    together, one entry each of a (B,) array, through the in-place chain
-    `_step_lengths`, under the two-point increments of `_length_noise`: the
-    scalar step's means to weak order 1, not its law.  Group j of trajectories
-    [jG, (j + 1)G) draws its noise from derive_stream(seed, base_index + jG)
-    (see `_length_noise`), so a batch split at group boundaries follows the
-    same noise and step arithmetic as the whole.  Grid times snap to the
+    |initial.bloch| enters: the Bloch lengths of a batch of at most
+    _ENSEMBLE_BATCH trajectories, whole groups, step together, one entry each
+    of a (B,) array, through the in-place chain `_step_lengths`, under the
+    two-point increments of `_length_noise`: the scalar step's means to weak
+    order 1, not its law.  Group j of trajectories [jG, (j + 1)G) draws its
+    noise from derive_stream(seed, base_index + jG) (see `_length_noise`), so
+    a batch split at group boundaries follows the same noise and step
+    arithmetic as the whole, and the batches bound the working memory
+    without moving a bit.  Grid times snap to the
     nearest step, where `_rows_at` reads the lengths rho for (1 + rho^2)/2.
     """
     _check_step(dt)
@@ -401,7 +408,10 @@ def simulate_purity_ensemble(
     if trajectories < 1:
         raise ValueError(f"need at least one trajectory, got {trajectories!r}")
     marks = [int(round(t / dt)) for t in t_grid]
-    rho = np.full(trajectories, _norm(initial.bloch))
-    blocks = _length_noise(_group_streams(seed, base_index, 0, trajectories), marks[-1], dt)
-    lengths = _rows_at(_step_lengths(rho, blocks, dt), marks, rho)
+    lengths = np.empty((len(marks), trajectories))
+    for lo in range(0, trajectories, _ENSEMBLE_BATCH):
+        hi = min(lo + _ENSEMBLE_BATCH, trajectories)
+        rho = np.full(hi - lo, _norm(initial.bloch))
+        blocks = _length_noise(_group_streams(seed, base_index, lo, hi), marks[-1], dt)
+        lengths[:, lo:hi] = _rows_at(_step_lengths(rho, blocks, dt), marks, rho)
     return 0.5 * (1.0 + lengths * lengths)

@@ -562,6 +562,23 @@ def test_trajectory_memory_is_its_columns_built_or_iterated():
     assert max(built, iterated) <= SNAPSHOT_BYTES * len(run), (built, iterated)
 
 
+# Peak traced bytes of a 5,000-trajectory ensemble stepped in batches of
+# 1,000: one batch's (327, 1,000) noise block is 2.6 MB (3.0 MB measured);
+# one batch of all 5,000 took 13.5 MB.
+ENSEMBLE_BYTES = 4_000_000
+
+
+def test_ensemble_working_memory_is_one_batch():
+    tracemalloc.start()
+    try:
+        purities = simulate_purity_ensemble((0.0, 0.05), 1e-4, 5000, seed=49)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert purities.shape == (2, 5000)
+    assert peak <= ENSEMBLE_BYTES, peak
+
+
 @EULER_FLOOR_XFAIL
 def test_pure_state_stays_pure_to_integration_accuracy():
     run = simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 1.0, 1e-4, derive_stream(46, 0))
