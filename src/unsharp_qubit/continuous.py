@@ -266,16 +266,18 @@ def _step_lengths(rho: np.ndarray, blocks, dt: float):
 
     Write r = rho e and dW = a e + b with b orthogonal to e.  The scalar step
     gives r' = e s + 2 b with s = rho (1 - 4 dt) + 2 a (1 - rho^2), so
-    |r'| = hypot(s, 2 |b|), and the projection keeps min(|r'|, 1).  blocks
-    yields (2 a, 2 |b|): 2 a as a step-major (m, B) block, which the chain
-    only reads, and 2 |b| as one float for every trajectory-step of the
-    block.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt, so the
-    reference in the tests repeats the same operations on float64 scalars.
-    The constants are 0-d arrays, converted once per call or block and not
-    once per step.  Unchecked: callers validate dt.
+    |r'| = sqrt(s^2 + 4 |b|^2), and the projection keeps min(|r'|, 1).
+    blocks yields (2 a, 4 |b|^2): 2 a as a step-major (m, B) block, which
+    the chain only reads, and 4 |b|^2 as one float for every trajectory-step
+    of the block.  s is formed as (c - rho 2a) rho + 2a with c = 1 - 4 dt,
+    then squared, added to 4 |b|^2 and square-rooted: IEEE operations and a
+    correctly rounded sqrt only, so the reference in the tests repeats them
+    on float64 scalars, and no libm routine enters the bits.  The constants
+    are 0-d arrays, converted once per call or block and not once per step.
+    Unchecked: callers validate dt.
 
     The projection is a bounded repair.  With the two-point increments
-    2 a = +-2 sqrt(dt) and 2 |b| = sqrt(8 dt), s rises monotonically from 2 a
+    2 a = +-2 sqrt(dt) and 4 |b|^2 = 8 dt, s rises monotonically from 2 a
     at rho = 0 to c at rho = 1 whenever c > 4 sqrt(dt), which holds for
     dt <= DEFAULT_DT_MAX; so |s| <= c, |r'| <= sqrt(1 + 16 dt^2), and
     min(., 1) moves a length by at most 8 dt^2 (8e-8 at dt = 1e-4), plus
@@ -284,36 +286,37 @@ def _step_lengths(rho: np.ndarray, blocks, dt: float):
     c = np.array(1.0 - 4.0 * dt)
     one = np.array(1.0)
     t = np.empty_like(rho)
-    for two_as, two_b in blocks:
-        b = np.array(two_b)
+    for two_as, across in blocks:
+        b2 = np.array(across)
         for two_a in two_as:
             np.multiply(rho, two_a, out=t)
             np.subtract(c, t, out=t)
             t *= rho
             t += two_a
-            np.hypot(t, b, out=t)
+            t *= t
+            t += b2
+            np.sqrt(t, out=t)
             np.minimum(t, one, out=rho)
             yield rho
 
 
 def _length_noise(streams, steps: int, dt: float):
-    """The blocks (2 a, 2 |b|) of `steps` steps for a batch of groups: two-point increments.
+    """The blocks (2 a, 4 |b|^2) of `steps` steps for a batch of groups: two-point increments.
 
     The groups draw one uniform u per trajectory-step, in the `montecarlo`
     block layout, and the increment along the Bloch vector is
     a = copysign(sqrt(dt), u - 1/2): +-sqrt(dt), each with probability
     exactly 1/2, as u lies on the 2^-53 grid of [0, 1).  The
     squared length |b|^2 of the increment across the vector is its mean
-    2 dt, so 2 |b| = sqrt(8 dt) comes as one float.  The step-major (m, B)
+    2 dt, so 4 |b|^2 = 8 dt, exact, comes as one float.  The step-major (m, B)
     block of 2 a is a view of one reused buffer, so each block must be read
     before the next is requested.
     """
     two_sqrt_dt = 2.0 * math.sqrt(dt)
-    two_b = math.sqrt(8.0 * dt)
     for (two_as,) in _group_blocks(streams, steps, _LENGTH_KINDS):
         two_as -= 0.5
         np.copysign(two_sqrt_dt, two_as, out=two_as)
-        yield two_as, two_b
+        yield two_as, 8.0 * dt
 
 
 def simulate_trajectory(

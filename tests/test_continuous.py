@@ -206,14 +206,14 @@ def _scalar_purities(seed, trajectories, dt, sample_steps, start, base_index=0):
 
     Trajectory b is column b % G of group b // G, on that group's draws, and
     steps its Bloch length in float64 scalars in the kernel's operation
-    order, through `np.hypot` as the kernel (`math.hypot` differs in the
-    last bit on some inputs).  Returns the (len(sample_steps), trajectories)
+    order, sqrt(s * s + 8 dt), with IEEE operations and `math.sqrt` alone,
+    both correctly rounded.  Returns the (len(sample_steps), trajectories)
     purities as lists and the number of steps that ended outside the ball
     and were projected.
     """
     g = montecarlo._GROUP
     steps = max(sample_steps)
-    c, two_b = 1.0 - 4.0 * dt, math.sqrt(8.0 * dt)
+    c, b2 = 1.0 - 4.0 * dt, 8.0 * dt
     columns, projected = [], 0
     for lo in range(0, trajectories, g):
         two_as = _group_lengths_noise(seed, base_index + lo, min(g, trajectories - lo), steps, dt)
@@ -223,7 +223,7 @@ def _scalar_purities(seed, trajectories, dt, sample_steps, start, base_index=0):
             path = [0.5 * (1.0 + rho * rho)]
             for two_a in two_as:
                 s = (c - rho * two_a[b]) * rho + two_a[b]
-                length = float(np.hypot(s, two_b))
+                length = math.sqrt(s * s + b2)
                 projected += length > 1.0
                 rho = min(length, 1.0)
                 path.append(0.5 * (1.0 + rho * rho))
@@ -271,7 +271,7 @@ def test_ensemble_of_several_groups_equals_scalar_steps_bitwise():
 
 def test_zero_noise_length_chain_is_the_drift_recursion():
     # without noise the length chain is the drift recursion rho <- (1 - 4 dt) rho,
-    # as the kernel forms it: hypot(s, 0) = |s| is exact
+    # as the kernel forms it: sqrt(s * s + 0) = |s| is exact
     dt, steps = 1e-4, 300
     c, rho = 1.0 - 4.0 * dt, 0.5
     lengths = np.full(3, rho)
@@ -305,7 +305,7 @@ def test_length_kernel_equals_the_vector_and_matrix_steps(rho, direction, across
     a = math.copysign(math.sqrt(dt), 1.0 if up else -1.0)
     b = [math.sqrt(2.0 * dt) * x / size for x in ortho]
     d_w = [a * x + y for x, y in zip(e, b)]
-    (length,) = next(continuous._step_lengths(np.array([rho]), [(np.array([[2.0 * a]]), math.sqrt(8.0 * dt))], dt))
+    (length,) = next(continuous._step_lengths(np.array([rho]), [(np.array([[2.0 * a]]), 8.0 * dt)], dt))
     r = [rho * x for x in e]
     vector = continuous._step_bloch(*r, *d_w, dt)
     matrix = sme_step(DensityMatrix.clipped(r), dt, tuple(d_w)).bloch
@@ -327,13 +327,13 @@ def test_length_kernel_equals_the_vector_and_matrix_steps(rho, direction, across
 def test_length_projection_is_a_bounded_repair(rho, dt, up):
     # under two-point increments |s| <= c, so the length before the projection
     # is at most sqrt(1 + 16 dt^2) and min(., 1) moves it by at most 8 dt^2
-    c, two_b = 1.0 - 4.0 * dt, math.sqrt(8.0 * dt)
+    c, b2 = 1.0 - 4.0 * dt, 8.0 * dt
     two_a = math.copysign(2.0 * math.sqrt(dt), 1.0 if up else -1.0)
     s = (c - rho * two_a) * rho + two_a
-    length = float(np.hypot(s, two_b))
+    length = math.sqrt(s * s + b2)
     assert abs(s) <= c + 4.0 * math.ulp(1.0)
     assert length - 1.0 <= 8.0 * dt * dt + 4.0 * math.ulp(1.0)
-    (projected,) = next(continuous._step_lengths(np.array([rho]), [(np.array([[two_a]]), two_b)], dt))
+    (projected,) = next(continuous._step_lengths(np.array([rho]), [(np.array([[two_a]]), b2)], dt))
     assert projected == min(length, 1.0)
 
 
