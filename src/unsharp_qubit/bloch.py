@@ -5,8 +5,8 @@ vector |r| <= 1, so the unit trace and Hermiticity are structural and only
 positivity (|r| <= 1) needs checking.
 
 Everything here is an immutable value; the sampling helpers are pure given
-their random stream.  A batch of B states is one component-major (3, B)
-array, which `_dot` and `_purity` read like one vector.
+their random stream.  `_dot` and `_purity` read a component-major (3, ...)
+array, such as a block of axes, column by column like one vector.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ _PAULI = np.array(
 def _dot(a, b) -> float:
     """a.b over the leading axis in a fixed order, for a vector or a column-wise (3, ...) batch alike."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`_dot` of two (3, ...) arrays in two numpy calls: the sum over the leading axis adds the rows in its order."""
-    return (a * b).sum(0)
 
 
 def _norm(a) -> float:

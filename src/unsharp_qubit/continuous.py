@@ -80,7 +80,7 @@ _ROW_CHUNK = 1024
 _ENSEMBLE_BATCH = 10 * _GROUP
 
 # A trajectory-step's variate: the uniform whose side of 1/2 signs the increment along the vector.
-_LENGTH_KINDS = (("random", ()),)
+_LENGTH_KINDS = ("random",)
 
 
 def time_from_steps(n, settings: MeasurementSettings) -> float:
@@ -248,8 +248,9 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     """One Euler-Maruyama step of the Bloch vector (x, y, z) under the increment (wx, wy, wz).
 
     Radial term first, then each component, then the length; the vector is
-    divided by its length only when that exceeds 1.  Unchecked: callers
-    validate dt.
+    divided by its length only when that exceeds 1, and a length that
+    overflowed, which only out-of-range noise can cause, is refused.
+    Unchecked: callers validate dt.
     """
     radial = x * wx + y * wy + z * wz
     x = x - 4.0 * x * dt + 2.0 * (wx - x * radial)
@@ -257,6 +258,8 @@ def _step_bloch(x, y, z, wx, wy, wz, dt: float) -> Vec3:
     z = z - 4.0 * z * dt + 2.0 * (wz - z * radial)
     length = math.sqrt(x * x + y * y + z * z)
     if length > 1.0:
+        if length == math.inf:
+            raise ValueError("the Bloch vector's squared length overflowed: the noise is out of range")
         return (x / length, y / length, z / length)
     return (x, y, z)
 

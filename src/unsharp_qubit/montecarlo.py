@@ -12,11 +12,9 @@ count, so every point of a grid reads the same streams.
 A batch of groups draws its step randomness through `_group_blocks`: per
 block of m <= `_BLOCK_STEPS` steps, each group of width w makes one generator
 call per kind of variate, in a fixed order, and fills its columns of that
-kind's step-major (m, ..., B) buffer.  Column b of a group is trial b of that
+kind's step-major (m, B) buffer.  Column b of a group is trial b of that
 group.  Every chain draws at that one block length:
 
-- `run_sequence`, the one run of Bloch vectors: the axes standard_normal((m, 3, w)),
-  the branch uniforms random((m, w)), the outcome noise standard_normal((m, w));
 - discrete mixed-start length chains (the purity estimator, the compare's
   discrete half): the uniforms of the axis cosines random((m, w)), the
   branch uniforms random((m, w)), the outcome noise standard_normal((m, w));
@@ -29,6 +27,10 @@ group.  Every chain draws at that one block length:
 Every grid sampler is a chain of (B,) arrays that yields its row after
 every step, and `_rows_at` reads it at the grid steps: the lengths of both
 length chains, discrete and SDE, and the direct estimator's (3, B) (d, p, g).
+`run_sequence`, the one run of a Bloch vector, draws from its caller's
+stream at the same block length: the axes standard_normal((m, 3)), the
+branch uniforms random(m), the outcome noise standard_normal(m), the
+variates of a group of width 1.
 """
 
 from __future__ import annotations
@@ -84,20 +86,19 @@ def _group_blocks(streams, steps: int, kinds):
     """Blocks of `steps` steps of randomness for a batch of groups, one list of buffers per block.
 
     streams holds the (generator, width) of each group, in column order, and
-    kinds the (method name, trailing shape) of each kind of variate, in draw
-    order.  Per block of m <= _BLOCK_STEPS steps, each group calls
-    getattr(g, name)((m, *shape, w)) once per kind and fills its columns of
-    that kind's (m, *shape, B) buffer.  The buffers are allocated once and
-    yielded as [:m] views, so a block must be read before the next is
-    requested.
+    kinds the generator method name of each kind of variate, in draw order.
+    Per block of m <= _BLOCK_STEPS steps, each group calls
+    getattr(g, name)((m, w)) once per kind and fills its columns of that
+    kind's (m, B) buffer.  The buffers are allocated once and yielded as [:m]
+    views, so a block must be read before the next is requested.
     """
-    buffers = [np.empty((min(_BLOCK_STEPS, steps), *shape, _width(streams))) for _, shape in kinds]
+    buffers = [np.empty((min(_BLOCK_STEPS, steps), _width(streams))) for _ in kinds]
     for done in range(0, steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, steps - done)
         lo = 0
         for g, w in streams:
-            for (name, shape), buffer in zip(kinds, buffers):
-                buffer[:m, ..., lo : lo + w] = getattr(g, name)((m, *shape, w))
+            for name, buffer in zip(kinds, buffers):
+                buffer[:m, lo : lo + w] = getattr(g, name)((m, w))
             lo += w
         yield [buffer[:m] for buffer in buffers]
 

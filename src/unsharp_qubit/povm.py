@@ -14,10 +14,11 @@ every axis.
 Large precision means a weak (barely invasive) measurement, small
 precision approaches the projective limit.
 
-The update `posterior_batch` needs only the ratio g(s - 1)/g(s + 1) =
-e^{2x} with x = s/precision^2, which it takes through tanh x and sech x in
-a closed form that no outcome can overflow.  It acts on a component-major
-(3, B) Bloch batch, the layout of every Bloch-vector batch in the package.
+The update `_posterior` needs only the ratio g(s - 1)/g(s + 1) = e^{2x}
+with x = s/precision^2, which it takes through tanh x and sech x in a
+closed form that no outcome can overflow.  It steps one Bloch vector as
+three Python floats.  The samplers' (B,) chains of invariants check their
+normalization through `_update_norm`, which refuses what it refuses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DEGENERACY_TOL, DensityMatrix, _dots, _norm, random_pure_state
+from .bloch import DEGENERACY_TOL, DensityMatrix, Vec3, _norm, random_pure_state
 
 RANDOM_EIGENSTATE = "random-eigenstate"
 DOMINANT_EIGENSTATE = "dominant-eigenstate"
@@ -87,38 +88,37 @@ def _update_norm(t: np.ndarray, along: np.ndarray) -> np.ndarray:
     return norm
 
 
-def posterior_batch(r: np.ndarray, axes: np.ndarray, along: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Conditional states sqrt(effect) rho sqrt(effect) / tr[effect rho], one per column.
+def _posterior(r: Vec3, a: Vec3, x: float) -> Vec3:
+    """The conditional state sqrt(effect) rho sqrt(effect) / tr[effect rho] of the Bloch vector r.
 
-    Column b of the (3, B) Bloch batch r, with along[b] = axes[:, b].r[:, b],
-    meets the effect along unit axis axes[:, b] at an outcome s with
-    x[b] = s / precision^2, half the log of g(s - 1)/g(s + 1).  With
+    rho meets the effect along the unit axis a at an outcome s with
+    x = s / precision^2, half the log of g(s - 1)/g(s + 1).  With
     t = tanh x and sech x = 2 e^{-|x|}/(1 + e^{-2|x|}), which cannot
-    overflow, the component along the axis becomes (t + along)/(1 + t along)
-    and the one across it is scaled by sech x / (1 + t along).  A column
-    with 1 + t along <= 0 (a sure branch meeting a saturated outcome) or an
-    undefined x raises ValueError.  Every column is divided by max(|r|, 1),
-    which puts one that rounded outside the ball back on the sphere and
-    leaves the others unchanged.  Unchecked: along is axes.r, and x is
-    finite (a sampled outcome is; a replay refuses an infinite one).
+    overflow, the component along = a.r becomes (t + along)/(1 + t along)
+    and the one across the axis is scaled by sech x / (1 + t along).
+    1 + t along <= 0 (a sure branch meeting a saturated outcome) or an
+    undefined x raises ValueError.  The result is divided by its length
+    when that exceeds 1, which puts a state that rounded outside the ball
+    back on the sphere.  Three Python floats step through numpy's tanh and
+    exp, which give the bits they give on arrays.  Unchecked: a is a unit
+    vector, and x is finite (a sampled outcome is; a replay refuses an
+    infinite one).
     """
-    t = np.tanh(x)
-    e = np.exp(-np.abs(x))
-    norm = _update_norm(t, along)
-    # (t + along)/norm along the axis and 2 e/((1 + e^2) norm) across it, formed in place
-    damp = e * e
-    damp += 1.0
-    damp *= norm
-    np.divide(e + e, damp, out=damp)
-    t += along
-    t /= norm
-    out = r - along * axes
-    out *= damp
-    out += t * axes
-    length = np.sqrt(_dots(out, out))
-    if length.max() > 1.0:  # dividing the others by 1 would change no bit
-        out /= np.maximum(length, 1.0)
-    return out
+    along = a[0] * r[0] + a[1] * r[1] + a[2] * r[2]
+    t = float(np.tanh(x))
+    e = float(np.exp(-abs(x)))
+    norm = t * along + 1.0
+    if not norm > 0.0:
+        raise ValueError("degenerate update: a sure branch meets a saturated outcome, or x is undefined")
+    damp = (e + e) / ((e * e + 1.0) * norm)
+    t = (t + along) / norm
+    x0 = (r[0] - along * a[0]) * damp + t * a[0]
+    x1 = (r[1] - along * a[1]) * damp + t * a[1]
+    x2 = (r[2] - along * a[2]) * damp + t * a[2]
+    length = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    if length > 1.0:
+        return (x0 / length, x1 / length, x2 / length)
+    return (x0, x1, x2)
 
 
 def purify_estimate(

@@ -9,7 +9,7 @@ one generalized measurement whose element is E = A^dag A with
 so the record-only estimate of the unknown state is A^dag A / tr[A^dag A]:
 the fully mixed state updated by the record in reverse order, last
 measurement first.  Every step goes through the one closed-form update
-`povm.posterior_batch`, whose result is a normalized state, so no scale
+`povm._posterior`, whose result is a normalized state, so no scale
 accumulates however long the record.
 
 Replaying the same record forwards from the fully mixed state yields the
@@ -24,8 +24,8 @@ along rho's conditional run r, and tr[A^dag A] twice that along the
 mixed-start run m; so 1 + estimate.truth is the ratio of the two products,
 and |estimate| = |m|.
 
-Only `run_sequence` and `replay_hypothetical` step Bloch vectors, as
-component-major (3, 1) batches.  The axes are isotropic and the update
+Only `run_sequence` and `replay_hypothetical` step a Bloch vector, as
+three Python floats.  The axes are isotropic and the update
 commutes with rotations, so every grid sampler steps (B,) arrays of
 invariants instead, each a Markov chain by itself: the Bloch length of the
 mixed-start runs that read only the purity (`purity_samples`,
@@ -35,32 +35,31 @@ d = estimate.truth, p = r.m and m's length g across r, from zeros with no
 true state drawn, |m| read as sqrt(p^2 + g^2).  Their paths are not
 `run_sequence`'s bit for bit.  A batch is whole trial groups
 (`montecarlo._GROUP` trials each, on one stream per group), drawn in the
-block layout the `montecarlo` docstring describes; `run_sequence` is one
-group of width 1 on the caller's stream.  An n grid's samplers run each
-trial once, as a chain that `montecarlo._rows_at` reads at every count.
+block layout the `montecarlo` docstring describes; `run_sequence` draws
+the variates of a group of width 1 from the caller's stream.  An n grid's
+samplers run each trial once, as a chain that `montecarlo._rows_at` reads
+at every count.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DEGENERACY_TOL, DensityMatrix, MeasurementAxis, _dot, _dots, _norm
-from .montecarlo import _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _rows_at, _width
-from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, _update_norm, posterior_batch
-
-# A step's variates, in draw order: the axis normals, the branch uniform, the outcome noise.
-_STEP_KINDS = (("standard_normal", (3,)), ("random", ()), ("standard_normal", ()))
+from .bloch import DEGENERACY_TOL, FULLY_MIXED, DensityMatrix, MeasurementAxis, Vec3, _dot, _norm
+from .montecarlo import _BLOCK_STEPS, _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _rows_at, _width
+from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, _posterior, _update_norm
 
 # A mixed-start length step's variates, in draw order: the uniform of the
 # axis cosine, the branch uniform, the outcome noise.
-_LENGTH_KINDS = (("random", ()), ("random", ()), ("standard_normal", ()))
+_LENGTH_KINDS = ("random", "random", "standard_normal")
 
 # A direct chain step's variates, in draw order: the uniforms of the axis
 # cosine to the truth and of its azimuth, the branch uniform, the outcome noise.
-_DIRECT_KINDS = (("random", ()), ("random", ()), ("random", ()), ("standard_normal", ()))
+_DIRECT_KINDS = ("random", "random", "random", "standard_normal")
 
 
 def _scale_block(branches: np.ndarray, noise: np.ndarray, precision: float) -> None:
@@ -77,29 +76,8 @@ def _outcomes(along: np.ndarray, branches: np.ndarray, noise: np.ndarray) -> np.
     return np.copysign(1.0, along - branches) + noise
 
 
-def _sampled_steps(r: np.ndarray, streams, n: int, precision: float):
-    """Advance the (3, B) batch r by n measurements on the groups' streams,
-    yielding (r, axes, outcomes) after every step.  Each outcome is drawn
-    by `_outcomes`, with along = axes.r before the step.  The axes are
-    views of a reused buffer; a zero-length axis is refused.
-    """
-    var = precision * precision
-    for axes, branches, noise in _group_blocks(streams, n, _STEP_KINDS):
-        v = axes.transpose(1, 0, 2)
-        length = np.sqrt(_dot(v, v))  # `random_pure_state` arithmetic
-        if not (length > 0.0).all():
-            raise ValueError("drew a measurement axis of zero length")
-        axes /= length[:, None]
-        _scale_block(branches, noise, precision)
-        for a, u, z in zip(axes, branches, noise):
-            along = _dots(a, r)
-            outcomes = _outcomes(along, u, z)
-            r = posterior_batch(r, a, along, outcomes / var)
-            yield r, a, outcomes
-
-
 def _length_posterior(rho: np.ndarray, along: np.ndarray, sines: np.ndarray, x: np.ndarray) -> None:
-    """`posterior_batch`'s map of Bloch lengths, in place on the (B,) array rho.
+    """`povm._posterior`'s map of Bloch lengths, in place on the (B,) array rho.
 
     The Bloch vector has component along = rho c on the axis and length
     rho sqrt(1 - c^2) across it, with sines = 4 (1 - c^2).  With t = tanh x,
@@ -201,21 +179,11 @@ def _direct_chain(streams, n: int, precision: float):
             yield state
 
 
-def _replay(r: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Update the (3, B) batch r by a recorded record, axes (n, 3, B) and x = outcomes / precision^2 (n, B), step 0 first.
-
-    A record with an infinite or undefined x is refused.
-    """
-    if not np.isfinite(x).all():
-        raise ValueError("degenerate update: an infinite or undefined outcome")
-    for a, xs in zip(axes, x):
-        r = posterior_batch(r, a, _dots(a, r), xs)
+def _replay(r, record) -> Vec3:
+    """The Bloch vector r updated by `_posterior` at every (axis, x) of record, in its order."""
+    for a, x in record:
+        r = _posterior(r, a, x)
     return r
-
-
-def _estimate_batch(axes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Record-only estimates A^dag A / tr: the reverse replay of x = outcomes / precision^2 from the mixed state."""
-    return _replay(np.zeros(axes.shape[1:]), axes[::-1], x[::-1])
 
 
 def _grid(n_grid) -> tuple[int, ...]:
@@ -253,30 +221,43 @@ class SequenceResult:
     estimate: DensityMatrix
 
 
-def _state(r: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(r[:, 0].tolist())
-
-
 def run_sequence(
     true_state: DensityMatrix, n: int, settings: MeasurementSettings, rng: np.random.Generator
 ) -> SequenceResult:
     """n measurements on `true_state`: fresh random axis, outcome sampled
     from the current conditional state, posterior update; the estimate is
-    the reverse replay of the record.  rng is a numpy Generator, drawn
-    from as the one stream of a group of width 1.
+    the reverse replay of the record.  rng is a numpy Generator; per block
+    of m <= `montecarlo._BLOCK_STEPS` steps it draws the axes
+    standard_normal((m, 3)), then the branch uniforms random(m), then the
+    outcome noise standard_normal(m).  A zero-length axis is refused.  Each
+    outcome is `_outcomes`' draw on floats, and the state steps as three
+    floats through `povm._posterior`.
 
     From `FULLY_MIXED` the aposteriori field realizes A A^dag / tr[A A^dag]
     for the recorded outcomes, the spectral twin of the estimate.
     """
     if n < 0:
         raise ValueError(f"measurement count must be nonnegative, got {n!r}")
-    final = np.array(true_state.bloch)[:, None]
-    axes, outcomes = np.empty((n, 3, 1)), np.empty((n, 1))
-    for i, (final, a, s) in enumerate(_sampled_steps(final, [(rng, 1)], n, settings.precision)):
-        axes[i], outcomes[i] = a, s
-    record = tuple((MeasurementAxis(tuple(a[:, 0].tolist())), float(s[0])) for a, s in zip(axes, outcomes))
-    estimate = _estimate_batch(axes, outcomes / (settings.precision * settings.precision))
-    return SequenceResult(record, _state(final), _state(estimate))
+    precision = settings.precision
+    var = precision * precision
+    r = true_state.bloch
+    record, steps = [], []
+    for done in range(0, n, _BLOCK_STEPS):
+        m = min(_BLOCK_STEPS, n - done)
+        axes, branches, noise = rng.standard_normal((m, 3)), rng.random(m), rng.standard_normal(m)
+        length = np.sqrt(_dot(axes.T, axes.T))  # `random_pure_state` arithmetic
+        if not (length > 0.0).all():
+            raise ValueError("drew a measurement axis of zero length")
+        axes /= length[:, None]
+        _scale_block(branches, noise, precision)
+        for a, u, z in zip(map(tuple, axes.tolist()), branches.tolist(), noise.tolist()):
+            s = math.copysign(1.0, _dot(a, r) - u) + z
+            x = s / var
+            r = _posterior(r, a, x)
+            record.append((MeasurementAxis(a), s))
+            steps.append((a, x))
+    estimate = _replay(FULLY_MIXED.bloch, reversed(steps))
+    return SequenceResult(tuple(record), DensityMatrix(r), DensityMatrix(estimate))
 
 
 def replay_hypothetical(
@@ -285,14 +266,17 @@ def replay_hypothetical(
     """Deterministically rerun a recorded outcome list from the mixed state.
 
     The aposteriori field is the forward replay A A^dag / tr, the estimate
-    the reverse replay A^dag A / tr.
+    the reverse replay A^dag A / tr.  A record with an infinite or undefined
+    x = outcome / precision^2 is refused.
     """
-    axes = np.array([axis.direction for axis, _ in outcomes]).reshape(-1, 3, 1)
-    values = np.array([s for _, s in outcomes], dtype=float).reshape(-1, 1)
-    with np.errstate(over="ignore"):  # a recorded outcome can overflow x; _replay refuses it
+    values = np.array([s for _, s in outcomes], dtype=float)
+    with np.errstate(over="ignore"):  # a recorded outcome can overflow x, which is refused below
         x = values / (settings.precision * settings.precision)
-    forward = _replay(np.zeros((3, 1)), axes, x)
-    return SequenceResult(tuple(outcomes), _state(forward), _state(_estimate_batch(axes, x)))
+    if not np.isfinite(x).all():
+        raise ValueError("degenerate update: an infinite or undefined outcome")
+    steps = list(zip([axis.direction for axis, _ in outcomes], x.tolist()))
+    forward, estimate = _replay(FULLY_MIXED.bloch, steps), _replay(FULLY_MIXED.bloch, reversed(steps))
+    return SequenceResult(tuple(outcomes), DensityMatrix(forward), DensityMatrix(estimate))
 
 
 def spectral_match(result: SequenceResult, hypothetical: SequenceResult) -> float:

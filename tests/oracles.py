@@ -28,6 +28,14 @@ the Gaussian of width precision.  `mean_fidelity_from_mixed` pushes the
 law of u = rho^2 through that map (`length_update`) on a grid; the mean
 fidelity of either estimator is 1/2 + E[u_n]/6.
 
+Vector side: `posterior_columns` is the closed-form posterior update on a
+component-major (3, B) batch of Bloch vectors, column by column the
+operations of the library's scalar step `povm._posterior`, and
+`vector_steps` runs sampled measurements on such a batch, each trial
+group's stream filling its columns in the draw layout of
+`sequential.run_sequence`.  They are the vector reference that the
+invariant chains and the record paths are checked against.
+
 The time constant that links the two sides is the open question of the
 calibration gap (tests/test_acceptance.py).  A literature anchor: Jacobs &
 Steck, "A straightforward introduction to continuous quantum measurement",
@@ -156,3 +164,77 @@ def mean_fidelity_from_mixed(
         law = law @ kernel
         means.append(law @ u)
     return 0.5 + np.array(means) / 6.0
+
+
+def column_dots(a, b):
+    """a.b for every column of two (3, ...) arrays; the sum over the leading axis adds the rows in order."""
+    return (a * b).sum(0)
+
+
+def posterior_columns(r, axes, along, x):
+    """The posterior of every column of the (3, B) Bloch batch r, with along = column_dots(axes, r).
+
+    Column b meets the effect along the unit axis axes[:, b] at
+    x[b] = outcome / precision^2.  With t = tanh x and e = e^{-|x|}, the
+    component along the axis becomes (t + along)/(1 + t along), the one
+    across it is scaled by 2 e/((1 + e^2)(1 + t along)), and a column whose
+    length exceeds 1 is divided by it.  1 + t along <= 0 in any column, or
+    an undefined x, raises ValueError.
+    """
+    t = np.tanh(x)
+    e = np.exp(-np.abs(x))
+    norm = t * along
+    norm += 1.0
+    if not norm.min() > 0.0:
+        raise ValueError("degenerate update: a sure branch meets a saturated outcome, or x is undefined")
+    damp = e * e
+    damp += 1.0
+    damp *= norm
+    np.divide(e + e, damp, out=damp)
+    t += along
+    t /= norm
+    out = r - along * axes
+    out *= damp
+    out += t * axes
+    length = np.sqrt(column_dots(out, out))
+    if length.max() > 1.0:
+        out /= np.maximum(length, 1.0)
+    return out
+
+
+def vector_steps(r, streams, n, precision, block):
+    """Advance the (3, B) batch r by n sampled measurements, yielding (r, axes, outcomes) after every step.
+
+    streams holds the (generator, width) of each trial group, in column
+    order.  Per block of m <= `block` steps each group draws
+    standard_normal((m, 3, w)) for the axes, then random((m, w)) for the
+    branches, then standard_normal((m, w)) for the noise.  Each axis is
+    divided by its length, and each outcome is +1 where 2u - 1 <= along,
+    -1 elsewhere, plus precision z, with along = axes.r before the step.
+    A zero-length axis raises ValueError.
+    """
+    var = precision * precision
+    for done in range(0, n, block):
+        m = min(block, n - done)
+        draws = [(g.standard_normal((m, 3, w)), g.random((m, w)), g.standard_normal((m, w))) for g, w in streams]
+        axes, branches, noise = (np.concatenate(kind, axis=-1) for kind in zip(*draws))
+        length = np.sqrt(axes[:, 0] * axes[:, 0] + axes[:, 1] * axes[:, 1] + axes[:, 2] * axes[:, 2])
+        if not (length > 0.0).all():
+            raise ValueError("drew a measurement axis of zero length")
+        axes /= length[:, None]
+        for a, u, z in zip(axes, branches * 2.0 - 1.0, noise * precision):
+            along = column_dots(a, r)
+            outcomes = np.copysign(1.0, along - u) + z
+            r = posterior_columns(r, a, along, outcomes / var)
+            yield r, a, outcomes
+
+
+def vector_estimates(axes, x):
+    """Record-only estimates A^dag A / tr of a (n, 3, B) record of axes and x = outcomes / precision^2 (n, B).
+
+    The mixed state updated by `posterior_columns` in reverse order, last measurement first.
+    """
+    r = np.zeros(axes.shape[1:])
+    for a, xs in zip(axes[::-1], x[::-1]):
+        r = posterior_columns(r, a, column_dots(a, r), xs)
+    return r

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import column_dots, vector_steps
 
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
@@ -16,8 +17,8 @@ from unsharp_qubit import (
     purity,
     random_pure_state,
 )
-from unsharp_qubit import sequential
-from unsharp_qubit.bloch import DEGENERACY_TOL, _dot, _dots
+from unsharp_qubit import montecarlo
+from unsharp_qubit.bloch import DEGENERACY_TOL, _dot
 
 SPHERE_DRAWS = 10**5
 # three-sigma bound on one Cartesian mean: component variance is 1/3
@@ -176,10 +177,12 @@ def test_distinct_streams_give_distinct_states():
 
 
 def test_sampled_axes_unit_and_isotropic():
-    # the measurement axes of one group of 100 trials over SPHERE_DRAWS / 100 steps
+    # the measurement axes of one group of 100 trials over SPHERE_DRAWS / 100
+    # steps, drawn and normalized as `run_sequence` draws them (the record
+    # tests in test_sequential check it against this vector reference)
     width = 100
     streams = [(derive_stream(101, 1), width)]
-    steps = sequential._sampled_steps(np.zeros((3, width)), streams, SPHERE_DRAWS // width, 1.0)
+    steps = vector_steps(np.zeros((3, width)), streams, SPHERE_DRAWS // width, 1.0, montecarlo._BLOCK_STEPS)
     n_z = 0.0
     for _, axes, _ in steps:
         assert np.all(np.abs(np.sqrt(_dot(axes, axes)) - 1.0) <= 1e-12)
@@ -196,11 +199,12 @@ def test_axis_validation():
 
 @pytest.mark.parametrize("width", [1, 2, 7, 64, 1000])
 def test_dots_add_the_rows_in_dot_order(width):
-    # the sum over the leading axis of a (3, B) batch, or of a (3, m, B) view
-    # of a step-major block, gives `_dot`'s bits, signed zeros aside
+    # the vector oracle's sum over the leading axis of a (3, B) batch, or of a
+    # (3, m, B) view of a step-major block, gives `_dot`'s bits, signed zeros
+    # included: the order the scalar posterior step adds a.r in
     rng = derive_stream(19, width)
     a, b = rng.standard_normal((3, width)), rng.standard_normal((3, width))
     a[:, ::5] *= 1e-300  # products that underflow
-    assert _dots(a, b).tolist() == _dot(a, b).tolist()
+    assert column_dots(a, b).tobytes() == _dot(a, b).tobytes()
     block = rng.standard_normal((5, 3, width)).transpose(1, 0, 2)
-    assert _dots(block, block).tolist() == _dot(block, block).tolist()
+    assert column_dots(block, block).tobytes() == _dot(block, block).tobytes()

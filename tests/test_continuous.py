@@ -469,6 +469,23 @@ def test_trajectory_refuses_non_finite_states():
         simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, _InfiniteNormals(), emit_record=True)
 
 
+class _HugeNormals:
+    """Stand-in random stream whose normals are all 1e200: finite, but their squares overflow."""
+
+    def standard_normal(self, size):
+        return np.full(size, 1e200)
+
+
+def test_step_refuses_a_length_that_overflows():
+    # x^2 + y^2 + z^2 overflows, so the length is inf and the projection onto
+    # the sphere would send the state to the origin: the step refuses it, in
+    # the trajectory and in `bloch_sde_step` alike
+    with pytest.raises(ValueError, match="overflowed"):
+        simulate_trajectory(DensityMatrix((0.0, 0.0, 1.0)), 0.01, 1e-4, _HugeNormals())
+    with pytest.raises(ValueError, match="overflowed"):
+        bloch_sde_step((0.0, 0.0, 1.0), 1e-4, draw_noise(_HugeNormals(), 1e-4))
+
+
 def test_snapshot_classes_round_trip():
     run = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0), emit_record=True)
     bare = simulate_trajectory(FULLY_MIXED, 0.01, 1e-4, derive_stream(70, 0))

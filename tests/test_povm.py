@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
+from oracles import column_dots, posterior_columns
 
+import unsharp_qubit.povm as povm
 import unsharp_qubit.sequential as sequential
-from unsharp_qubit.bloch import _dot, _dots, _purity
-from unsharp_qubit.povm import posterior_batch
+from unsharp_qubit.bloch import _dot, _purity
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
     FULLY_MIXED,
     RANDOM_EIGENSTATE,
     DensityMatrix,
+    MeasurementAxis,
     MeasurementSettings,
     completeness_defect,
     derive_stream,
@@ -19,6 +21,8 @@ from unsharp_qubit import (
     purify_estimate,
     purity,
     random_pure_state,
+    replay_hypothetical,
+    run_sequence,
 )
 
 # unit-width Gaussian density at 0, 1, 2 (frozen from scipy.stats.norm.pdf)
@@ -27,6 +31,7 @@ G1 = 0.24197072451914337
 G2 = 0.05399096651318806
 
 Z = np.array([0.0, 0.0, 1.0])
+Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
 
 
 def settings(width):
@@ -39,7 +44,10 @@ def _columns(vector, size):
 
 
 def _posterior(r, axes, width, outcomes):
-    return posterior_batch(r, axes, _dots(axes, r), np.asarray(outcomes, dtype=float) / (width * width))
+    """`povm._posterior` on every column of the (3, B) batches r and axes, at x = outcome / width^2, as a (3, B) batch."""
+    x = np.asarray(outcomes, dtype=float) / (width * width)
+    columns = zip(r.T.tolist(), axes.T.tolist(), x.tolist())
+    return np.array([povm._posterior(state, axis, xb) for state, axis, xb in columns]).T
 
 
 def test_settings_refuse_nonpositive_precision():
@@ -83,9 +91,9 @@ def test_effect_rejects_bad_outcome():
     # an infinite or undefined outcome in a record is refused, and so is an undefined x in the update
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="infinite or undefined outcome"):
-            sequential._replay(np.zeros((3, 2)), _columns(Z, 2)[None], np.array([[0.5, bad]]))
+            replay_hypothetical(((Z_AXIS, 0.5), (Z_AXIS, bad)), settings(1.0))
     with pytest.raises(ValueError, match="x is undefined"):
-        posterior_batch(np.zeros((3, 1)), _columns(Z, 1), np.zeros(1), np.array([math.nan]))
+        povm._posterior((0.0, 0.0, 0.0), Z_AXIS.direction, math.nan)
 
 
 def test_log_weights_survive_extreme_outcomes():
@@ -100,11 +108,10 @@ def test_log_weights_survive_extreme_outcomes():
 def test_update_takes_any_finite_x_without_overflow(x):
     # cosh overflows past |x| = 710; the update's sech = 2 e^{-|x|}/(1 + e^{-2|x|})
     # cannot, and pytest turns any warning into an error
-    r = np.array([[0.3], [-0.2], [0.5]])
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        out = posterior_batch(r, _columns(Z, 1), np.array([0.5]), np.array([x]))
+        out = povm._posterior((0.3, -0.2, 0.5), Z_AXIS.direction, x)
     # across the axis only sech x / (1 + t along) <= 2 e^{-711} / 1.5 of the state is left
-    assert out[2, 0] == math.copysign(1.0, x) and np.all(np.abs(out[:2, 0]) <= 1e-308)
+    assert out[2] == math.copysign(1.0, x) and abs(out[0]) <= 1e-308 and abs(out[1]) <= 1e-308
 
 
 # 1e-4 and 1e-5 once went unresolved by a fixed grid over +-(1 + 10 width), and
@@ -138,34 +145,14 @@ def test_outcome_distribution_refuses_bad_precision(precision):
         MeasurementSettings(precision)
 
 
-class _StepStream:
-    """Stand-in stream serving one step of a group: the given axes (1, 3, w), uniforms and noise (1, w)."""
-
-    def __init__(self, axes, uniforms, noise):
-        self._axes, self._uniforms, self._noise = axes, uniforms, noise
-
-    def standard_normal(self, size):
-        return self._axes if len(size) == 3 else self._noise
-
-    def random(self, size):
-        return self._uniforms
-
-
 def _outcomes(state, axis, width, rng, size):
-    """Outcomes `_sampled_steps` draws measuring `size` copies of `state` once along `axis`.
+    """Outcomes the samplers' rule `sequential._outcomes` draws measuring `size` copies of `state` once along `axis`.
 
-    rng draws all the uniforms, then all the normals; `_sampled_steps` reads
-    them 10^5 copies at a time from a stand-in stream, so its batch stays
-    small.
+    rng draws all the uniforms, then all the normals, which `sequential._scale_block` scales.
     """
-    uniforms, noise = rng.random((1, size)), rng.standard_normal((1, size))
-    chunks = []
-    for lo in range(0, size, 10**5):
-        u, z = uniforms[:, lo : lo + 10**5], noise[:, lo : lo + 10**5]
-        stream = _StepStream(_columns(axis, u.shape[1])[None], u, z)
-        ((_, _, outcomes),) = sequential._sampled_steps(_columns(state, u.shape[1]), [(stream, u.shape[1])], 1, width)
-        chunks.append(outcomes)
-    return np.concatenate(chunks)
+    uniforms, noise = rng.random(size), rng.standard_normal(size)
+    sequential._scale_block(uniforms, noise, width)
+    return sequential._outcomes(_dot(axis, state), uniforms, noise)
 
 
 def test_outcome_moments_single_branch():
@@ -217,7 +204,7 @@ def test_posterior_degenerate_update_error():
     # the state's only branch meets an outcome so far on the other side that
     # tanh x rounds to -1: 1 + t along = 0, for the vector update and the length chain
     with pytest.raises(ValueError, match="sure branch meets a saturated outcome"):
-        posterior_batch(_columns(Z, 1), _columns(Z, 1), np.ones(1), np.array([-40.0]))
+        povm._posterior(Z_AXIS.direction, Z_AXIS.direction, -40.0)
     # the length chain's state: rho = 1 at cosine c = -1, so sines = 4 (1 - c^2) = 0
     with pytest.raises(ValueError, match="sure branch meets a saturated outcome"):
         sequential._length_posterior(np.ones(1), -np.ones(1), np.zeros(1), np.array([40.0]))
@@ -233,36 +220,34 @@ class _ZeroStream:
         return np.full(size, 0.5)
 
 
-def test_posterior_rows_keep_the_scalar_checks():
-    axes = _columns(Z, 3)
-    x = np.array([0.5, 0.5, 0.0])
-    # column 0 has an empty branch and stays on the axis; column 1 starts
-    # outside the ball and is rescaled onto it; column 2 is an ordinary state
-    r = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8 + 1e-9], [0.1, 0.2, 0.3]]).T
-    along = _dots(axes, r)
+def test_posterior_keeps_the_scalar_checks():
+    z = Z_AXIS.direction
+    outside = (0.6, 0.0, 0.8 + 1e-9)
     # no floating-point warning either on the way to a refusal
     with np.errstate(all="raise"):
-        out = posterior_batch(r, axes, along, x)
-        assert out[:, 0].tolist() == [0.0, 0.0, 1.0]
-        assert math.sqrt(_dot(out[:, 1], out[:, 1])) <= 1.0
-        alone = posterior_batch(r[:, 2:], axes[:, 2:], along[2:], x[2:])
-        assert out[:, 2].tolist() == alone[:, 0].tolist()
-        # a column of zero total weight or undefined x is refused, whatever its neighbours
-        for bad in (np.array([-40.0, 0.5, 0.0]), np.array([0.5, math.nan, 0.0])):
+        # a state with an empty branch stays on the axis, and one outside the
+        # ball is rescaled onto it
+        assert povm._posterior(z, z, 0.5) == (0.0, 0.0, 1.0)
+        out = povm._posterior(outside, z, 0.5)
+        assert math.sqrt(_dot(out, out)) <= 1.0
+        # an update of zero total weight or undefined x is refused
+        for r, x in ((z, -40.0), (outside, math.nan)):
             with pytest.raises(ValueError):
-                posterior_batch(r, axes, along, bad)
+                povm._posterior(r, z, x)
         # and so is a record holding an infinite outcome
         with pytest.raises(ValueError):
-            sequential._replay(r, axes[None], np.array([[0.5, math.inf, 0.0]]))
+            replay_hypothetical(((Z_AXIS, 0.5), (Z_AXIS, math.inf)), settings(1.0))
 
 
 @hypothesis_settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     size=st.sampled_from([1, 2, 7, 64]),
-    width=st.sampled_from([0.3, 1.0, 20.0]),
+    width=st.sampled_from([0.05, 0.3, 1.0, 20.0, 1000.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_posterior_batch_equals_each_column_alone(size, width, seed):
+def test_posterior_is_the_vector_oracle_column_by_column(size, width, seed):
+    # the scalar step gives the bits, signed zeros included, of the oracle's
+    # (3, B) update in every column, or both refuse
     rng = derive_stream(seed, 0)
     columns = rng.standard_normal((3, size))
     columns /= np.sqrt(_dot(columns, columns))
@@ -274,19 +259,18 @@ def test_posterior_batch_equals_each_column_alone(size, width, seed):
     axes = np.array([axis for axis, _ in draws]).T
     axes /= np.sqrt(_dot(axes, axes))
     x = np.array([outcome for _, outcome in draws]) / (width * width)
-    along = _dots(axes, columns)
-    out = posterior_batch(columns, axes, along, x)
-    alone = [
-        posterior_batch(columns[:, b : b + 1], axes[:, b : b + 1], along[b : b + 1], x[b : b + 1])
-        for b in range(size)
-    ]
-    assert out.T.tolist() == [column[:, 0].tolist() for column in alone]
+    try:
+        expected = posterior_columns(columns, axes, column_dots(axes, columns), x)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _posterior(columns, axes, 1.0, x)
+        return
+    assert _posterior(columns, axes, 1.0, x).tobytes() == expected.tobytes()
 
 
 def test_zero_length_axis_is_refused():
-    streams = [(derive_stream(17, 0), 1), (_ZeroStream(), 1)]
     with pytest.raises(ValueError, match="axis of zero length"):
-        next(sequential._sampled_steps(np.zeros((3, 2)), streams, 2, 1.0))
+        run_sequence(FULLY_MIXED, 2, settings(1.0), _ZeroStream())
 
 
 @pytest.mark.parametrize("width", [1.0, 3.0])

@@ -4,10 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
-from oracles import MEAN_FIDELITY_BUDGET, length_update, mean_fidelity_from_mixed
+from oracles import (
+    MEAN_FIDELITY_BUDGET,
+    column_dots,
+    length_update,
+    mean_fidelity_from_mixed,
+    posterior_columns,
+    vector_estimates,
+    vector_steps,
+)
 from scipy import stats as sps
 
 import unsharp_qubit.montecarlo as montecarlo
+import unsharp_qubit.povm as povm
 import unsharp_qubit.sequential as sequential
 from unsharp_qubit import (
     DOMINANT_EIGENSTATE,
@@ -30,9 +39,8 @@ from unsharp_qubit import (
     spectral_match,
     summarize,
 )
-from unsharp_qubit.bloch import DEGENERACY_TOL, POSITIVITY_SLACK, _dot, _dots
+from unsharp_qubit.bloch import DEGENERACY_TOL, POSITIVITY_SLACK, _dot
 from unsharp_qubit.ensemble import HYPOTHETICAL_PURITY, SEQUENTIAL_FIDELITY
-from unsharp_qubit.povm import posterior_batch
 
 Z_AXIS = MeasurementAxis((0.0, 0.0, 1.0))
 X_AXIS = MeasurementAxis((1.0, 0.0, 0.0))
@@ -53,18 +61,19 @@ G = montecarlo._GROUP
 
 
 class _ColumnStream:
-    """Column b of one trial group's draws, served as a one-trial group draws them.
+    """Column b of one trial group's draws, served as `run_sequence` draws them.
 
-    A draw of shape (..., 1) takes the group's draw of shape (..., width)
-    from its stream and keeps column b, so the public one-trial runs replay
-    trial b of the group.
+    A draw of shape s takes the group's draw of shape (*s, width) from its
+    stream and keeps column b, so the public one-trial run replays trial b
+    of the group.
     """
 
     def __init__(self, rng, width, b):
         self._rng, self._width, self._b = rng, width, b
 
     def _column(self, draw, size):
-        return draw((*size[:-1], self._width))[..., self._b : self._b + 1]
+        shape = size if isinstance(size, tuple) else (size,)
+        return draw((*shape, self._width))[..., self._b]
 
     def standard_normal(self, size):
         return self._column(self._rng.standard_normal, size)
@@ -184,8 +193,7 @@ def test_two_axis_chain_matches_dense_oracle():
 def test_single_effect_chain_matches_single_estimate():
     # one measurement: the estimate is the mixed state's posterior, tanh(s / width^2) n
     est = replay_hypothetical(((Z_AXIS, 1.0),), settings(1.0)).estimate
-    mixed = posterior_batch(np.zeros((3, 1)), np.array(Z_AXIS.direction)[:, None], np.zeros(1), np.array([1.0]))
-    assert list(est.bloch) == mixed[:, 0].tolist()
+    assert est.bloch == povm._posterior(FULLY_MIXED.bloch, Z_AXIS.direction, 1.0)
     assert est.bloch == pytest.approx((0.0, 0.0, math.tanh(1.0)), abs=1e-12)
     assert replay_hypothetical(((Z_AXIS, 1.0),), settings(0.01)).estimate.bloch == (0.0, 0.0, 1.0)
 
@@ -229,6 +237,34 @@ def test_stream_layout():
     for (axis, outcome), v, z in zip(result.outcomes, axes, noise):
         assert list(axis.direction) == (v / math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])).tolist()
         assert outcome in (1.0 + 2.0 * z, -1.0 + 2.0 * z)
+
+
+@pytest.mark.parametrize("width", [0.05, 1.0, 20.0])
+def test_stream_layout_across_blocks(width):
+    # over two whole blocks and five steps the record is one stream's draws,
+    # per block of m steps: the axes standard_normal((m, 3)) over their
+    # lengths, then the branch uniforms random(m), then the outcome noise
+    # standard_normal(m); the final state and the estimate are the vector
+    # oracle's run on that stream, bit for bit
+    cfg, n, block = settings(width), 2 * montecarlo._BLOCK_STEPS + 5, montecarlo._BLOCK_STEPS
+    truth = DensityMatrix((0.36, 0.48, 0.8))
+    result = run_sequence(truth, n, cfg, derive_stream(69, 0))
+    stream = derive_stream(69, 0)
+    draws = [
+        (stream.standard_normal((m, 3)), stream.random(m), stream.standard_normal(m))
+        for m in (min(block, n - done) for done in range(0, n, block))
+    ]
+    normals, uniforms, noise = (np.concatenate(kind) for kind in zip(*draws))
+    axes = np.array([axis.direction for axis, _ in result.outcomes])
+    assert axes.tobytes() == (normals / np.sqrt(_dot(normals.T, normals.T))[:, None]).tobytes()
+    runs = list(vector_steps(np.array(truth.bloch)[:, None], [(derive_stream(69, 0), 1)], n, width, block))
+    befores = [np.array(truth.bloch)[:, None]] + [r for r, _, _ in runs[:-1]]
+    alongs = np.array([column_dots(a, r)[0] for (_, a, _), r in zip(runs, befores)])
+    expected = np.copysign(1.0, alongs - (uniforms * 2.0 - 1.0)) + noise * width
+    assert np.array([s for _, s in result.outcomes]).tobytes() == expected.tobytes()
+    assert result.aposteriori.bloch == tuple(runs[-1][0][:, 0].tolist())
+    estimate = vector_estimates(np.array([a for _, a, _ in runs]), expected[:, None] / (width * width))
+    assert result.estimate.bloch == tuple(estimate[:, 0].tolist())
 
 
 def _rows_by_sub_batch(fn, trials, size):
@@ -282,10 +318,10 @@ def _axes_about(r, m, cosines, azimuths):
 
 def _vector_direct_step(r, m, d, a, x):
     """The truth's run r, the mixed-start run m and d = estimate.truth after one measurement along a, on vectors."""
-    along_r, along_m = _dots(a, r), _dots(a, m)
+    along_r, along_m = column_dots(a, r), column_dots(a, m)
     t = np.tanh(x)
     d = (d * (1.0 + t * along_r) + t * (along_r - along_m)) / (1.0 + t * along_m)
-    return posterior_batch(r, a, along_r, x), posterior_batch(m, a, along_m, x), d
+    return posterior_columns(r, a, along_r, x), posterior_columns(m, a, along_m, x), d
 
 
 def _vector_direct_runs(seed, trials, n, width):
@@ -313,7 +349,7 @@ def _vector_direct_runs(seed, trials, n, width):
         ds, ms, axes, xs = [d], [m], [], []
         for cosine_u, azimuth_u, branch_u, z in steps:
             a = _axes_about(r, m, 2.0 * cosine_u - 1.0, 2.0 * np.pi * azimuth_u)
-            x = (np.copysign(1.0, _dots(a, r) - (2.0 * branch_u - 1.0)) + width * z) / var
+            x = (np.copysign(1.0, column_dots(a, r) - (2.0 * branch_u - 1.0)) + width * z) / var
             r, m, d = _vector_direct_step(r, m, d, a, x)
             ds.append(d), ms.append(m), axes.append(a), xs.append(x)
         yield np.array(ds), np.array(ms), np.array(axes), np.array(xs)
@@ -345,7 +381,7 @@ def test_batched_direct_samples_equal_scalar_runs(width, strategy):
     truth = DensityMatrix((0.0, 0.0, 1.0))
     for lo, (_, _, axes, x) in zip(range(0, trials, G), runs):
         for i, n in enumerate(grid[1:], 1):
-            estimates = sequential._estimate_batch(axes[:n], x[:n])
+            estimates = vector_estimates(axes[:n], x[:n])
             for b in range(estimates.shape[1]):
                 estimate = DensityMatrix(estimates[:, b].tolist())
                 if strategy != RANDOM_EIGENSTATE:
@@ -378,7 +414,7 @@ def test_batched_direct_samples_equal_vector_runs_to_n_400():
 def test_direct_step_is_the_vector_update_of_its_invariants(rho, tilt, lean, cosine, azimuth, x):
     # one `_direct_step` from p = r.m = tilt rho, m's length across r
     # g = rho sqrt(1 - tilt^2) (m parallel to r at tilt +-1) and d = lean rho
-    # equals `posterior_batch` on r and m with the axis built from explicit
+    # equals the oracle's vector update of r and m with the axis built from explicit
     # vectors, to 1e-12, for saturated outcomes too, and sqrt(p^2 + g^2) is |m|
     p, g = tilt * rho, rho * math.sqrt((1.0 - tilt) * (1.0 + tilt))
     r, m = np.array([[0.0], [0.0], [1.0]]), np.array([[g], [0.0], [p]])
@@ -492,9 +528,8 @@ def test_first_outcome_marginal_matches_density():
     cfg = settings(1.0)
 
     def first_outcomes(streams):
-        ((_, _, outcomes),) = sequential._sampled_steps(
-            np.zeros((3, montecarlo._width(streams))), streams, 1, cfg.precision
-        )
+        start = np.zeros((3, montecarlo._width(streams)))
+        ((_, _, outcomes),) = vector_steps(start, streams, 1, cfg.precision, montecarlo._BLOCK_STEPS)
         return outcomes
 
     draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
@@ -563,19 +598,18 @@ def test_length_chain_equals_scalar_steps_bitwise(monkeypatch, width):
     x=st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-800.0, max_value=800.0)),
 )
 def test_length_chain_is_the_length_of_the_vector_update(rho, cosine, x):
-    # `_length_posterior` is `posterior_batch` seen through |r| alone, for a
-    # state at cosine c to the axis
+    # `_length_posterior` is the scalar step `povm._posterior` seen through
+    # |r| alone, for a state at cosine c to the axis
     sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
     r = np.array([[rho * sine], [0.0], [rho * cosine]])
     along = np.array([rho * cosine])
     if not 1.0 + float(np.tanh(x)) * along[0] > 0.0:
         return  # refused by both
-    z_axis = np.array([[0.0], [0.0], [1.0]])
-    vector = posterior_batch(r, z_axis, _dots(z_axis, r), np.array([x]))
+    vector = povm._posterior(r[:, 0].tolist(), Z_AXIS.direction, x)
     lengths = np.array([rho])
     sines = np.array([4.0 * (1.0 - cosine) * (1.0 + cosine)])
     sequential._length_posterior(lengths, along, sines, np.array([x]))
-    assert abs(lengths[0] - math.sqrt(_dot(vector[:, 0], vector[:, 0]))) <= 4.0 * math.ulp(1.0)
+    assert abs(lengths[0] - math.sqrt(_dot(vector, vector))) <= 4.0 * math.ulp(1.0)
 
 
 @CALIBRATION_XFAIL
@@ -693,7 +727,7 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
 
     def group(streams):
         start = np.zeros((3, montecarlo._width(streams)))
-        for final, _, _ in sequential._sampled_steps(start, streams, n, cfg.precision):
+        for final, _, _ in vector_steps(start, streams, n, cfg.precision, montecarlo._BLOCK_STEPS):
             pass
         overlap = 0.5 * (1.0 + _dot(final, truth))
         return 2.0 * overlap * overlap
@@ -711,9 +745,9 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
 
     def estimate_fidelities(streams):
         start = np.repeat(truth, montecarlo._width(streams), axis=1)
-        record = [(a.copy(), s) for _, a, s in sequential._sampled_steps(start, streams, 20, cfg.precision)]
+        record = [(a, s) for _, a, s in vector_steps(start, streams, 20, cfg.precision, montecarlo._BLOCK_STEPS)]
         axes, outcomes = np.array([a for a, _ in record]), np.array([s for _, s in record])
-        estimates = sequential._estimate_batch(axes, outcomes / (cfg.precision * cfg.precision))
+        estimates = vector_estimates(axes, outcomes / (cfg.precision * cfg.precision))
         return 0.5 * (1.0 + _dot(estimates, truth))
 
     vals = sequential._by_trial_groups(estimate_fidelities, 20, 10**4, 312, 0)
