@@ -24,9 +24,12 @@ group.  Every chain draws at that one block length:
 - SDE ensemble: random((m, w)), whose side of 1/2 signs each two-point
   increment.  With one kind of variate the blocks read a group's stream in
   step order, so their length moves no bit.
-Every grid sampler is a chain of (B,) arrays that yields its row after
-every step, and `_rows_at` reads it at the grid steps: the lengths of both
-length chains, discrete and SDE, and the direct estimator's (3, B) (d, p, g).
+Every grid sampler is a chain of (B,) arrays that steps the row it is
+given and yields it after every step: the lengths of both length chains,
+discrete and SDE, and the direct estimator's (3, B) (d, p, g).  One
+function, `_grid_rows`, steps them all in batches of at most `_BATCH`
+whole groups, whatever the trial count or the grid, and `_rows_at` reads
+each batch at the grid steps.
 `run_sequence`, the one run of a Bloch vector, draws from its caller's
 stream at the same block length: the axes standard_normal((m, 3)), the
 branch uniforms random(m), the outcome noise standard_normal(m), the
@@ -45,14 +48,13 @@ import numpy as np
 # or the trial count; every split of a part falls on a multiple of it.
 _GROUP = 100
 
-# Trial-steps of randomness a discrete batch's draw buffers hold per kind of
-# variate: a batch is as many whole groups as fit in DRAW_BLOCK trial-steps
-# (at least one), and it draws at most _BLOCK_STEPS steps at once.
-DRAW_BLOCK = 32768
-
 # Steps of randomness a group draws per generator call, in every chain: a
 # constant of the layout, never the batch width.
-_BLOCK_STEPS = DRAW_BLOCK // _GROUP
+_BLOCK_STEPS = 327
+
+# Groups `_grid_rows` steps at once in every sampler: draw buffers and chain
+# arrays grow with it, never with the trial count or the grid.
+_BATCH = 10
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -118,6 +120,24 @@ def _rows_at(chain, marks, start: np.ndarray) -> np.ndarray:
             taken = mark
         row[:] = value
     return rows
+
+
+def _grid_rows(chain, marks, start, trials: int, seed: int, base_index: int) -> np.ndarray:
+    """The (len(marks), *shape, trials) rows of a part's chains at the ascending step counts marks.
+
+    Per batch of at most _BATCH groups, start(width) makes the row at step 0
+    and chain(row, streams) steps it, read by `_rows_at`; the batches are
+    joined in trial order along the last axis.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    size = _BATCH * _GROUP
+    batches = []
+    for lo in range(0, trials, size):
+        streams = _group_streams(seed, base_index, lo, min(lo + size, trials))
+        row = start(_width(streams))
+        batches.append(_rows_at(chain(row, streams), marks, row))
+    return np.concatenate(batches, axis=-1)
 
 
 def summarize(samples) -> tuple[float, float]:

@@ -33,12 +33,12 @@ mixed-start runs that read only the purity (`purity_samples`,
 to the Bloch vector, uniform on [-1, 1]; and for the direct estimator
 d = estimate.truth, p = r.m and m's length g across r, from zeros with no
 true state drawn, |m| read as sqrt(p^2 + g^2).  Their paths are not
-`run_sequence`'s bit for bit.  A batch is whole trial groups
-(`montecarlo._GROUP` trials each, on one stream per group), drawn in the
-block layout the `montecarlo` docstring describes; `run_sequence` draws
-the variates of a group of width 1 from the caller's stream.  An n grid's
-samplers run each trial once, as a chain that `montecarlo._rows_at` reads
-at every count.
+`run_sequence`'s bit for bit.  An n grid's samplers run each trial once,
+as a chain that steps the row `montecarlo._grid_rows` gives it, in that
+function's batches of whole trial groups (`montecarlo._GROUP` trials each,
+on one stream per group), drawn in the block layout the `montecarlo`
+docstring describes, and read at every count; `run_sequence` draws the
+variates of a group of width 1 from the caller's stream.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import DEGENERACY_TOL, FULLY_MIXED, DensityMatrix, MeasurementAxis, Vec3, _dot, _norm
-from .montecarlo import _BLOCK_STEPS, _GROUP, DRAW_BLOCK, _group_blocks, _group_streams, _rows_at, _width
+from .montecarlo import _BLOCK_STEPS, _grid_rows, _group_blocks
 from .povm import RANDOM_EIGENSTATE, STRATEGIES, MeasurementSettings, _posterior, _update_norm
 
 # A mixed-start length step's variates, in draw order: the uniform of the
@@ -104,16 +104,14 @@ def _length_posterior(rho: np.ndarray, along: np.ndarray, sines: np.ndarray, x: 
     np.minimum(rho, 1.0, out=rho)
 
 
-def _mixed_start_lengths(streams, n: int, precision: float):
-    """Yield the (B,) Bloch lengths of the groups' mixed-start runs after each of n steps.
+def _mixed_start_lengths(rho: np.ndarray, streams, n: int, precision: float):
+    """Step the (B,) Bloch lengths rho of the groups' mixed-start runs n times, yielding rho after each step.
 
     A step turns its first uniform u into the cosine c = 2u - 1 of its axis
     to the Bloch vector, draws the outcome by `_outcomes` with
-    along = rho c, and updates the lengths by `_length_posterior`.  One
-    array is updated in place and yielded after every step.
+    along = rho c, and updates the lengths by `_length_posterior`, in place.
     """
     var = precision * precision
-    rho = np.zeros(_width(streams))
     for cosines, branches, noise in _group_blocks(streams, n, _LENGTH_KINDS):
         cosines *= 2.0
         cosines -= 1.0
@@ -123,6 +121,7 @@ def _mixed_start_lengths(streams, n: int, precision: float):
             along = rho * c
             _length_posterior(rho, along, sine, _outcomes(along, u, z) / var)
             yield rho
+        del sines, sine  # free this block's sines before the next block forms its own
 
 
 def _direct_step(state: np.ndarray, c: np.ndarray, toward: np.ndarray, aside: np.ndarray, x: np.ndarray) -> None:
@@ -158,25 +157,31 @@ def _direct_step(state: np.ndarray, c: np.ndarray, toward: np.ndarray, aside: np
     d[:] = (d * truth_norm + t * (c - mu)) / norm
 
 
-def _direct_chain(streams, n: int, precision: float):
-    """Yield the (3, B) invariants (d, p, g) of the groups' direct chains after each of n steps.
+def _direct_chain(state: np.ndarray, streams, n: int, precision: float):
+    """Step the (3, B) invariants (d, p, g) of the groups' direct chains n times, yielding state after each step.
 
     A step turns its uniforms u and v into the cosine c = 2u - 1 of its axis
     to the truth and the azimuth 2 pi v, draws the outcome from the truth by
-    `_outcomes` with along = c, and updates the invariants by `_direct_step`
-    from zeros.  One array is updated in place and yielded after every step.
+    `_outcomes` with along = c, and updates the invariants by `_direct_step`,
+    in place; a block's axis components are formed in place too.
     """
     var = precision * precision
-    state = np.zeros((3, _width(streams)))
     for cosines, azimuths, branches, noise in _group_blocks(streams, n, _DIRECT_KINDS):
         cosines *= 2.0
         cosines -= 1.0
-        sines = np.sqrt((1.0 - cosines) * (1.0 + cosines))
+        sines = 1.0 - cosines
+        sines *= 1.0 + cosines
+        np.sqrt(sines, out=sines)
         azimuths *= 2.0 * np.pi
+        towards = np.cos(azimuths)
+        towards *= sines
+        np.sin(azimuths, out=azimuths)
+        azimuths *= sines
         _scale_block(branches, noise, precision)
-        for c, toward, aside, u, z in zip(cosines, sines * np.cos(azimuths), sines * np.sin(azimuths), branches, noise):
+        for c, toward, aside, u, z in zip(cosines, towards, azimuths, branches, noise):
             _direct_step(state, c, toward, aside, _outcomes(c, u, z) / var)
             yield state
+        del sines, towards, toward  # free this block's arrays before the next block forms its own
 
 
 def _replay(r, record) -> Vec3:
@@ -195,21 +200,6 @@ def _grid(n_grid) -> tuple[int, ...]:
     if not grid or grid[0] < 0 or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError(f"an n grid must be nonempty, strictly ascending and nonnegative, got {n_grid!r}")
     return grid
-
-
-def _by_trial_groups(fn, n: int, trials: int, seed: int, base_index: int) -> np.ndarray:
-    """fn(streams) over consecutive batches of trial groups, concatenated.
-
-    Group j covers trials [jG, (j + 1)G) and draws from derive_stream(seed,
-    base_index + jG); a batch is as many whole groups of runs of n steps as
-    fit in DRAW_BLOCK trial-steps, and at least one.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
-    size = _GROUP * max(1, DRAW_BLOCK // (_GROUP * max(1, n)))
-    return np.concatenate([
-        fn(_group_streams(seed, base_index, lo, min(lo + size, trials))) for lo in range(0, trials, size)
-    ])
 
 
 @dataclass(frozen=True)
@@ -315,16 +305,14 @@ def direct_fidelity_samples(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     grid = _grid(n_grid)
-
-    def group(streams):
-        chain = _direct_chain(streams, grid[-1], settings.precision)
-        d, p, g = _rows_at(chain, grid, np.zeros((3, _width(streams)))).transpose(1, 2, 0)
-        if strategy == RANDOM_EIGENSTATE:
-            return 0.5 * (1.0 + d)
-        rho = np.sqrt(p * p + g * g)
-        return np.where(rho < DEGENERACY_TOL, 0.5, 0.5 * (1.0 + d / np.maximum(rho, DEGENERACY_TOL)))
-
-    return _by_trial_groups(group, grid[-1], trials, seed, base_index)
+    d, p, g = _grid_rows(
+        lambda state, streams: _direct_chain(state, streams, grid[-1], settings.precision),
+        grid, lambda width: np.zeros((3, width)), trials, seed, base_index,
+    ).transpose(1, 2, 0)
+    if strategy == RANDOM_EIGENSTATE:
+        return 0.5 * (1.0 + d)
+    rho = np.sqrt(p * p + g * g)
+    return np.where(rho < DEGENERACY_TOL, 0.5, 0.5 * (1.0 + d / np.maximum(rho, DEGENERACY_TOL)))
 
 
 def purity_samples(
@@ -342,13 +330,11 @@ def purity_samples(
     random-eigenstate fidelity averaged over random pure inputs.
     """
     grid = _grid(n_grid)
-
-    def group(streams):
-        chain = _mixed_start_lengths(streams, grid[-1], settings.precision)
-        lengths = _rows_at(chain, grid, np.zeros(_width(streams))).T
-        return 0.5 * (1.0 + lengths * lengths)
-
-    return _by_trial_groups(group, grid[-1], trials, seed, base_index)
+    lengths = _grid_rows(
+        lambda rho, streams: _mixed_start_lengths(rho, streams, grid[-1], settings.precision),
+        grid, np.zeros, trials, seed, base_index,
+    ).T
+    return 0.5 * (1.0 + lengths * lengths)
 
 
 def hypothetical_purity_paths(

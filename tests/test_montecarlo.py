@@ -16,6 +16,7 @@ from unsharp_qubit import (
     simulate_trajectory,
 )
 from unsharp_qubit.cli import main
+from unsharp_qubit.sequential import direct_fidelity_samples, purity_samples
 
 G = montecarlo._GROUP
 
@@ -88,6 +89,23 @@ def test_rows_at_reads_a_chain_at_its_marks_only():
     rows = montecarlo._rows_at(steps, [0, 0, 3, 3, 10], rho)
     assert rows.tolist() == [[x] * 2 for x in (0.0, 0.0, 0.03, 0.03, 0.1)]
     assert next(steps).tolist() == [0.11, 0.11]
+
+
+@pytest.mark.parametrize("sampler", ["direct", "purity", "sde"])
+def test_one_call_across_a_default_batch_boundary_equals_its_groups(sampler):
+    # 10G + 20 trials are two batches of `_grid_rows` at its default width of
+    # _BATCH groups; the one call equals the same trials sampled a group at a time
+    trials, grid, cfg = 10 * G + 20, (0, 3, 40), MeasurementSettings(20.0)
+    assert montecarlo._BATCH * G < trials < 2 * montecarlo._BATCH * G
+    fn = {
+        "direct": lambda count, lo: direct_fidelity_samples(cfg, grid, count, seed=71, base_index=lo),
+        "purity": lambda count, lo: purity_samples(cfg, grid, count, seed=72, base_index=lo),
+        "sde": lambda count, lo: simulate_purity_ensemble(
+            [n * 1e-4 for n in grid], 1e-4, count, seed=73, base_index=lo
+        ).T,
+    }[sampler]
+    parts = np.concatenate([fn(min(G, trials - lo), lo) for lo in range(0, trials, G)])
+    np.testing.assert_array_equal(fn(trials, 0), parts)
 
 
 def test_chunks_split_parts_at_group_boundaries():

@@ -36,6 +36,7 @@ from unsharp_qubit import (
     replay_hypothetical,
     run_ensemble,
     run_sequence,
+    simulate_purity_ensemble,
     spectral_match,
     summarize,
 )
@@ -267,14 +268,26 @@ def test_stream_layout_across_blocks(width):
     assert result.estimate.bloch == tuple(estimate[:, 0].tolist())
 
 
+def _by_groups(fn, trials, seed):
+    """fn(streams), a (B,) sample per trial, over every batch of a part from base index 0, through
+    the samplers' one batch loop `montecarlo._grid_rows`, as a chain read after its one step."""
+
+    def chain(row, streams):
+        row[:] = fn(streams)
+        yield row
+
+    return montecarlo._grid_rows(chain, (1,), np.empty, trials, seed, 0)[0]
+
+
 def _rows_by_sub_batch(fn, trials, size):
     return np.concatenate([fn(min(size, trials - lo), lo) for lo in range(0, trials, size)])
 
 
 @pytest.mark.parametrize("width", [1.0, 20.0])
 def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
-    # every row bit for bit the same in the full batch of three groups, in
-    # sub-batches split at group boundaries, and in batches of one group each
+    # every row of every grid sampler, discrete and SDE, bit for bit the same
+    # in the full batch of three groups, in sub-batches split at group
+    # boundaries, and in batches of one group each
     cfg, grid = settings(width), (0, 7, 30)
     samplers = {
         "direct": lambda trials, lo: sequential.direct_fidelity_samples(cfg, grid, trials, seed=61, base_index=lo),
@@ -283,13 +296,16 @@ def test_batch_rows_do_not_depend_on_batch(monkeypatch, width):
         ),
         "purity": lambda trials, lo: sequential.purity_samples(cfg, grid, trials, seed=62, base_index=lo),
         "paths": lambda trials, lo: hypothetical_purity_paths(30, cfg, trials, seed=63, base_index=lo),
+        "sde": lambda trials, lo: simulate_purity_ensemble(
+            [n * 1e-4 for n in grid], 1e-4, trials, seed=64, base_index=lo
+        ).T,
     }
     trials = 2 * G + G // 2
     wholes = {name: fn(trials, 0) for name, fn in samplers.items()}
     for name, fn in samplers.items():
         np.testing.assert_array_equal(_rows_by_sub_batch(fn, trials, G), wholes[name], err_msg=name)
         np.testing.assert_array_equal(_rows_by_sub_batch(fn, trials, 2 * G), wholes[name], err_msg=name)
-    monkeypatch.setattr(sequential, "DRAW_BLOCK", 30)  # one group per batch
+    monkeypatch.setattr(montecarlo, "_BATCH", 1)  # one group per batch
     for name, fn in samplers.items():
         np.testing.assert_array_equal(fn(trials, 0), wholes[name], err_msg=name)
 
@@ -444,7 +460,8 @@ def test_direct_chain_leaves_the_ball_by_rounding_only():
     # POSITIVITY_SLACK, and |d| <= 1, at every step of 500 trials to n = 400
     longest, widest = 0.0, 0.0
     for width in (0.3, 1.0):
-        for d, p, g in sequential._direct_chain(montecarlo._group_streams(82, 0, 0, 500), 400, width):
+        chain = sequential._direct_chain(np.zeros((3, 500)), montecarlo._group_streams(82, 0, 0, 500), 400, width)
+        for d, p, g in chain:
             longest = max(longest, float(np.sqrt(p * p + g * g).max()))
             widest = max(widest, float(np.abs(d).max()))
     assert 1.0 < longest <= 1.0 + POSITIVITY_SLACK
@@ -487,13 +504,13 @@ def test_purity_grid_keeps_only_its_columns(kind):
 
 
 def test_draw_block_bounds_memory_not_results(monkeypatch):
-    # DRAW_BLOCK bounds the groups of a batch (one group per batch here),
+    # montecarlo._BATCH bounds the groups of a batch (one group per batch here),
     # which must not change a row; with groups drawing blocks shorter than
     # the sequence, every row is the length chain on its column of its group's draws
     cfg = settings(5.0)
     trials = G + 20
     whole = hypothetical_purity_paths(12, cfg, trials, seed=65)
-    monkeypatch.setattr(sequential, "DRAW_BLOCK", 12)
+    monkeypatch.setattr(montecarlo, "_BATCH", 1)
     np.testing.assert_array_equal(hypothetical_purity_paths(12, cfg, trials, seed=65), whole)
     monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", 5)
     blocked = hypothetical_purity_paths(12, cfg, trials, seed=65)
@@ -532,7 +549,7 @@ def test_first_outcome_marginal_matches_density():
         ((_, _, outcomes),) = vector_steps(start, streams, 1, cfg.precision, montecarlo._BLOCK_STEPS)
         return outcomes
 
-    draws = sequential._by_trial_groups(first_outcomes, 1, 10**5, 243, 0)
+    draws = _by_groups(first_outcomes, 10**5, seed=243)
     for k in [*range(50), *range(10**5 - 50, 10**5)]:  # the batch reproduces the public per-trial run
         assert draws[k] == run_sequence(FULLY_MIXED, 1, cfg, _trial_stream(243, 0, 10**5, k)).outcomes[0][1]
     # the mixed state's outcome density is half g(s - 1) plus half g(s + 1)
@@ -732,7 +749,7 @@ def _fixed_state_samples(true_state, cfg, n, trials, seed):
         overlap = 0.5 * (1.0 + _dot(final, truth))
         return 2.0 * overlap * overlap
 
-    return sequential._by_trial_groups(group, n, trials, seed, 0)
+    return _by_groups(group, trials, seed)
 
 
 def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
@@ -750,7 +767,7 @@ def test_fidelity_hypothetical_fixed_agrees_with_direct_sampling():
         estimates = vector_estimates(axes, outcomes / (cfg.precision * cfg.precision))
         return 0.5 * (1.0 + _dot(estimates, truth))
 
-    vals = sequential._by_trial_groups(estimate_fidelities, 20, 10**4, 312, 0)
+    vals = _by_groups(estimate_fidelities, 10**4, seed=312)
     for k in [*range(50), *range(10**4 - 50, 10**4)]:  # the batch reproduces the public per-trial run
         result = run_sequence(true_state, 20, cfg, _trial_stream(312, 0, 10**4, k))
         assert vals[k] == fidelity(result.estimate, true_state)
